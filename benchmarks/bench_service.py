@@ -9,7 +9,9 @@ Two questions the ``repro.service`` subsystem exists to answer:
 2. What does the thread backend buy on the 10k-sample Monte-Carlo kernel?
    ``test_thread_vs_serial_mc`` times both paths.  Wall-clock speedups on
    shared CI runners are noisy, so the ratio is *recorded*, not asserted —
-   only statistical agreement is enforced.
+   only statistical agreement is enforced.  With fewer than two usable
+   CPUs there is no parallelism to measure, so the entry records the skip
+   instead of a "speedup" that would only be pool overhead.
 
 Timings are hand-rolled ``perf_counter`` medians (these paths are dominated
 by cache lookups and numpy kernels; pytest-benchmark's calibration overhead
@@ -31,7 +33,12 @@ from repro.distributions.registry import make_distribution
 from repro.service.journal import ShardJournal
 from repro.service.plancache import PlanCache
 from repro.service.planner import PlannerService, ResilienceOptions
-from repro.service.pool import ProcessBackend, SerialBackend, ThreadBackend
+from repro.service.pool import (
+    ProcessBackend,
+    SerialBackend,
+    ThreadBackend,
+    effective_cpu_count,
+)
 from repro.simulation.batch import monte_carlo_many
 from repro.simulation.monte_carlo import monte_carlo_expected_cost
 from repro.strategies.registry import make_strategy
@@ -122,9 +129,10 @@ def test_cold_vs_warm_plan(fresh_registry):
 def test_thread_vs_serial_mc(fresh_registry):
     """Thread-vs-serial MC throughput on the 10k-sample benchmark.
 
-    Asserts statistical agreement (the acceptance criterion); records the
-    wall-clock ratio without asserting it — 2-core CI runners make hard
-    speedup thresholds flaky.
+    Asserts statistical agreement (the acceptance criterion) on every
+    host; records the wall-clock ratio without asserting it — 2-core CI
+    runners make hard speedup thresholds flaky — and only where at least
+    two CPUs are usable (a one-worker pool measures overhead, not speedup).
     """
     n = 10_000
     dist = make_distribution("lognormal", mu=3.0, sigma=0.5)
@@ -143,7 +151,8 @@ def test_thread_vs_serial_mc(fresh_registry):
             seq, dist, cm, n_samples=n, seed=11, backend=serial_backend
         )
 
-    jobs = min(4, os.cpu_count() or 1)
+    cpus = effective_cpu_count()
+    jobs = max(2, min(4, cpus))
     with ThreadBackend(jobs) as thread_backend:
         thread_s = _median_time(
             lambda: monte_carlo_expected_cost(
@@ -159,6 +168,12 @@ def test_thread_vs_serial_mc(fresh_registry):
     tol = 5.0 * float(np.hypot(serial.std_error, parallel.std_error))
     assert abs(parallel.mean_cost - serial.mean_cost) <= tol
 
+    if cpus < 2:
+        _TIMINGS["mc_10k_thread_vs_serial"] = {
+            "skipped": "needs >= 2 CPUs",
+            "cpu_count": cpus,
+        }
+        return
     _TIMINGS["mc_10k_thread_vs_serial"] = {
         "serial_median_s": serial_s,
         "thread_median_s": thread_s,

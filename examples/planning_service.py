@@ -11,7 +11,11 @@ client round trip:
    ``/metrics`` is the proof),
 4. ``POST /evaluate`` — fresh Monte-Carlo numbers for the cached plan,
 5. ``GET  /metrics``  — cache and server counters,
-6. snapshot save/load — a restarted server warm-starts with the same keys.
+6. restart — a fresh store on the same journal directory replays the plans,
+   so a restarted server answers them from the cache.
+
+The cache is a :class:`~repro.service.shard.ShardStore` in a temporary
+directory: the journaled plan cache ``repro-serve --shard-dir`` uses.
 
 The CI ``service`` job runs this script verbatim and relies on its exit
 code: every step ends in an ``assert``, so a broken cache or server fails
@@ -20,11 +24,12 @@ the build.
 Run:  python examples/planning_service.py
 """
 
+import os
 import tempfile
 import threading
 
 from repro import observability as obs
-from repro.service import PlanCache, PlannerService, ServiceClient, serve
+from repro.service import PlannerService, ServiceClient, ShardStore, serve
 
 # The `repro-serve` entry point enables instrumentation itself; an embedded
 # service needs it on explicitly for the /metrics counters to count.
@@ -36,9 +41,10 @@ PARAMS = {"mu": 3.0, "sigma": 0.5}
 # Boot an in-process server on an ephemeral port (the production path is
 # the `repro-serve` console script; same code, same endpoints).
 # ----------------------------------------------------------------------
-service = PlannerService(
-    cache=PlanCache(maxsize=64), n_samples=2000, seed=0
-)
+store_dir = tempfile.TemporaryDirectory(prefix="repro-example-")
+store_path = os.path.join(store_dir.name, "shard-0")
+store = ShardStore(store_path, maxsize=64)
+service = PlannerService(cache=store, n_samples=2000, seed=0)
 server = serve(service, host="127.0.0.1", port=0, max_inflight=8)
 thread = threading.Thread(target=server.serve_forever, daemon=True)
 thread.start()
@@ -87,22 +93,25 @@ try:
     assert counters["plancache.hits"] >= 2
     assert counters["plancache.misses"] >= 1
 
-    # 6. Warm-start snapshot: a restarted service keeps the same keys.
-    with tempfile.NamedTemporaryFile(suffix=".json") as snap:
-        saved = service.cache.save(snap.name)
-        restarted = PlannerService(cache=PlanCache(maxsize=64), n_samples=2000)
-        loaded = restarted.cache.load(snap.name)
-        assert loaded == saved >= 1
-        replay = restarted.plan(
-            {"distribution": {"law": "lognormal", "params": PARAMS},
-             "strategy": "mean_by_mean"}
-        )
-        assert replay["cached"] is True, "snapshot must warm-start the cache"
-        assert replay["key"] == cold["key"]
-    print(f"snapshot:  {saved} plan(s) survived a simulated restart")
+    # 6. Restart: every plan was journaled when it was cached, so a fresh
+    #    store on the same directory replays them — no shutdown step needed.
+    restarted_store = ShardStore(store_path, maxsize=64)
+    recovered = restarted_store.recover()
+    assert recovered == len(store) >= 1
+    restarted = PlannerService(cache=restarted_store, n_samples=2000)
+    replay = restarted.plan(
+        {"distribution": {"law": "lognormal", "params": PARAMS},
+         "strategy": "mean_by_mean"}
+    )
+    assert replay["cached"] is True, "the journal must warm the restarted cache"
+    assert replay["key"] == cold["key"]
+    restarted_store.close()
+    print(f"restart:   {recovered} plan(s) replayed from the journal")
 
     print("\nAll service round-trip checks passed.")
 finally:
     server.shutdown()
     server.server_close()
     thread.join(timeout=5)
+    store.close()
+    store_dir.cleanup()

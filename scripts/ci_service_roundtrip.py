@@ -2,10 +2,12 @@
 """CI driver for the `service` and `chaos` jobs: boot ``repro-serve`` as a
 real subprocess on an ephemeral port and drive it over HTTP.
 
-Default mode (the `service` job) exercises the plan → evaluate → metrics
+Default mode (the `service` job) boots with ``--shard-dir`` (the in-process
+cache journaled at ``DIR/shard-0``), exercises the plan → evaluate → metrics
 round trip, asserts the second identical plan request was answered from the
-cache (the ``plancache.hits`` counter is the proof), then SIGTERMs and
-checks the graceful shutdown wrote the cache snapshot.
+cache (the ``plancache.hits`` counter is the proof), then SIGTERMs, reboots
+on the same directory, and checks the server recovered exactly that one
+plan from its journal and serves it ``cached: true``.
 
 ``--chaos`` (the `chaos` job) boots the server under the canned
 ``scripts/chaos_plan.json`` fault drill — a deterministic burst that opens
@@ -41,14 +43,13 @@ BREAKER_RECOVERY_S = 2.0
 
 
 def boot(extra_args, env=None):
-    snap = os.path.join(tempfile.mkdtemp(prefix="repro-serve-ci-"), "snap.json")
+    """Start ``repro-serve``; returns (proc, port, output up to the banner)."""
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "repro.service.server",
             "--port", "0",
             "--backend", "thread", "--jobs", "2",
             "--n-samples", "1000",
-            "--snapshot-out", snap,
             *extra_args,
         ],
         stdout=subprocess.PIPE,
@@ -56,29 +57,33 @@ def boot(extra_args, env=None):
         text=True,
         env=env,
     )
+    lines = []
     match = None
     for _ in range(20):  # skip interpreter noise before the banner
         line = proc.stdout.readline()
         if not line:
             break
+        lines.append(line)
         match = re.search(r"http://[\d.]+:(\d+)", line)
         if match:
             break
     assert match, "repro-serve never printed its listening line"
-    return proc, snap, int(match.group(1))
+    output = "".join(lines)
+    print(output, end="")
+    return proc, int(match.group(1)), output
 
 
-def shutdown(proc, snap):
+def shutdown(proc):
     proc.send_signal(signal.SIGTERM)
     code = proc.wait(timeout=30)
     print(proc.stdout.read(), end="")
     assert code == 0, f"repro-serve exited with {code}"
-    assert os.path.exists(snap), "graceful shutdown did not write the snapshot"
-    print("graceful shutdown + snapshot ok")
+    print("graceful shutdown ok")
 
 
 def roundtrip(extra_args):
-    proc, snap, port = boot(extra_args)
+    store_args = ["--shard-dir", tempfile.mkdtemp(prefix="repro-serve-ci-")]
+    proc, port, _ = boot([*store_args, *extra_args])
     try:
         print(f"repro-serve up on port {port}")
         client = ServiceClient(f"http://127.0.0.1:{port}")
@@ -99,14 +104,26 @@ def roundtrip(extra_args):
         assert counters["plancache.hits"] >= 2, counters
         print(f"round trip ok (plancache.hits={counters['plancache.hits']})")
     finally:
-        shutdown(proc, snap)
+        shutdown(proc)
+
+    # Reboot on the same directory: the journal replays the one plan.
+    proc, port, banner = boot([*store_args, *extra_args])
+    try:
+        assert "recovered=1" in banner, banner
+        client = ServiceClient(f"http://127.0.0.1:{port}")
+        again = client.plan("lognormal", PARAMS)
+        assert again["cached"] is True, "the journaled plan must survive a restart"
+        assert again["key"] == cold["key"]
+        print("journal restart ok: recovered=1, plan served cached")
+    finally:
+        shutdown(proc)
     return 0
 
 
 def chaos(extra_args):
     env = dict(os.environ)
     env["REPRO_FAULTS"] = CHAOS_PLAN
-    proc, snap, port = boot(
+    proc, port, _ = boot(
         [
             "--mc-task-timeout", "1.0",
             "--mc-task-retries", "2",
@@ -164,12 +181,12 @@ def chaos(extra_args):
         assert health["resilience"]["faults"]["total_triggered"] > 0
         print("chaos drill ok: every request answered under fault injection")
     finally:
-        shutdown(proc, snap)
+        shutdown(proc)
     return 0
 
 
 def boot_sharded(workers, shard_dir, extra_args=(), env=None):
-    """Boot ``repro-serve --workers N`` (no snapshot: journals persist)."""
+    """Boot ``repro-serve --workers N`` (each shard journals its slice)."""
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "repro.service.server",

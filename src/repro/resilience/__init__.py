@@ -1,7 +1,7 @@
 """Resilience layer: fault injection, retry/backoff, circuit breaking,
 graceful degradation.
 
-The serving stack (:mod:`repro.service`) assumes workers, snapshot I/O and
+The serving stack (:mod:`repro.service`) assumes workers, journal I/O and
 HTTP requests can all fail; this package supplies the machinery that keeps
 it answering anyway:
 

@@ -3,7 +3,7 @@
 The paper's premise is paying for compute under uncertainty; the serving
 stack must therefore survive the *infrastructure* being uncertain too.
 This module lets any tagged call site — a pool worker, a Monte-Carlo
-chunk, a snapshot write, an HTTP request — be made to raise, hang past a
+chunk, a journal append, an HTTP request — be made to raise, hang past a
 deadline, or return late, without touching the call site's logic:
 
     from repro.resilience import faults
@@ -13,8 +13,8 @@ deadline, or return late, without touching the call site's logic:
     @faults.injection_point("mc.chunk")  # decorator form
     def chunk_task(args): ...
 
-    with faults.fault_point("plancache.save"):   # context-manager form
-        write_snapshot()
+    with faults.fault_point("shard.compact"):    # context-manager form
+        publish_base()
 
 A :class:`FaultPlan` is a list of :class:`FaultRule`\\ s, each matching one
 site (or a ``prefix.*`` family) with a trigger probability, an optional
@@ -127,8 +127,6 @@ def known_sites() -> Dict[str, str]:
 # means a plan referencing them validates even before those modules load.
 register_site("pool.worker", "every task attempt on an execution backend")
 register_site("mc.chunk", "one parallel Monte-Carlo chunk costing task")
-register_site("plancache.save", "plan-cache snapshot write (pre-rename)")
-register_site("plancache.load", "plan-cache snapshot read")
 register_site("server.request", "admitted POST request handling")
 register_site("shard.journal.append", "one shard journal record write (pre-write)")
 register_site("shard.compact", "shard journal compaction (pre-publish of the base)")

@@ -8,15 +8,15 @@ package turns those observations into a long-lived service:
 
 - :mod:`repro.service.keys` — canonical content-hash cache keys built on the
   ``Distribution.params()`` protocol;
-- :mod:`repro.service.plancache` — thread-safe LRU + TTL plan cache with a
-  JSON warm-start snapshot;
+- :mod:`repro.service.plancache` — thread-safe LRU + TTL plan cache;
 - :mod:`repro.service.pool` — pluggable serial / thread / process execution
   backends with ordered map, per-task timeout, and bounded retry;
 - :mod:`repro.service.planner` — the transport-free request/response core;
 - :mod:`repro.service.journal` — crash-safe append-only shard journal
   (base snapshot + JSONL suffix, segment rotation, compaction);
-- :mod:`repro.service.shard` — one journaled cache shard: store, worker
-  process (``python -m repro.service.shard``), and RPC client;
+- :mod:`repro.service.shard` — one journaled cache shard: store (also the
+  in-process cache behind ``repro-serve --shard-dir``), worker process
+  (``python -m repro.service.shard``), and RPC client;
 - :mod:`repro.service.router` — consistent-hashing router
   (:class:`~repro.service.router.ShardedPlanCache`) and supervised
   :class:`~repro.service.router.ShardFleet` behind ``repro-serve

@@ -1,9 +1,10 @@
 """Crash-safe append-only journal for one plan-cache shard (format v1).
 
-The whole-cache JSON snapshot of :class:`~repro.service.plancache.PlanCache`
-loses everything computed since the last save when a process dies.  A shard
-instead persists every mutation as one JSONL record the moment it happens,
-so recovery is *replay*: the compacted ``base.json`` plus the journal
+This is the only persistence path for plans.  A shard — a worker process
+of ``repro-serve --workers N``, or the in-process store behind
+``repro-serve --shard-dir D`` — persists every mutation as one JSONL
+record the moment it happens, so a process death loses no committed plan
+and recovery is *replay*: the compacted ``base.json`` plus the journal
 suffix reconstructs the exact pre-crash state, and an interrupted append
 can lose at most the final partial record — never corrupt prior ones.
 
@@ -84,7 +85,7 @@ class ReplayResult:
 
     ``entries`` maps ``key -> (created_at, payload)`` in last-write order;
     TTL filtering is the caller's business (the store applies it when
-    loading entries into its cache, mirroring ``PlanCache.load``).
+    loading entries into its cache).
     """
 
     entries: Dict[str, Tuple[float, dict]] = field(default_factory=dict)
@@ -98,13 +99,12 @@ class ReplayResult:
 
 
 class ShardJournal:
-    """Append-only mutation log with size/age-triggered compaction."""
+    """Append-only mutation log with size-triggered compaction."""
 
     def __init__(
         self,
         directory: str,
         max_segment_bytes: int = 1 << 20,
-        max_segment_age_s: Optional[float] = None,
         clock: Callable[[], float] = time.time,
         fsync: bool = True,
     ):
@@ -112,20 +112,13 @@ class ShardJournal:
             raise ValueError(
                 f"max_segment_bytes must be >= 1, got {max_segment_bytes}"
             )
-        if max_segment_age_s is not None and max_segment_age_s <= 0:
-            raise ValueError(
-                f"max_segment_age_s must be positive (or None), got "
-                f"{max_segment_age_s}"
-            )
         self.directory = os.path.abspath(directory)
         self.max_segment_bytes = int(max_segment_bytes)
-        self.max_segment_age_s = max_segment_age_s
         self._clock = clock
         self._fsync = fsync
         self._lock = threading.Lock()
         self._fh: Optional[io.BufferedWriter] = None
         self._segment_bytes = 0
-        self._segment_created_at = self._clock()
         self._appends = 0
         self._compactions = 0
         os.makedirs(self.directory, exist_ok=True)
@@ -152,28 +145,15 @@ class ShardJournal:
         fh = open(self.journal_path, "ab")
         self._fh = fh  # repro-lint: disable=RS104 -- caller holds _lock (or __init__)
         if fresh:
-            header = {
-                "op": "segment",
-                "version": JOURNAL_VERSION,
-                "created_at": self._clock(),
-            }
-            self._write_line(header)
-            self._segment_created_at = float(header["created_at"])  # repro-lint: disable=RS104 -- caller holds _lock (or __init__)
-        else:
-            self._segment_created_at = self._read_segment_created_at()  # repro-lint: disable=RS104 -- caller holds _lock (or __init__)
+            self._write_line(self._segment_header())
         self._segment_bytes = os.path.getsize(self.journal_path)  # repro-lint: disable=RS104 -- caller holds _lock (or __init__)
 
-    def _read_segment_created_at(self) -> float:
-        """Creation stamp from the existing segment's header (best effort)."""
-        try:
-            with open(self.journal_path, "rb") as fh:
-                first = fh.readline()
-            header = json.loads(first.decode("utf-8"))
-            if header.get("op") == "segment":
-                return float(header["created_at"])
-        except (OSError, ValueError, TypeError, KeyError):
-            pass
-        return self._clock()
+    def _segment_header(self) -> dict:
+        return {
+            "op": "segment",
+            "version": JOURNAL_VERSION,
+            "created_at": self._clock(),
+        }
 
     def _write_line(self, record: dict) -> int:
         """Serialize, write, flush, and fsync one record; returns its size.
@@ -217,15 +197,9 @@ class ShardJournal:
         metrics.inc(names.SHARD_JOURNAL_BYTES, written)
 
     def should_compact(self) -> bool:
-        """Size/age trigger for :meth:`compact` (header line excluded)."""
+        """Size trigger for :meth:`compact`."""
         with self._lock:
-            if self._segment_bytes >= self.max_segment_bytes:
-                return True
-            if self.max_segment_age_s is not None:
-                age = self._clock() - self._segment_created_at
-                if age >= self.max_segment_age_s:
-                    return True
-            return False
+            return self._segment_bytes >= self.max_segment_bytes
 
     # -- compaction -----------------------------------------------------
     def compact(self, entries: Sequence[Dict[str, object]]) -> None:
@@ -266,11 +240,7 @@ class ShardJournal:
             # Base is durable; now reset the segment the same way.
             self._fh.close()
             self._fh = None
-            header = {
-                "op": "segment",
-                "version": JOURNAL_VERSION,
-                "created_at": self._clock(),
-            }
+            header = self._segment_header()
             fd, tmp_path = tempfile.mkstemp(
                 prefix=JOURNAL_FILENAME + ".", suffix=".tmp", dir=self.directory
             )
@@ -292,7 +262,6 @@ class ShardJournal:
                 raise
             self._fh = open(self.journal_path, "ab")  # repro-lint: disable=RS202 -- reattach before releasing the lock, or a concurrent append would race the swap
             self._segment_bytes = os.path.getsize(self.journal_path)
-            self._segment_created_at = float(header["created_at"])
             self._compactions += 1
         metrics.inc(names.SHARD_COMPACTIONS)
 
@@ -392,9 +361,7 @@ class ShardJournal:
             return {
                 "directory": self.directory,
                 "segment_bytes": self._segment_bytes,
-                "segment_age_s": self._clock() - self._segment_created_at,
                 "max_segment_bytes": self.max_segment_bytes,
-                "max_segment_age_s": self.max_segment_age_s,
                 "appends": self._appends,
                 "compactions": self._compactions,
                 "has_base": os.path.exists(self.base_path),

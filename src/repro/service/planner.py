@@ -70,8 +70,9 @@ __all__ = [
 class PlanCacheLike(Protocol):
     """What the planner needs from a cache tier.
 
-    Satisfied by the in-process :class:`~repro.service.plancache.PlanCache`
-    and by the sharded facade
+    Satisfied by the in-process :class:`~repro.service.plancache.PlanCache`,
+    by its journaled subclass :class:`~repro.service.shard.ShardStore`
+    (``repro-serve --shard-dir``), and by the sharded facade
     (:class:`~repro.service.router.ShardedPlanCache`).  The sharded tier
     additionally offers ``get_or_compute_routed`` — detected dynamically so
     responses can be stamped with the shard route without this module

@@ -333,7 +333,6 @@ class ShardFleet:
         maxsize_per_shard: int = 4096,
         ttl: Optional[float] = None,
         journal_max_bytes: int = 1 << 20,
-        journal_max_age_s: Optional[float] = None,
         host: str = "127.0.0.1",
         rpc_timeout: float = 2.0,
         boot_timeout: float = 20.0,
@@ -347,7 +346,6 @@ class ShardFleet:
         self.maxsize_per_shard = int(maxsize_per_shard)
         self.ttl = ttl
         self.journal_max_bytes = int(journal_max_bytes)
-        self.journal_max_age_s = journal_max_age_s
         self.host = host
         self.rpc_timeout = float(rpc_timeout)
         self.boot_timeout = float(boot_timeout)
@@ -419,8 +417,6 @@ class ShardFleet:
         ]
         if self.ttl is not None:
             cmd += ["--ttl", str(self.ttl)]
-        if self.journal_max_age_s is not None:
-            cmd += ["--journal-max-age", str(self.journal_max_age_s)]
         env = dict(os.environ)
         src_root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
         env["PYTHONPATH"] = os.pathsep.join(

@@ -14,12 +14,18 @@ under overload a planner that sheds load stays responsive for the requests
 it does admit.  ``/healthz`` and ``/metrics`` bypass admission so operators
 can always observe an overloaded server.
 
+Persistence: without ``--shard-dir`` the plan cache is the in-memory
+:class:`~repro.service.plancache.PlanCache`.  ``--shard-dir D`` makes it
+the journaled :class:`~repro.service.shard.ShardStore` at ``D/shard-0``
+(the layout a one-shard fleet uses), recovered before the banner; with
+``--workers N`` each shard worker journals its slice under ``D/shard-K``.
+Either way every cached plan is fsync'd to its journal when it is put, so
+a restart on the same directory — clean or not — serves it again.
+
 Graceful shutdown: SIGINT/SIGTERM stop the accept loop, the listening
-socket closes (new connections are refused), in-flight requests are
+socket closes (new connections are refused), and in-flight requests are
 *drained* — an explicit condition-variable barrier, since the handler
-threads are daemons and would otherwise be abandoned mid-response — and
-(with ``--snapshot-out``) the plan cache is persisted exactly once for the
-next boot's ``--warm-start``.
+threads are daemons and would otherwise be abandoned mid-response.
 
 Resilience: every admitted POST passes the ``server.request``
 fault-injection site, and ``--fault-spec`` installs a
@@ -35,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import signal
 import sys
 import threading
@@ -51,6 +58,7 @@ from repro.service.plancache import PlanCache
 from repro.service.planner import PlannerService, ResilienceOptions, ServiceError
 from repro.service.pool import get_backend
 from repro.service.router import ShardFleet
+from repro.service.shard import ShardStore, recover_or_cold
 
 __all__ = ["PlanServer", "serve", "main"]
 
@@ -222,15 +230,17 @@ def main(argv=None) -> int:
         type=int,
         default=0,
         help="shard the plan cache across N supervised worker processes "
-        "(0 = classic in-process cache); each shard persists its slice in "
-        "a crash-safe append-only journal under --shard-dir",
+        "(0 = in-process cache); each shard persists its slice in a "
+        "crash-safe append-only journal under --shard-dir",
     )
     parser.add_argument(
         "--shard-dir",
         metavar="DIR",
         default=None,
-        help="root directory for per-shard journals (default: "
-        "./repro-shards); each worker owns DIR/shard-K",
+        help="root directory for per-shard journals; each worker owns "
+        "DIR/shard-K (default with --workers N: ./repro-shards). With "
+        "--workers 0 the in-process cache is journaled at DIR/shard-0 and "
+        "recovered on boot; omit it for a memory-only cache",
     )
     parser.add_argument(
         "--shard-journal-bytes",
@@ -245,11 +255,17 @@ def main(argv=None) -> int:
         "--backend",
         choices=("serial", "thread", "process", "auto"),
         default="thread",
-        help="execution backend for Monte-Carlo evaluation (default: thread; "
-        "'auto' picks serial or process per request by problem size)",
+        help="execution backend for Monte-Carlo evaluation (default: thread, "
+        "which evaluates serially unless --jobs >= 2; 'auto' picks serial or "
+        "process per request by problem size)",
     )
     parser.add_argument(
-        "--jobs", type=int, default=0, help="worker count (0 = one per CPU)"
+        "--jobs",
+        type=int,
+        default=0,
+        help="pool size for --backend thread/process: 0 or 1 evaluates "
+        "Monte-Carlo serially, N >= 2 starts a pool of N workers (auto "
+        "sizes its pool from the CPU count when below 2)",
     )
     parser.add_argument(
         "--max-inflight",
@@ -264,18 +280,6 @@ def main(argv=None) -> int:
         help="default Monte-Carlo samples per plan/evaluate request",
     )
     parser.add_argument("--seed", type=int, default=0, help="default RNG seed")
-    parser.add_argument(
-        "--warm-start",
-        metavar="FILE",
-        default=None,
-        help="load a plan-cache snapshot before serving",
-    )
-    parser.add_argument(
-        "--snapshot-out",
-        metavar="FILE",
-        default=None,
-        help="write a plan-cache snapshot on shutdown",
-    )
     parser.add_argument(
         "--fault-spec",
         metavar="SPEC",
@@ -331,6 +335,7 @@ def main(argv=None) -> int:
         faults.install(plan)
         print(f"Fault plan installed: {plan!r}", file=sys.stderr)
     fleet = None
+    store = None
     if args.workers > 0:
         fleet = ShardFleet(
             n_shards=args.workers,
@@ -345,6 +350,19 @@ def main(argv=None) -> int:
             f"{sorted(fleet.pids().values())}, data={fleet.data_dir}",
             file=sys.stderr,
         )
+    elif args.shard_dir:
+        store = ShardStore(
+            os.path.join(args.shard_dir, "shard-0"),
+            maxsize=args.cache_size,
+            ttl=args.ttl,
+            max_segment_bytes=args.shard_journal_bytes,
+        )
+        recovered = recover_or_cold(store, "plan store")
+        print(
+            f"Plan store: {store.journal.directory} recovered={recovered}",
+            flush=True,
+        )
+        cache = store
     else:
         cache = PlanCache(maxsize=args.cache_size, ttl=args.ttl)
     service = PlannerService(
@@ -360,33 +378,11 @@ def main(argv=None) -> int:
             breaker_recovery_s=args.breaker_recovery,
         ),
     )
-    if args.warm_start:
-        if isinstance(cache, PlanCache):
-            try:
-                loaded = cache.load(args.warm_start)
-                print(f"Warm start: {loaded} plan(s) from {args.warm_start}")
-            except Exception as exc:  # noqa: BLE001 - cold boot beats no boot
-                # Broad on purpose: a corrupt/unreadable snapshot (or an
-                # injected plancache.load fault in chaos runs) must degrade
-                # to an empty cache, never keep the server from starting.
-                print(f"Warm start skipped ({exc})", file=sys.stderr)
-        else:
-            # Sharded mode warm-starts from the per-shard journals instead
-            # (each worker replayed base + journal before its banner).
-            print(
-                "Warm start: sharded mode replays per-shard journals; "
-                f"ignoring {args.warm_start}",
-                file=sys.stderr,
-            )
-
     server = serve(
         service, host=args.host, port=args.port, max_inflight=args.max_inflight
     )
 
-    stop = threading.Event()
-
     def _shutdown(signum, frame):
-        stop.set()
         threading.Thread(target=server.shutdown, daemon=True).start()
 
     for sig in (signal.SIGINT, signal.SIGTERM):
@@ -403,35 +399,16 @@ def main(argv=None) -> int:
         server.serve_forever(poll_interval=0.2)
     finally:
         # Ordered shutdown: close the socket first (new connections are
-        # refused), then drain admitted requests, then snapshot — exactly
-        # once, and only after the cache has stopped changing.
+        # refused), then drain admitted requests, then release the cache
+        # tier.  Nothing is persisted here: every plan was journaled when
+        # it was put.
         server.server_close()
         if not server.drain(timeout=args.drain_timeout):
             print(
-                f"Drain timed out after {args.drain_timeout}s; "
-                "snapshotting anyway",
-                file=sys.stderr,
+                f"Drain timed out after {args.drain_timeout}s", file=sys.stderr
             )
-        if args.snapshot_out:
-            if isinstance(cache, PlanCache):
-                try:
-                    saved = cache.save(args.snapshot_out)
-                    print(
-                        f"Snapshot: {saved} plan(s) to {args.snapshot_out}",
-                        flush=True,
-                    )
-                except Exception as exc:  # noqa: BLE001
-                    # The shutdown path must complete even when the snapshot
-                    # write fails (disk full, injected plancache.save
-                    # fault): losing a warm start is recoverable, dying
-                    # mid-drain with a traceback is not.
-                    print(f"Snapshot failed ({exc})", file=sys.stderr)
-            else:
-                print(
-                    "Snapshot: sharded mode persists per-shard journals; "
-                    f"ignoring {args.snapshot_out}",
-                    file=sys.stderr,
-                )
+        if store is not None:
+            store.close()
         if fleet is not None:
             # After the drain: in-flight requests may still be talking to
             # shards right up to their last byte of response.

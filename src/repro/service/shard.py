@@ -5,10 +5,12 @@ A shard owns a contiguous arc of the consistent-hashing ring (see
 memory (:class:`~repro.service.plancache.PlanCache`) and on disk
 (:class:`~repro.service.journal.ShardJournal`).  Three pieces live here:
 
-* :class:`ShardStore` — cache + journal glued together: every ``put`` /
-  ``invalidate`` / capacity eviction is journaled *before* the in-memory
-  mutation, so a SIGKILL at any instant recovers to the exact committed
-  state via ``base + journal`` replay (:meth:`ShardStore.recover`);
+* :class:`ShardStore` — the ``PlanCache`` subclass that journals every
+  ``put`` / ``invalidate`` / ``clear`` and capacity eviction *before* the
+  in-memory mutation, so a SIGKILL at any instant recovers to the exact
+  committed state via ``base + journal`` replay
+  (:meth:`ShardStore.recover`).  Single-process ``repro-serve
+  --shard-dir D`` serves from one of these in-process at ``D/shard-0``;
 * :class:`ShardServer` + :func:`main` — the worker process:
   ``python -m repro.service.shard --shard-id K --data-dir D`` binds a
   localhost TCP port, replays its journal (per-shard warm start), prints a
@@ -26,6 +28,7 @@ a killed worker, and trivially testable with in-process servers.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import signal
@@ -46,6 +49,7 @@ __all__ = [
     "ShardError",
     "ShardUnavailable",
     "ShardStore",
+    "recover_or_cold",
     "ShardServer",
     "ShardClient",
     "serve_shard",
@@ -66,8 +70,15 @@ class ShardUnavailable(RuntimeError):
 # ----------------------------------------------------------------------
 # Journaled store
 # ----------------------------------------------------------------------
-class ShardStore:
+class ShardStore(PlanCache):
     """A :class:`PlanCache` whose every mutation is journaled first.
+
+    ``put`` / ``invalidate`` / ``clear`` — and each capacity eviction a
+    ``put`` makes room with — append their journal record before the
+    in-memory ``PlanCache`` mutation.  Reads and the single-flight
+    ``get_or_compute`` are inherited unchanged (its ``put`` is this
+    journaled one), and mutations serialize on a writer lock of their own,
+    so a ``get`` never waits on an fsync.
 
     Ordering contract: the journal record is durable *before* the
     in-memory mutation happens.  A crash after the append but before the
@@ -84,57 +95,57 @@ class ShardStore:
         ttl: Optional[float] = None,
         clock: Callable[[], float] = time.time,
         max_segment_bytes: int = 1 << 20,
-        max_segment_age_s: Optional[float] = None,
         fsync: bool = True,
     ):
-        self.cache = PlanCache(maxsize=maxsize, ttl=ttl, clock=clock)
+        super().__init__(maxsize=maxsize, ttl=ttl, clock=clock)
         self.journal = ShardJournal(
-            directory,
-            max_segment_bytes=max_segment_bytes,
-            max_segment_age_s=max_segment_age_s,
-            clock=clock,
-            fsync=fsync,
+            directory, max_segment_bytes=max_segment_bytes, clock=clock, fsync=fsync
         )
-        self._clock = clock
-        self._lock = threading.RLock()
-
-    # -- reads ----------------------------------------------------------
-    def get(self, key: str) -> Optional[dict]:
-        return self.cache.get(key)
+        self._write_lock = threading.RLock()
 
     def keys(self) -> List[str]:
-        return [str(entry["key"]) for entry in self.cache.entries()]
+        return [str(entry["key"]) for entry in self.entries()]
 
     # -- journaled mutations -------------------------------------------
     def put(
         self, key: str, payload: dict, created_at: Optional[float] = None
-    ) -> None:
-        with self._lock:
+    ) -> List[str]:
+        with self._write_lock:
             stamp = self._clock() if created_at is None else float(created_at)
+            # Make room first, one journaled eviction at a time, so replay
+            # removes exactly what the live cache removed and no committed
+            # prefix of the journal ever holds more than maxsize entries.
+            evicted = self._lru_victims(key)
+            for victim in evicted:
+                self.journal.append({"op": "evict", "key": victim})
+                if super().invalidate(victim):
+                    metrics.inc(names.PLANCACHE_EVICTIONS)
             self.journal.append(
                 {"op": "put", "key": key, "created_at": stamp, "payload": payload}
             )
-            evicted = self.cache.put(key, payload, created_at=stamp)
-            for victim in evicted:
-                # Record capacity evictions so replay removes exactly what
-                # the live cache removed — recovered state stays
-                # bit-identical to live state, never a resurrection.
-                self.journal.append({"op": "evict", "key": victim})
+            super().put(key, payload, created_at=stamp)
             self._maybe_compact()
+            return evicted
+
+    def _lru_victims(self, key: str) -> List[str]:
+        """The least-recently-used keys a ``put`` of ``key`` must evict."""
+        with self._lock:
+            excess = len(self._data) + (key not in self._data) - self.maxsize
+            return list(itertools.islice(self._data, max(excess, 0)))
 
     def invalidate(self, key: str) -> bool:
-        with self._lock:
+        with self._write_lock:
             # Journal first: an invalidate for an absent key replays as a
             # no-op, but a removed key missing its record would resurrect.
             self.journal.append({"op": "invalidate", "key": key})
-            removed = self.cache.invalidate(key)
+            removed = super().invalidate(key)
             self._maybe_compact()
             return removed
 
     def clear(self) -> None:
-        with self._lock:
+        with self._write_lock:
             self.journal.append({"op": "clear"})
-            self.cache.clear()
+            super().clear()
 
     # -- compaction / recovery -----------------------------------------
     def _maybe_compact(self) -> None:
@@ -142,27 +153,28 @@ class ShardStore:
             self.compact()
 
     def compact(self) -> int:
-        with self._lock:
-            entries = self.cache.entries()
+        with self._write_lock:
+            entries = self.entries()
             self.journal.compact(entries)
             return len(entries)
 
     def recover(self) -> int:
         """Replay base + journal into the cache; returns entries restored.
 
-        Mirrors ``PlanCache.load`` semantics: entries keep their original
-        ``created_at`` (TTLs age across the crash) and already-expired
-        entries are dropped.  Replay applies records through a plain dict,
-        so capacity evictions recorded in the journal — not the LRU's
-        mood during replay — decide what was removed.
+        Entries keep their original ``created_at`` (TTLs age across the
+        crash) and already-expired entries are dropped.  Replay applies
+        records through a plain dict, so capacity evictions recorded in the
+        journal — not the LRU's mood during replay — decide what was
+        removed; the replayed entries go straight into the in-memory cache
+        and are not journaled a second time.
         """
-        with self._lock:
+        with self._write_lock:
             result = self.journal.replay()
             restored = 0
             for key, (created_at, payload) in result.entries.items():
-                if self.cache._expired(created_at):
+                if self._expired(created_at):
                     continue
-                self.cache.put(key, payload, created_at=created_at)
+                super().put(key, payload, created_at=created_at)
                 restored += 1
             metrics.inc(names.SHARD_RECOVERED_ENTRIES, restored)
             return restored
@@ -171,9 +183,23 @@ class ShardStore:
         self.journal.close()
 
     def stats(self) -> Dict[str, object]:
-        stats = dict(self.cache.stats())
+        stats = super().stats()
         stats["journal"] = self.journal.stats()
         return stats
+
+
+def recover_or_cold(store: ShardStore, label: str) -> int:
+    """:meth:`ShardStore.recover`, degrading to an empty store on failure.
+
+    A cold store beats no store: an unreadable base (torn by something
+    outside the journal's control) is logged to stderr and the keys
+    recompute.  Returns the number of entries restored.
+    """
+    try:
+        return store.recover()
+    except Exception as exc:  # noqa: BLE001 - see docstring
+        print(f"{label} recovery skipped ({exc})", file=sys.stderr)
+        return 0
 
 
 # ----------------------------------------------------------------------
@@ -383,12 +409,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=1 << 20,
         help="journal segment size that triggers compaction",
     )
-    parser.add_argument(
-        "--journal-max-age",
-        type=float,
-        default=None,
-        help="journal segment age (seconds) that triggers compaction",
-    )
     args = parser.parse_args(argv)
 
     store = ShardStore(
@@ -396,15 +416,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         maxsize=args.maxsize,
         ttl=args.ttl,
         max_segment_bytes=args.journal_max_bytes,
-        max_segment_age_s=args.journal_max_age,
     )
-    try:
-        recovered = store.recover()
-    except Exception as exc:  # noqa: BLE001 - a cold shard beats no shard:
-        # an unreadable base (torn by something outside the journal's
-        # control) degrades to an empty store; the keys recompute.
-        print(f"shard {args.shard_id} recovery skipped ({exc})", file=sys.stderr)
-        recovered = 0
+    recovered = recover_or_cold(store, f"shard {args.shard_id}")
     server = serve_shard(store, args.shard_id, host=args.host, port=args.port)
 
     def _shutdown(signum: int, frame: Any) -> None:

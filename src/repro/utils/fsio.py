@@ -1,4 +1,4 @@
-"""Durable filesystem primitives shared by the snapshot and journal writers.
+"""Durable filesystem primitives for the shard journal's base and segments.
 
 The crash-safety story of the service tier rests on two disciplines:
 

@@ -45,7 +45,7 @@ class Clock:
 
 def _entries_map(store: ShardStore) -> dict:
     return {
-        e["key"]: (e["created_at"], e["payload"]) for e in store.cache.entries()
+        e["key"]: (e["created_at"], e["payload"]) for e in store.entries()
     }
 
 

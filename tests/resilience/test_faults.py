@@ -33,12 +33,12 @@ class TestFaultRule:
         assert FaultRule(site="pool.worker", mode="delay").seconds == 0.05
 
     def test_exact_and_prefix_matching(self):
-        exact = error_rule("plancache.save")
-        assert exact.matches("plancache.save")
-        assert not exact.matches("plancache.load")
-        family = error_rule("plancache.*")
-        assert family.matches("plancache.save")
-        assert family.matches("plancache.load")
+        exact = error_rule("shard.journal.append")
+        assert exact.matches("shard.journal.append")
+        assert not exact.matches("shard.compact")
+        family = error_rule("shard.*")
+        assert family.matches("shard.journal.append")
+        assert family.matches("shard.compact")
         assert not family.matches("pool.worker")
 
 
@@ -48,7 +48,13 @@ class TestFaultPlan:
             FaultPlan([error_rule("pool.wroker")])
 
     def test_strict_sites_accepts_families(self):
-        FaultPlan([error_rule("plancache.*")])  # must not raise
+        FaultPlan([error_rule("shard.*")])  # must not raise
+
+    def test_strict_sites_rejects_retired_snapshot_site(self):
+        # The JSON snapshot path is gone; a stale chaos spec naming its
+        # write site must fail loudly instead of injecting nothing.
+        with pytest.raises(ValueError, match="unknown site"):
+            FaultPlan([error_rule("plancache.save")])
 
     def test_error_mode_raises_injected_fault(self):
         plan = FaultPlan([error_rule()])
@@ -205,6 +211,6 @@ class TestCallSiteHelpers:
 
     def test_registry_documents_builtin_sites(self):
         sites = faults.known_sites()
-        for site in ("pool.worker", "mc.chunk", "plancache.save",
-                     "plancache.load", "server.request"):
+        for site in ("pool.worker", "mc.chunk", "server.request",
+                     "shard.journal.append", "shard.compact", "shard.rpc"):
             assert site in sites

@@ -1,9 +1,12 @@
-"""Graceful shutdown under load, against a real ``repro-serve`` subprocess.
+"""Boot and graceful shutdown of ``repro-serve --shard-dir`` (one process).
 
 A ``server.request:delay`` fault keeps requests in flight long enough to
 SIGTERM the server mid-response.  The contract: every admitted request
-completes, new connections are refused, and the cache snapshot is written
-exactly once — after the drain, so it contains the in-flight plans.
+completes, new connections are refused, and — because ``--shard-dir``
+journals every plan when it is cached — a reboot on the same directory
+serves the plan that was in flight at SIGTERM from its journal.  A store
+whose base is unreadable must not keep the server from booting: it starts
+cold and answers.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ import urllib.error
 import urllib.request
 
 import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
 
 REQUEST_BODY = json.dumps(
     {
@@ -43,37 +48,53 @@ def post_plan(port, results, index):
         results[index] = ("error", repr(exc))
 
 
-@pytest.mark.slow
-def test_sigterm_mid_flight_drains_then_snapshots(tmp_path):
-    snapshot = str(tmp_path / "snap.json")
-    root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+def boot(shard_dir, faults=None):
+    """Start ``repro-serve --shard-dir``; returns (proc, port, boot lines)."""
     env = dict(os.environ)
-    # Every admitted request is delayed ~1.2s — the SIGTERM window.
-    env["REPRO_FAULTS"] = "server.request:delay:1:seconds=1.2"
+    env.pop("REPRO_FAULTS", None)
+    if faults:
+        env["REPRO_FAULTS"] = faults
     env["PYTHONPATH"] = (
-        os.path.join(root, "src") + os.pathsep + env.get("PYTHONPATH", "")
+        os.path.join(ROOT, "src") + os.pathsep + env.get("PYTHONPATH", "")
     )
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "repro.service.server",
             "--port", "0", "--backend", "serial", "--jobs", "1",
-            "--n-samples", "200", "--snapshot-out", snapshot,
+            "--n-samples", "200", "--shard-dir", shard_dir,
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
         env=env,
-        cwd=root,
+        cwd=ROOT,
     )
+    lines = []
+    for _ in range(20):
+        line = proc.stdout.readline()
+        lines.append(line)
+        match = re.search(r"http://[\d.]+:(\d+)", line or "")
+        if match:
+            return proc, int(match.group(1)), "".join(lines)
+    proc.kill()
+    proc.wait(timeout=10)
+    raise AssertionError(f"repro-serve printed no listening line: {lines}")
+
+
+def stop(proc):
+    if proc.poll() is None:
+        proc.kill()
+        proc.wait(timeout=10)
+
+
+@pytest.mark.slow
+def test_sigterm_mid_flight_drains_then_reboot_serves_journaled_plan(tmp_path):
+    shard_dir = str(tmp_path / "shards")
+    # Every admitted request is delayed ~1.2s — the SIGTERM window.
+    delay = "server.request:delay:1:seconds=1.2"
+    proc, port, banner = boot(shard_dir, faults=delay)
     try:
-        port = None
-        for _ in range(20):
-            line = proc.stdout.readline()
-            match = re.search(r"http://[\d.]+:(\d+)", line or "")
-            if match:
-                port = int(match.group(1))
-                break
-        assert port, "repro-serve never printed its listening line"
+        assert "recovered=0" in banner, banner
 
         results = {}
         threads = [
@@ -98,14 +119,49 @@ def test_sigterm_mid_flight_drains_then_snapshots(tmp_path):
             urllib.request.urlopen(
                 f"http://127.0.0.1:{port}/healthz", timeout=2
             )
-
-        output = proc.stdout.read()
-        assert output.count("Snapshot:") == 1, output  # exactly once
-
-        # The snapshot was written after the drain: the in-flight plan is in it.
-        doc = json.loads(open(snapshot).read())
-        assert len(doc["entries"]) == 1
     finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait(timeout=10)
+        stop(proc)
+
+    key = results[0][1]["key"]
+    assert os.path.exists(os.path.join(shard_dir, "shard-0", "journal.jsonl"))
+
+    # Reboot on the same directory: the plan that was in flight at SIGTERM
+    # was journaled before its response, so it is served from the store.
+    proc, port, banner = boot(shard_dir)
+    try:
+        assert "recovered=1" in banner, banner
+        again = {}
+        post_plan(port, again, 0)
+        status, body = again[0]
+        assert status == 200, again
+        assert body["key"] == key
+        assert body["cached"] is True
+    finally:
+        proc.send_signal(signal.SIGTERM)
+        try:
+            assert proc.wait(timeout=30) == 0
+        finally:
+            stop(proc)
+
+
+@pytest.mark.slow
+def test_unreadable_base_boots_cold_and_answers(tmp_path):
+    shard_dir = tmp_path / "shards"
+    (shard_dir / "shard-0").mkdir(parents=True)
+    (shard_dir / "shard-0" / "base.json").write_text("{not json")
+
+    proc, port, banner = boot(str(shard_dir))
+    try:
+        assert "recovery skipped" in banner, banner
+        assert "recovered=0" in banner, banner
+        results = {}
+        post_plan(port, results, 0)
+        status, body = results[0]
+        assert status == 200, results
+        assert body["cached"] is False
+    finally:
+        proc.send_signal(signal.SIGTERM)
+        try:
+            assert proc.wait(timeout=30) == 0
+        finally:
+            stop(proc)

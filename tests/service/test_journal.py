@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 
 import pytest
 
@@ -223,20 +224,9 @@ def test_size_trigger_and_store_compaction(tmp_path, clock):
     assert store.journal.stats()["compactions"] >= 1
     fresh = ShardStore(str(tmp_path / "s"), clock=clock, fsync=False)
     fresh.recover()
-    assert fresh.cache.entries() == store.cache.entries()
+    assert fresh.entries() == store.entries()
     store.close()
     fresh.close()
-
-
-def test_age_trigger(tmp_path, clock):
-    journal = make_journal(
-        tmp_path, clock, max_segment_bytes=1 << 30, max_segment_age_s=60.0
-    )
-    put(journal, "a", 1, clock())
-    assert not journal.should_compact()
-    clock.advance(61.0)
-    assert journal.should_compact()
-    journal.close()
 
 
 def test_injected_compact_fault_preserves_base_and_journal(tmp_path, clock):
@@ -247,6 +237,14 @@ def test_injected_compact_fault_preserves_base_and_journal(tmp_path, clock):
         {"key": k, "created_at": ts, "payload": payload}
         for k, (ts, payload) in live.items()
     ]
+    faults.install(faults.FaultPlan.from_spec("shard.compact:error"))
+    try:
+        with pytest.raises(faults.InjectedFault):
+            journal.compact(entries)
+    finally:
+        faults.uninstall()
+    # An interrupted first compaction publishes no base at all.
+    assert sorted(os.listdir(journal.directory)) == ["journal.jsonl"]
     journal.compact(entries)  # first base published
     put(journal, "b", 2, 11.0)
     with open(journal.base_path, "rb") as fh:
@@ -297,6 +295,27 @@ def test_version_mismatch_base_is_ignored(tmp_path, clock):
     journal.close()
 
 
+def test_malformed_base_entries_are_skipped(tmp_path, clock):
+    journal = make_journal(tmp_path, clock)
+    with open(journal.base_path, "w", encoding="utf-8") as fh:
+        json.dump(
+            {
+                "version": JOURNAL_VERSION,
+                "entries": [
+                    {"key": "ok", "created_at": 1.0, "payload": {"v": 1}},
+                    {"key": "no-payload", "created_at": 1.0},
+                    {"key": "bad-stamp", "created_at": "x", "payload": {}},
+                    {"key": "non-dict", "created_at": 1.0, "payload": [1]},
+                ],
+            },
+            fh,
+        )
+    result = journal.replay()
+    assert result.entries == {"ok": (1.0, {"v": 1})}
+    assert result.base_entries == 1
+    journal.close()
+
+
 def test_unreadable_base_raises_journal_corrupt(tmp_path, clock):
     journal = make_journal(tmp_path, clock)
     with open(journal.base_path, "w", encoding="utf-8") as fh:
@@ -315,4 +334,82 @@ def test_store_recover_skips_corrupt_base_gracefully(tmp_path, clock):
         fh.write("garbage")
     with pytest.raises(JournalCorrupt):
         store.recover()
+    store.close()
+
+
+# ----------------------------------------------------------------------
+# The store as a PlanCache
+# ----------------------------------------------------------------------
+def test_entry_past_its_ttl_at_restart_is_not_served(tmp_path, clock):
+    """TTLs keep aging across a restart: replay drops what has expired."""
+    store = ShardStore(str(tmp_path / "s"), ttl=10.0, clock=clock, fsync=False)
+    store.put("old" * 20, {"v": 1})
+    clock.advance(6.0)
+    store.put("new" * 20, {"v": 2})
+    store.close()
+
+    clock.advance(5.0)  # "old" is now 11 s old, "new" 5 s
+    restarted = ShardStore(
+        str(tmp_path / "s"), ttl=10.0, clock=clock, fsync=False
+    )
+    assert restarted.recover() == 1
+    assert restarted.get("old" * 20) is None
+    assert restarted.get("new" * 20) == {"v": 2}
+    restarted.close()
+
+
+def test_put_journals_evictions_first_and_recover_does_not_rejournal(
+    tmp_path, clock
+):
+    store = ShardStore(str(tmp_path / "s"), maxsize=2, clock=clock, fsync=False)
+    assert store.put("a" * 64, {"v": 1}) == []
+    assert store.put("b" * 64, {"v": 2}) == []
+    assert store.put("c" * 64, {"v": 3}) == ["a" * 64]
+    store.close()
+    with open(store.journal.journal_path, "rb") as fh:
+        ops = [json.loads(line)["op"] for line in fh.read().splitlines()]
+    # The eviction is durable before the put that needed the room, so no
+    # committed prefix ever holds more than maxsize entries.
+    assert ops == ["segment", "put", "put", "evict", "put"]
+
+    restarted = ShardStore(
+        str(tmp_path / "s"), maxsize=2, clock=clock, fsync=False
+    )
+    with open(restarted.journal.journal_path, "rb") as fh:
+        before = fh.read()
+    assert restarted.recover() == 2
+    with open(restarted.journal.journal_path, "rb") as fh:
+        assert fh.read() == before  # replay appended nothing
+    assert restarted.journal.stats()["appends"] == 0
+    assert restarted.keys() == ["b" * 64, "c" * 64]
+    restarted.close()
+
+
+def test_inherited_get_or_compute_journals_one_put(tmp_path, clock):
+    store = ShardStore(str(tmp_path / "s"), clock=clock, fsync=False)
+    calls = []
+
+    def factory():
+        calls.append(1)
+        return {"v": 42}
+
+    assert store.get_or_compute("k" * 64, factory) == ({"v": 42}, False)
+    assert store.get_or_compute("k" * 64, factory) == ({"v": 42}, True)
+    assert calls == [1]
+    assert store.journal.stats()["appends"] == 1
+    assert store.journal.replay().entries["k" * 64][1] == {"v": 42}
+    store.close()
+
+
+def test_get_never_waits_on_a_journal_write(tmp_path, clock):
+    """Reads take only the cache's data lock, never the writer locks."""
+    store = ShardStore(str(tmp_path / "s"), clock=clock, fsync=False)
+    store.put("a" * 64, {"v": 1})
+    seen = []
+    # Hold the writer lock and the journal lock, as an fsync'd put does.
+    with store._write_lock, store.journal._lock:
+        reader = threading.Thread(target=lambda: seen.append(store.get("a" * 64)))
+        reader.start()
+        reader.join(timeout=5.0)
+    assert seen == [{"v": 1}]
     store.close()

@@ -1,4 +1,4 @@
-"""PlanCache behavior: LRU bound, TTL, counters, single-flight, snapshots."""
+"""PlanCache behavior: LRU bound, TTL, counters, single-flight."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import threading
 import pytest
 
 from repro import observability as obs
-from repro.service.plancache import SNAPSHOT_VERSION, PlanCache
+from repro.service.plancache import PlanCache
 
 
 @pytest.fixture()
@@ -143,69 +143,6 @@ class TestGetOrCompute:
         assert all(payload == {"v": "expensive"} for payload, _ in results)
         # Exactly one computation was a miss; every waiter saw the cache.
         assert sum(1 for _, cached in results if not cached) == 1
-
-
-class TestSnapshot:
-    def test_save_load_roundtrip(self, registry, tmp_path):
-        clock = FakeClock()
-        cache = PlanCache(maxsize=8, ttl=100.0, clock=clock)
-        cache.put("a", {"plan": [1.0, 2.0]})
-        clock.advance(5.0)
-        cache.put("b", {"plan": [3.0]})
-        path = tmp_path / "snap.json"
-        assert cache.save(str(path)) == 2
-
-        fresh = PlanCache(maxsize=8, ttl=100.0, clock=clock)
-        assert fresh.load(str(path)) == 2
-        assert fresh.get("a") == {"plan": [1.0, 2.0]}
-        assert fresh.get("b") == {"plan": [3.0]}
-
-    def test_loaded_entries_keep_aging(self, registry, tmp_path):
-        clock = FakeClock()
-        cache = PlanCache(ttl=10.0, clock=clock)
-        cache.put("k", {"v": 1})
-        path = tmp_path / "snap.json"
-        cache.save(str(path))
-
-        clock.advance(11.0)  # "restart" after the TTL has lapsed
-        fresh = PlanCache(ttl=10.0, clock=clock)
-        assert fresh.load(str(path)) == 0
-
-    def test_version_mismatch_loads_nothing(self, registry, tmp_path):
-        import json
-
-        cache = PlanCache()
-        cache.put("k", {"v": 1})
-        path = tmp_path / "snap.json"
-        cache.save(str(path))
-        doc = json.loads(path.read_text())
-        doc["version"] = SNAPSHOT_VERSION + 1
-        path.write_text(json.dumps(doc))
-
-        fresh = PlanCache()
-        assert fresh.load(str(path)) == 0
-        assert counter(registry, "plancache.snapshot_version_mismatch") == 1
-
-    def test_malformed_entries_are_skipped(self, registry, tmp_path):
-        import json
-
-        path = tmp_path / "snap.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "version": SNAPSHOT_VERSION,
-                    "entries": [
-                        {"key": "ok", "created_at": 1.0, "payload": {"v": 1}},
-                        {"key": "no-payload", "created_at": 1.0},
-                        {"key": "bad-stamp", "created_at": "x", "payload": {}},
-                        {"key": "non-dict", "created_at": 1.0, "payload": [1]},
-                    ],
-                }
-            )
-        )
-        cache = PlanCache()
-        assert cache.load(str(path)) == 1
-        assert cache.get("ok") == {"v": 1}
 
 
 # ----------------------------------------------------------------------

@@ -124,7 +124,7 @@ def test_keys_spread_across_shards(fleet):
     cache, servers = fleet
     for i in range(60):
         cache.get_or_compute(sha(i), lambda i=i: {"v": i})
-    sizes = [len(s.store.cache) for s in servers]
+    sizes = [len(s.store) for s in servers]
     assert sum(sizes) == 60
     assert all(size > 0 for size in sizes), sizes
 
