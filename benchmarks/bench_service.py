@@ -205,7 +205,7 @@ def test_mc_10k_process_vs_serial(fresh_registry):
     )
     serial = monte_carlo_many(seqs, dist, cm, n_samples=n, seed=17)
 
-    cpus = os.cpu_count() or 1
+    cpus = effective_cpu_count()
     jobs = min(4, cpus)
     with ProcessBackend(jobs) as backend:
         backend.map(len, [()])  # fork workers before the clock starts

@@ -44,8 +44,11 @@ MC_BATCH_MATRIX_KERNEL = "mc.batch.matrix_kernel"
 MC_BATCH_TASKS = "mc.batch.tasks"
 MC_BATCH_SHM_BYTES = "mc.batch.shm_bytes"
 #: Static prefix of the per-kind backend-selection counters (a
-#: DYNAMIC_PREFIXES family); full names are built as
-#: f"{MC_BATCH_BACKEND_PREFIX}{kind}" for kind in serial/thread/process.
+#: DYNAMIC_PREFIXES family), one per backend decision of the Monte-Carlo
+#: estimate and the batched kernels.  Full names are built as
+#: f"{MC_BATCH_BACKEND_PREFIX}{kind}" for the resolved pool's kind: serial,
+#: thread, process, or a custom backend's kind.  "auto" is never a kind
+#: here; it counts the serial or process choice it made.
 MC_BATCH_BACKEND_PREFIX = "mc.batch.backend."
 
 # -- spot-market platform (repro.platforms.spot) --------------------------
@@ -57,9 +60,10 @@ SPOT_TASKS = "spot.tasks"
 SPOT_EVAL = "spot.eval"
 SPOT_QUADRATURE_CALLS = "spot.quadrature_calls"
 SPOT_PLANS = "spot.plans"
-#: Static prefix of the per-kind backend-selection counters (a
-#: DYNAMIC_PREFIXES family); full names are built as
-#: f"{SPOT_BACKEND_PREFIX}{kind}" for kind in serial/thread/process/auto.
+#: Static prefix of the spot evaluator's per-kind backend-selection
+#: counters (a DYNAMIC_PREFIXES family): f"{SPOT_BACKEND_PREFIX}{kind}",
+#: counted like MC_BATCH_BACKEND_PREFIX (serial, thread, process or a custom
+#: backend's kind; "auto" counts the choice it made).
 SPOT_BACKEND_PREFIX = "spot.backend."
 
 # -- Eq. (11) grid recurrence ---------------------------------------------

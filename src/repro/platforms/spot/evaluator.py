@@ -242,48 +242,6 @@ def _simulate_spot_chunk(
     )
 
 
-def _select_spot_backend(
-    backend: Any, jobs: int, n_paths: int
-) -> Tuple[str, Any, bool]:
-    """Normalize ``backend`` to ``(kind, pool, owned)`` — the
-    ``simulation.batch`` resolution semantics, with a path-count threshold
-    for ``"auto"``."""
-    from repro.service.pool import (
-        AutoBackend,
-        ProcessBackend,
-        SerialBackend,
-        ThreadBackend,
-        effective_cpu_count,
-        get_backend,
-    )
-
-    owned = False
-    if backend is None:
-        backend = "serial"
-    if isinstance(backend, str):
-        if backend == "auto":
-            backend = AutoBackend(jobs)
-        else:
-            backend = get_backend(
-                backend, jobs if jobs > 1 else effective_cpu_count()
-            )
-        owned = True
-    if isinstance(backend, AutoBackend):
-        kind = backend.select(n_paths, SPOT_AUTO_PROCESS_MIN_PATHS)
-        metrics.inc(f"spot.backend.{kind}")
-        if kind == "process":
-            return "process", backend.process_backend(), owned
-        return "serial", None, False
-    metrics.inc(f"spot.backend.{backend.kind}")
-    if isinstance(backend, SerialBackend):
-        return "serial", None, False
-    if isinstance(backend, ProcessBackend):
-        return "process", backend, owned
-    if isinstance(backend, ThreadBackend):
-        return "thread", backend, owned
-    raise TypeError(f"unsupported backend for the spot evaluator: {backend!r}")
-
-
 def spot_monte_carlo_cost(
     job: Union[float, object],
     scenario: SpotScenario,
@@ -326,7 +284,7 @@ def spot_monte_carlo_cost(
     metrics.inc("spot.eval_calls")
     metrics.inc("spot.paths", n_paths)
 
-    from repro.service.pool import chunk_sizes
+    from repro.service.pool import chunk_sizes, resolve_backend
 
     sizes = [s for s in chunk_sizes(n_paths, max(int(jobs), 1)) if s > 0]
     children = spawn_seed_sequences(seed, len(sizes))
@@ -335,10 +293,13 @@ def spot_monte_carlo_cost(
     ]
     metrics.inc("spot.tasks", len(tasks))
 
-    kind, pool, owned = _select_spot_backend(backend, jobs, n_paths)
+    pool, owned = resolve_backend(
+        backend, jobs, n_paths, SPOT_AUTO_PROCESS_MIN_PATHS
+    )
+    metrics.inc(f"spot.backend.{pool.kind if pool is not None else 'serial'}")
     with metrics.timer("spot.eval"):
         try:
-            if kind == "serial":
+            if pool is None:
                 partials = [_simulate_spot_chunk(task) for task in tasks]
             else:
                 partials = pool.map(
@@ -348,7 +309,7 @@ def spot_monte_carlo_cost(
                     retries=task_retries,
                 )
         finally:
-            if owned and pool is not None:
+            if owned:
                 pool.close()
 
     sum_cost = sum(p[0] for p in partials)

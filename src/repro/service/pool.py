@@ -5,12 +5,17 @@ costing (Eq. 13), the verification sweep's (cost model x distribution)
 cells, the experiment harness's artifact list — funnels through one small
 interface::
 
-    backend = get_backend("thread", jobs=4)
+    backend = get_backend("process", jobs=4)
     results = backend.map(fn, items)            # ordered, like map()
     results = backend.map(fn, items, timeout=5.0, retries=1)
 
 Design choices:
 
+* ``SerialBackend`` runs tasks inline in submission order; it is what
+  every ``jobs <= 1`` request resolves to, preserving the library's
+  bit-identical seeded behavior.  The Monte-Carlo kernels normalize their
+  ``backend=``/``jobs=`` arguments through :func:`resolve_backend`, which
+  maps "serial" to no pool at all.
 * ``map`` preserves input order and is strict: a task that still fails
   after its retry budget raises :class:`PoolError` (partial results are
   never silently dropped).  Retries are governed by a
@@ -21,17 +26,17 @@ Design choices:
 * ``timeout`` is per task attempt.  Thread workers cannot be interrupted
   mid-flight, so a timed-out attempt may keep running in the background
   while its retry proceeds — acceptable for the pure compute tasks used
-  here, and the reason the default backend for in-process work is threads
-  (numpy releases the GIL in the vectorized kernels).
+  here.  Threads remain the backend for work that cannot be pickled
+  (closures in the experiment runner and ``repro-verify --jobs``) and for
+  fault drills that count triggers in-process.
 * every task attempt passes through the ``pool.worker`` fault-injection
   site (:mod:`repro.resilience.faults`), so chaos drills can make any
   fraction of workers raise or hang without touching this module.
 * The process backend requires picklable functions and arguments
   (module-level functions; reservation sequences holding extender closures
   are *not* picklable — sample/extend first, then ship arrays).
-* ``SerialBackend`` is the default everywhere and runs tasks inline in
-  submission order, preserving the library's bit-identical seeded behavior
-  (``jobs=1`` never changes results).
+* ``jobs=0`` sizes a pool from :func:`effective_cpu_count`, so a restricted
+  CPU affinity (taskset, cpusets) is honored.
 
 Metrics (``pool.*``): tasks, retries, timeouts, failures, and a ``pool.map``
 timer, all no-ops unless observability is enabled.
@@ -43,7 +48,7 @@ import abc
 import concurrent.futures
 import os
 import threading
-from typing import Callable, List, Optional, Sequence, TypeVar
+from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.observability import metrics
 from repro.observability import names
@@ -58,6 +63,7 @@ __all__ = [
     "ProcessBackend",
     "AutoBackend",
     "get_backend",
+    "resolve_backend",
     "effective_cpu_count",
     "BACKEND_KINDS",
     "chunk_sizes",
@@ -313,7 +319,7 @@ class AutoBackend(ExecutionBackend):
 def _resolve_jobs(jobs: int) -> int:
     if jobs < 0:
         raise ValueError(f"jobs must be >= 0 (0 = one per CPU), got {jobs}")
-    return jobs or (os.cpu_count() or 1)
+    return jobs or effective_cpu_count()
 
 
 def get_backend(kind: Optional[str] = "serial", jobs: int = 1) -> ExecutionBackend:
@@ -333,3 +339,31 @@ def get_backend(kind: Optional[str] = "serial", jobs: int = 1) -> ExecutionBacke
     if kind == "thread":
         return ThreadBackend(jobs)
     return ProcessBackend(jobs)
+
+
+def resolve_backend(
+    backend, jobs: int, work: int, auto_min: int
+) -> Tuple[Optional[ExecutionBackend], bool]:
+    """Normalize a kernel's ``backend=``/``jobs=`` arguments to a pool.
+
+    Returns ``(pool, owned)``: ``pool`` is None when the kernel should run
+    its serial path, and ``owned`` is True when this call created the pool
+    (from a name), so the kernel must close it afterwards — pass a backend
+    *object* to reuse a pool across calls.  ``backend`` is None (serial),
+    a :data:`BACKEND_KINDS` name (``jobs <= 1`` sizes the pool from
+    :func:`effective_cpu_count`), or an :class:`ExecutionBackend`.  An
+    :class:`AutoBackend` picks serial or its shared process pool from
+    ``work`` against the kernel's ``auto_min`` threshold; a caller-supplied
+    one keeps ownership of that pool.  The decision is the returned pool's
+    ``kind`` (``"serial"`` when None).
+    """
+    owned = isinstance(backend, str)
+    if owned:
+        backend = get_backend(backend, jobs if jobs > 1 else effective_cpu_count())
+    if isinstance(backend, AutoBackend):
+        if backend.select(work, auto_min) == "serial":
+            return None, False
+        return backend.process_backend(), owned
+    if backend is None or isinstance(backend, SerialBackend):
+        return None, False
+    return backend, owned

@@ -31,11 +31,13 @@ arithmetic that could perturb bit-identity.  Differences along the row give
 which either the explicit index matrix (matrix kernel) or per-row cost
 moments (moments kernel) follow.
 
-Backend strings accepted everywhere: ``"serial"``, ``"thread"``,
-``"process"``, ``"auto"`` (see :mod:`repro.service.pool`); ``"auto"``
+Backends: ``None`` (serial), a name (``"serial"``, ``"thread"``,
+``"process"``, ``"auto"``) or any :class:`repro.service.pool.ExecutionBackend`,
+normalized by :func:`repro.service.pool.resolve_backend`.  ``"auto"``
 engages the process pool only above the documented element-count
-thresholds and on ≥ 2 CPUs, and counts every decision under
-``mc.batch.backend.<kind>``.
+thresholds and on ≥ 2 CPUs.  Only a :class:`~repro.service.pool.ProcessBackend`
+gets the shared-memory sample block; every other pool is a plain ``map``.
+Every decision is counted under ``mc.batch.backend.<kind>``.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from repro.observability import metrics
 from repro.resilience import faults
 from repro.simulation.monte_carlo import (
     MonteCarloResult,
-    PROCESS_COVERAGE_TAIL,
+    _coverage_horizon,
     _result_from_partials,
     _sample_and_cost_chunk,
     kernel_costs_and_indices,
@@ -324,8 +326,8 @@ def _moments_kernel(
 def _moments_block_task(args):
     """Moments kernel over one row block (pool task, ``mc.chunk`` site).
 
-    ``samples`` is either the sorted sample array itself (serial/thread —
-    shared address space) or a ``(shm_name, n)`` tuple naming the shared
+    ``samples`` is either the sorted sample array itself (any in-process
+    pool — shared address space) or a ``(shm_name, n)`` tuple naming the shared
     memory block the driver published (process workers attach instead of
     unpickling N floats per task).
     """
@@ -358,44 +360,15 @@ def _check_coverage(batch: ReservationBatch, horizon: float) -> None:
         )
 
 
-def _select_batch_backend(backend, jobs: int, n_elements: int):
-    """Normalize ``backend`` to ``(kind, pool, owned)``.
+def _resolve_batch_backend(backend, jobs: int, n_elements: int):
+    """``(pool, owned)`` for the batched kernels, counted per decision."""
+    from repro.service.pool import resolve_backend
 
-    ``kind`` is ``"serial" | "thread" | "process"``; ``owned`` is True when
-    the pool was created here (string argument) and the caller must close it
-    after the map — pass a backend *object* to reuse a pool across calls.
-    """
-    from repro.service.pool import (
-        AutoBackend,
-        ProcessBackend,
-        SerialBackend,
-        ThreadBackend,
-        effective_cpu_count,
-        get_backend,
+    pool, owned = resolve_backend(
+        backend, jobs, n_elements, AUTO_PROCESS_MIN_ELEMENTS
     )
-
-    owned = False
-    if backend is None:
-        backend = "serial"
-    if isinstance(backend, str):
-        if backend == "auto":
-            backend = AutoBackend(jobs)
-        else:
-            backend = get_backend(backend, jobs if jobs > 1 else effective_cpu_count())
-        owned = True
-    if isinstance(backend, AutoBackend):
-        kind = backend.select(n_elements, AUTO_PROCESS_MIN_ELEMENTS)
-        metrics.inc(f"mc.batch.backend.{kind}")
-        if kind == "process":
-            return "process", backend.process_backend(), owned
-        return "serial", None, False
-    if isinstance(backend, SerialBackend):
-        return "serial", None, False
-    if isinstance(backend, ProcessBackend):
-        return "process", backend, owned
-    if isinstance(backend, ThreadBackend):
-        return "thread", backend, owned
-    raise TypeError(f"unsupported backend for batched kernels: {backend!r}")
+    metrics.inc(f"mc.batch.backend.{pool.kind if pool is not None else 'serial'}")
+    return pool, owned
 
 
 def batch_expected_costs(
@@ -433,7 +406,7 @@ def batch_expected_costs(
     metrics.inc("mc.batch.sequences", S)
     metrics.inc("mc.batch.samples", S * N)
 
-    kind, pool, owned = _select_batch_backend(backend, jobs, S * N)
+    pool, owned = _resolve_batch_backend(backend, jobs, S * N)
     feasible_rows = np.nonzero(batch.feasible)[0]
 
     order = np.argsort(times, kind="stable")
@@ -443,7 +416,7 @@ def batch_expected_costs(
         if feasible_rows.size == 0:
             sums = sums_sq = np.empty(0)
             max_index = np.empty(0, dtype=int)
-        elif kind == "serial":
+        elif pool is None:
             with metrics.timer("mc.batch.kernel"):
                 csum = np.concatenate([[0.0], np.cumsum(ts)])
                 ts_sq = float(np.dot(ts, ts))
@@ -452,7 +425,7 @@ def batch_expected_costs(
                 )
         else:
             sums, sums_sq, max_index = _sharded_moments(
-                batch.matrix[feasible_rows], ts, cost_model, kind, pool,
+                batch.matrix[feasible_rows], ts, cost_model, pool,
                 task_timeout, task_retries,
             )
     finally:
@@ -483,13 +456,13 @@ def _sharded_moments(
     matrix: np.ndarray,
     ts: np.ndarray,
     cost_model: CostModel,
-    kind: str,
     pool,
     task_timeout,
     task_retries,
 ):
-    """Fan the moments kernel over row blocks on a thread/process pool."""
-    from repro.service.pool import chunk_sizes
+    """Fan the moments kernel over row blocks on a pool (shared memory for
+    a process pool, the sample array itself for any other)."""
+    from repro.service.pool import ProcessBackend, chunk_sizes
 
     workers = max(int(getattr(pool, "jobs", 1)), 1)
     sizes = chunk_sizes(matrix.shape[0], workers)
@@ -502,7 +475,7 @@ def _sharded_moments(
 
     shm = None
     try:
-        if kind == "process":
+        if isinstance(pool, ProcessBackend):
             shm = shared_memory.SharedMemory(create=True, size=ts.nbytes)
             shm_view = np.ndarray(ts.shape, dtype=np.float64, buffer=shm.buf)
             shm_view[:] = ts
@@ -563,7 +536,7 @@ def monte_carlo_many(
     metrics.inc("mc.batch.sequences", len(sequences))
     metrics.inc("mc.batch.samples", len(sequences) * n_samples)
 
-    kind, pool, owned = _select_batch_backend(
+    pool, owned = _resolve_batch_backend(
         backend, jobs, len(sequences) * n_samples
     )
     children = spawn_seed_sequences(seed, len(sequences))
@@ -580,7 +553,7 @@ def monte_carlo_many(
     ]
     metrics.inc("mc.batch.tasks", len(tasks))
     try:
-        if kind == "serial":
+        if pool is None:
             partials = [_sample_and_cost_chunk(task) for task in tasks]
         else:
             partials = pool.map(
@@ -612,9 +585,3 @@ def monte_carlo_many(
         )
     return results
 
-
-def _coverage_horizon(distribution) -> float:
-    upper = float(distribution.upper)
-    if np.isfinite(upper):
-        return upper
-    return float(distribution.quantile(1.0 - PROCESS_COVERAGE_TAIL))

@@ -8,19 +8,17 @@ failure costs accumulates the paid-but-failed reservations — no per-sample
 Python loop (cf. the hpc-parallel guide on vectorizing).
 
 Backends (``backend=`` may be a :class:`repro.service.pool.ExecutionBackend`
-or one of the strings ``"serial"``, ``"thread"``, ``"process"``, ``"auto"``):
+or one of the strings ``"serial"``, ``"thread"``, ``"process"``, ``"auto"``;
+:func:`repro.service.pool.resolve_backend` normalizes it):
 
 * **serial** — the historical single-pass kernel, bit-identical for a fixed
   seed.  Always used for ``jobs=1`` with no explicit backend.
-* **thread** — splits the samples into one pre-drawn chunk per worker; the
-  vectorized kernel releases the GIL.  Chunks are drawn from
-  ``SeedSequence``-spawned streams, so a fixed ``(seed, jobs)`` pair is
-  deterministic.
-* **process** — each worker *draws and costs its own chunk* from the same
-  spawned streams the thread path would use (so thread and process agree
-  bit-for-bit for the same ``(seed, jobs)``), shipping only a seed and the
-  materialized reservation values — never the sample block — across the
-  process boundary.  Sampling and costing both parallelize.
+* **any pool** (thread, process, the process pool ``"auto"`` selects, or a
+  caller's own backend) — the samples split into one chunk per worker and
+  each worker *draws and costs its own chunk* from a
+  ``SeedSequence``-spawned stream, shipping only a seed and the
+  materialized reservation values — never the sample block.  A fixed
+  ``(seed, jobs)`` pair therefore gives the same estimate on every pool.
 * **auto** — picks serial or process by problem size (see
   :data:`AUTO_PROCESS_MIN_SAMPLES`); the thread backend is never
   auto-selected — per-chunk GIL hand-offs made it *slower* than serial on
@@ -47,12 +45,7 @@ from repro.core.sequence import ReservationSequence
 from repro.observability import metrics
 from repro.observability.profiling import profiled
 from repro.resilience import faults
-from repro.utils.rng import (
-    SeedLike,
-    as_generator,
-    spawn_generators,
-    spawn_seed_sequences,
-)
+from repro.utils.rng import SeedLike, as_generator, spawn_seed_sequences
 
 __all__ = [
     "MonteCarloResult",
@@ -67,7 +60,7 @@ __all__ = [
 #: serial single-pass kernel wins.
 AUTO_PROCESS_MIN_SAMPLES = 200_000
 
-#: Tail mass used to pre-extend a sequence before process dispatch: workers
+#: Tail mass used to pre-extend a sequence before pool dispatch: workers
 #: cannot run extender closures, so the driver materializes reservations out
 #: to ``Q(1 - tail)`` first.  A worker whose chunk still exceeds that horizon
 #: reports back and the driver re-costs that chunk serially (the
@@ -168,25 +161,8 @@ def costs_for_times(
     return costs
 
 
-def _chunk_task(args) -> tuple[float, float, int]:
-    """Cost one pre-sampled chunk; returns ``(sum, sum_sq, max_index)``.
-
-    Module-level so the process backend can pickle it (the sequence itself
-    must then be free of extender closures — the parallel driver extends it
-    before dispatch, so covering chunks never extend concurrently).
-
-    Tagged as the ``mc.chunk`` fault-injection site: chaos drills can make
-    individual chunks raise or hang without touching the serial kernel,
-    which the degradation ladder keeps as its fallback.
-    """
-    faults.fire("mc.chunk")
-    sequence, times, cost_model = args
-    costs, k = _costs_and_indices(sequence, times, cost_model)
-    return float(costs.sum()), float(np.dot(costs, costs)), int(k.max())
-
-
 def _sample_and_cost_chunk(args):
-    """Draw one chunk from its spawned stream and cost it (process workers).
+    """Draw one chunk from its spawned stream and cost it (pool task).
 
     Returns ``(sum, sum_sq, max_index, covered, chunk_max)``.  The sample
     block never crosses the process boundary — only the chunk's
@@ -195,7 +171,10 @@ def _sample_and_cost_chunk(args):
     reports ``covered=False`` and the driver re-costs that chunk serially
     with the live extender (same stream, so the estimate is unchanged).
 
-    Also a ``mc.chunk`` fault-injection site, like the pre-sampled variant.
+    Module-level so the process backend can pickle it.  Tagged as the
+    ``mc.chunk`` fault-injection site: chaos drills can make individual
+    chunks raise or hang without touching the serial kernel, which the
+    degradation ladder keeps as its fallback.
     """
     faults.fire("mc.chunk")  # repro-lint: disable=RS203 -- raising out of the public batch API (monte_carlo_many) is its contract; chaos tests assert the raise, and every service-tier path is absorbed by run_ladder
     distribution, child_seed, n, values, cost_model = args
@@ -230,76 +209,14 @@ def _result_from_partials(
 
 
 def _coverage_horizon(distribution) -> float:
-    """Reservation horizon pre-extended before process dispatch."""
-    upper = float(distribution.upper)
-    if np.isfinite(upper):
-        return upper
-    return float(distribution.quantile(1.0 - PROCESS_COVERAGE_TAIL))
+    """Reservation horizon pre-extended before pool dispatch.
 
-
-def _resolve_backend(backend, jobs: int, n_samples: int):
-    """Normalize ``backend``/``jobs`` to ``(kind, backend, jobs, owned)``.
-
-    ``kind`` is one of ``"serial"``, ``"thread"``, ``"process"``; the
-    returned backend is ``None`` for the serial kind and otherwise an
-    :class:`~repro.service.pool.ExecutionBackend`.  ``owned`` is True when
-    this call *created* the pool (string argument or the historical
-    ``jobs>1`` default) and must close it afterwards — reuse a backend
-    object across calls to amortize pool startup.  ``"auto"`` (string or
-    :class:`~repro.service.pool.AutoBackend`) applies the documented
-    problem-size policy; a caller-supplied AutoBackend keeps ownership of
-    its shared process pool.
+    ``Q(1 - PROCESS_COVERAGE_TAIL)`` for every law, bounded or not: an
+    extender that converges toward a finite upper bound may never reach
+    the bound itself, and a chunk past the horizon falls back to the
+    serial extender anyway.
     """
-    # Deferred import: repro.service imports this module for the planner.
-    from repro.service.pool import (
-        AutoBackend,
-        ProcessBackend,
-        SerialBackend,
-        ThreadBackend,
-        effective_cpu_count,
-        get_backend,
-    )
-
-    owned = False
-    if backend is None:
-        if jobs > 1:
-            return "thread", get_backend("thread", jobs), jobs, True
-        return "serial", None, 1, False
-
-    if isinstance(backend, str):
-        if backend == "auto":
-            backend = AutoBackend(jobs if jobs > 1 else 0)
-        else:
-            resolved_jobs = jobs if jobs > 1 else effective_cpu_count()
-            backend = get_backend(backend, resolved_jobs)
-            if isinstance(backend, SerialBackend):
-                return "serial", None, 1, False
-        owned = True
-
-    if isinstance(backend, AutoBackend):
-        kind = backend.select(n_samples, AUTO_PROCESS_MIN_SAMPLES)
-        metrics.inc(f"mc.batch.backend.{kind}")
-        if kind == "serial":
-            if owned:
-                backend.close()
-            return "serial", None, 1, False
-        # Hand back the underlying pool; an owned (ephemeral) AutoBackend's
-        # pool is closed after the call, a caller-supplied one keeps its
-        # shared pool alive across calls.
-        return "process", backend.process_backend(), backend.jobs, owned
-
-    if isinstance(backend, SerialBackend):
-        return "serial", None, 1, False
-    if isinstance(backend, ProcessBackend):
-        return "process", backend, jobs if jobs > 1 else backend.jobs, owned
-    if isinstance(backend, ThreadBackend):
-        return "thread", backend, jobs if jobs > 1 else backend.jobs, owned
-    # Unknown ExecutionBackend implementations get the pre-sampled chunk
-    # treatment (the historical contract for custom backends).
-    return (
-        "thread", backend, jobs if jobs > 1 else int(getattr(backend, "jobs", 1)),
-        owned,
-    )
+    return float(distribution.quantile(1.0 - PROCESS_COVERAGE_TAIL))
 
 
 def monte_carlo_expected_cost(
@@ -316,14 +233,14 @@ def monte_carlo_expected_cost(
     """Estimate ``E(S)`` by averaging over ``n_samples`` sampled jobs (Eq. 13).
 
     ``jobs=1`` (the default, with no ``backend``) is the library's historical
-    serial path, bit-identical for a fixed seed.  ``jobs > 1`` — or an
-    explicit backend (object or name; see the module docstring for the
-    backend taxonomy) — splits the samples into one chunk per worker, each
-    drawn from its own ``SeedSequence``-spawned stream: the estimate is still
-    deterministic for a fixed ``(seed, jobs)`` pair, and thread and process
-    backends produce *identical* estimates for that pair (same streams, same
-    kernel), but use a different sample set than the serial path (they agree
-    within the Monte-Carlo confidence interval).
+    serial path, bit-identical for a fixed seed.  ``jobs > 1`` (threads when
+    no ``backend`` is named) — or an explicit backend (object or name; see
+    the module docstring) — splits the samples into one chunk per worker,
+    each drawn from its own ``SeedSequence``-spawned stream: the estimate is
+    still deterministic for a fixed ``(seed, jobs)`` pair and *identical* on
+    every pool (same streams, same kernel), but uses a different sample set
+    than the serial path (they agree within the Monte-Carlo confidence
+    interval).
 
     ``task_timeout``/``task_retries`` are forwarded to the backend's
     ``map`` so a hung or faulted chunk (e.g. under a ``REPRO_FAULTS``
@@ -333,9 +250,17 @@ def monte_carlo_expected_cost(
     if n_samples <= 0:
         raise ValueError(f"n_samples must be positive, got {n_samples}")
 
-    kind, resolved, n_chunks, owned = _resolve_backend(backend, jobs, n_samples)
+    # Deferred import: repro.service imports this module for the planner.
+    from repro.service.pool import chunk_sizes, resolve_backend
 
-    if kind == "serial":
+    if backend is None and jobs > 1:
+        backend = "thread"
+    pool, owned = resolve_backend(
+        backend, jobs, n_samples, AUTO_PROCESS_MIN_SAMPLES
+    )
+    metrics.inc(f"mc.batch.backend.{pool.kind if pool is not None else 'serial'}")
+
+    if pool is None:
         rng = as_generator(seed)
         times = distribution.rvs(n_samples, seed=rng)
         costs, k = _costs_and_indices(sequence, times, cost_model)
@@ -348,57 +273,39 @@ def monte_carlo_expected_cost(
             max_reservations_hit=int(k.max()) + 1,
         )
 
-    # Deferred import: repro.service imports this module for the planner.
-    from repro.service.pool import chunk_sizes
-
     # Fewer samples than workers: chunk_sizes collapses to one sample per
     # chunk, so no chunk is ever empty (an empty chunk would make the
     # worker's ``times.max()`` raise).
+    n_chunks = jobs if jobs > 1 else int(getattr(pool, "jobs", 1))
     sizes = chunk_sizes(n_samples, max(n_chunks, 1))
-
     try:
-        if kind == "process":
-            return _process_expected_cost(
-                sequence, distribution, cost_model, sizes, seed,
-                resolved, task_timeout, task_retries, n_samples,
-            )
-
-        gens = spawn_generators(seed, len(sizes))
-        chunks = [distribution.rvs(n, seed=g) for n, g in zip(sizes, gens)]
-        # One serial extension past the global max: chunk workers then only
-        # read the sequence (ensure_covers on a covering sequence is a no-op).
-        sequence.ensure_covers(float(max(c.max() for c in chunks)))
-        metrics.inc("mc.parallel_chunks", len(chunks))
-        partials = resolved.map(
-            _chunk_task,
-            [(sequence, c, cost_model) for c in chunks],
-            timeout=task_timeout,
-            retries=task_retries,
+        return _pooled_expected_cost(
+            sequence, distribution, cost_model, sizes, seed,
+            pool, task_timeout, task_retries, n_samples,
         )
-        return _result_from_partials(partials, n_samples, len(sequence))
     finally:
         if owned:
-            resolved.close()
+            pool.close()
 
 
-def _process_expected_cost(
+def _pooled_expected_cost(
     sequence: ReservationSequence,
     distribution,
     cost_model: CostModel,
     sizes,
     seed: SeedLike,
-    backend,
+    pool,
     task_timeout,
     task_retries,
     n_samples: int,
 ) -> MonteCarloResult:
-    """Process-backend estimate: workers draw and cost their own chunks."""
+    """Pooled estimate: workers draw and cost their own chunks."""
     children = spawn_seed_sequences(seed, len(sizes))
     if sequence.is_extensible:
         sequence.ensure_covers(_coverage_horizon(distribution))
     values = np.array(sequence.values, dtype=float, copy=True)
     metrics.inc("mc.parallel_chunks", len(sizes))
-    partials = backend.map(
+    partials = pool.map(
         _sample_and_cost_chunk,
         [
             (distribution, child, n, values, cost_model)
@@ -421,5 +328,8 @@ def _process_expected_cost(
                 (float(costs.sum()), float(np.dot(costs, costs)), int(k.max()))
             )
         else:
+            # Worker-side counters stay in the worker; count here instead
+            # (a fallback chunk is counted by the serial kernel above).
+            metrics.inc("mc.samples", sizes[i])
             combined.append(partial[:3])
     return _result_from_partials(combined, n_samples, len(sequence))

@@ -198,7 +198,7 @@ class TestSelfResolution:
         ]
         g = build_graph([s for s in sources if s.tree is not None])
         # backend.map -> MC chunk task (callback edge used by RS201/RS203).
-        chunk = "repro.simulation.monte_carlo._chunk_task"
+        chunk = "repro.simulation.monte_carlo._sample_and_cost_chunk"
         assert any(
             e.kind == "ref" and ".pool." in e.caller
             for e in g.in_edges.get(chunk, ())

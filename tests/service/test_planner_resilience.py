@@ -12,7 +12,7 @@ from repro.resilience import faults
 from repro.resilience.breaker import OPEN
 from repro.resilience.faults import FaultPlan, FaultRule
 from repro.service.planner import PlannerService, ResilienceOptions
-from repro.service.pool import ThreadBackend
+from repro.service.pool import ProcessBackend, ThreadBackend
 from repro.simulation.monte_carlo import monte_carlo_expected_cost
 
 REQUEST = {
@@ -74,6 +74,29 @@ class TestBitCompatibility:
         )
         assert disabled["degraded"] is False
         assert disabled["evaluator"] == "mc"
+
+
+class TestPooledPlans:
+    def test_process_pool_plans_bounded_law_undegraded(self):
+        """An extender converging toward a finite upper bound never reaches
+        it; the pooled pre-extension must not demand the bound, or the
+        process pool's first rung fails and the plan is served degraded."""
+        request = {
+            "distribution": {
+                "law": "bounded_pareto",
+                "params": {"low": 1.0, "high": 20.0, "alpha": 2.1},
+            },
+            "strategy": "median_by_median",
+            "n_samples": 5000,
+            "seed": 0,
+        }
+        with ProcessBackend(2) as backend:
+            process = PlannerService(backend=backend).plan(request)
+        with ThreadBackend(2) as backend:
+            thread = PlannerService(backend=backend).plan(request)
+        assert process["degraded"] is False
+        assert process["evaluator"] == "mc"
+        assert process["statistics"] == thread["statistics"]
 
 
 class TestDegradation:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 
@@ -102,6 +103,18 @@ class TestGetBackend:
     def test_negative_jobs_rejected(self):
         with pytest.raises(ValueError, match="jobs"):
             ThreadBackend(-1)
+
+    def test_jobs_zero_honors_cpu_affinity(self, monkeypatch):
+        # A taskset/cpuset restriction must size jobs=0 pools, not the
+        # machine's full CPU count.
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False
+        )
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert effective_cpu_count() == 3
+        for cls in (ThreadBackend, ProcessBackend, AutoBackend):
+            with cls(0) as backend:
+                assert backend.jobs == 3, cls.__name__
 
 
 # ----------------------------------------------------------------------
