@@ -192,8 +192,12 @@ def test_spot_eval_batch():
     """
     import math
 
-    from repro.extensions.spot import expected_spot_time_checkpointed
-    from repro.platforms.spot import ConstantHazard, ConstantPrice, SpotScenario
+    from repro.platforms.spot import (
+        ConstantHazard,
+        ConstantPrice,
+        SpotScenario,
+        expected_spot_time_checkpointed,
+    )
     from repro.platforms.spot.evaluator import spot_monte_carlo_cost
 
     job, rate, price = 2.0, 0.8, 0.3

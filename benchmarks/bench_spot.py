@@ -1,17 +1,24 @@
-"""Benchmark: extension E7 — spot vs reserved economics."""
+"""Benchmark: spot vs reserved economics in the calm spot-market cell."""
 
 import math
 
 from conftest import run_once
 
-from repro.experiments.spot_exp import run_spot_experiment
+from repro.experiments.spot_market_exp import run_spot_market_experiment
 
 
-def test_ext_spot(benchmark, bench_config):
-    rows = run_once(
-        benchmark, run_spot_experiment, (0.5, 8.0, 72.0), config=bench_config
+def test_spot_market_calm_cell(benchmark, bench_config):
+    # OU volatility 0, 0.1 preemptions/h, 0.05 h checkpoints.
+    (cell,) = run_once(
+        benchmark,
+        run_spot_market_experiment,
+        volatilities=(0.0,),
+        base_rates=(0.1,),
+        overheads=(0.05,),
+        mean_hours_sweep=(0.5, 8.0, 72.0),
+        config=bench_config,
     )
-    by_mean = {r.mean_hours: r for r in rows}
+    by_mean = {r.mean_hours: r for r in cell.rows}
     # Crossover: short jobs on raw spot, long jobs must checkpoint or reserve.
     assert by_mean[0.5].winner == "spot"
     assert by_mean[72.0].winner != "spot"

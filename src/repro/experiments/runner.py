@@ -66,7 +66,6 @@ from repro.experiments.pricing_exp import (
     format_pricing_experiment,
     run_pricing_experiment,
 )
-from repro.experiments.spot_exp import format_spot_experiment, run_spot_experiment
 from repro.experiments.table2 import format_table2, run_table2
 from repro.experiments.variability_exp import (
     format_variability_experiment,
@@ -159,20 +158,6 @@ def _ext_deadline(cfg: ExperimentConfig) -> str:
     return format_deadline_experiment(run_deadline_experiment(config=cfg))
 
 
-def _ext_spot(cfg: ExperimentConfig) -> str:
-    from repro.extensions.spot import SpotModel
-
-    calm = format_spot_experiment(run_spot_experiment(config=cfg))
-    volatile = format_spot_experiment(
-        run_spot_experiment(
-            spot=SpotModel(price_per_hour=0.3, interruption_rate=5.0),
-            checkpoint_overhead=0.5,
-            config=cfg,
-        )
-    )
-    return f"{calm}\n\nVolatile market (5 preemptions/h, 0.5 h checkpoints):\n{volatile}"
-
-
 def _spot_market(cfg: ExperimentConfig) -> str:
     from repro.experiments.spot_market_exp import (
         format_spot_market_experiment,
@@ -219,7 +204,6 @@ EXPERIMENTS: Dict[str, Callable[[ExperimentConfig], str]] = {
     "ext-invivo": _ext_invivo,
     "ext-misspecification": _ext_misspecification,
     "ext-deadline": _ext_deadline,
-    "ext-spot": _ext_spot,
     "spot-market": _spot_market,
 }
 

@@ -14,13 +14,6 @@ from repro.extensions.deadline import (
     DeadlinePlan,
     solve_deadline_dp,
 )
-from repro.extensions.spot import (
-    SpotModel,
-    expected_spot_time_checkpointed,
-    expected_spot_time_restart,
-    optimal_checkpoint_interval,
-    simulate_spot_run,
-)
 from repro.extensions.multiresource import (
     AmdahlSpeedup,
     MultiReservation,
@@ -43,11 +36,6 @@ __all__ = [
     "DeadlineInfeasible",
     "DeadlinePlan",
     "solve_deadline_dp",
-    "SpotModel",
-    "expected_spot_time_restart",
-    "expected_spot_time_checkpointed",
-    "optimal_checkpoint_interval",
-    "simulate_spot_run",
     "SpeedupModel",
     "AmdahlSpeedup",
     "PowerLawSpeedup",

@@ -9,14 +9,14 @@ a first-class scenario next to :class:`~repro.platforms.ReservationOnlyPlatform`
   constant, Ornstein--Uhlenbeck, 2-state regime-switching, and trace-driven
   replay models, all seeded through ``utils.rng``.
 * :mod:`~repro.platforms.spot.hazard` — interruption-hazard models, either
-  constant (the memoryless closed-form regime of ``extensions/spot.py``) or
+  constant (the memoryless regime of the scalar closed forms) or
   price-dependent (high price -> more preemption pressure).
 * :mod:`~repro.platforms.spot.evaluator` — interruption-aware expected-cost
   evaluation: a vectorized, backend-invariant Monte-Carlo path integrator
-  (cost accrues along the realized price path) and a closed-form/quadrature
-  path for the constant-price memoryless case that agrees with the
+  (cost accrues along the realized price path), the scalar
   ``expected_spot_time_restart``/``expected_spot_time_checkpointed``
-  closed forms.
+  closed forms with ``optimal_checkpoint_interval``, and a quadrature path
+  that marginalizes them over a job-length law.
 
 Strategy variants that pick reservation length *and* tier live in
 :mod:`repro.strategies.spot_tier`; the volatility/interruption/overhead sweep
@@ -29,6 +29,10 @@ from repro.platforms.spot.evaluator import (
     SpotScenario,
     expected_spot_busy_time,
     expected_spot_cost,
+    expected_spot_time_checkpointed,
+    expected_spot_time_restart,
+    optimal_checkpoint_interval,
+    simulate_spot_run,
     spot_monte_carlo_cost,
 )
 from repro.platforms.spot.hazard import (
@@ -58,5 +62,9 @@ __all__ = [
     "spot_monte_carlo_cost",
     "expected_spot_busy_time",
     "expected_spot_cost",
+    "expected_spot_time_restart",
+    "expected_spot_time_checkpointed",
+    "optimal_checkpoint_interval",
+    "simulate_spot_run",
     "SPOT_AUTO_PROCESS_MIN_PATHS",
 ]

@@ -13,9 +13,18 @@ Two evaluation paths, built to agree in their common regime:
 
 * :func:`expected_spot_busy_time` / :func:`expected_spot_cost` — the
   closed-form/quadrature path for the memoryless constant-price case,
-  marginalizing the ``extensions/spot.py`` closed forms over the job-length
-  law.  For a scalar job it *is* ``expected_spot_time_restart`` /
-  ``expected_spot_time_checkpointed``.
+  marginalizing the scalar closed forms :func:`expected_spot_time_restart`
+  / :func:`expected_spot_time_checkpointed` over the job-length law.  For
+  a scalar job it *is* those closed forms.
+
+The closed forms (Poisson preemptions at rate ``lam``, job length ``t``):
+restart-from-scratch needs busy time ``E[T] = (e^{lam t} - 1)/lam`` until
+the first uninterrupted window of length ``t`` (renewal argument: condition
+on the first interruption).  Checkpointing every ``tau`` splits the job into
+``m = ceil(t/tau)`` independent restart problems — ``m - 1`` full segments
+of ``tau + C`` (checkpoint written inside the protected window) and a final
+one of the leftover work with no checkpoint.  Spot time is billed as used,
+so the expected cost is ``price * E[T]``.
 
 The Monte-Carlo stepping is exact, not Euler-biased, for the constant-hazard
 case: within a step of effective length ``delta`` the single uniform ``u``
@@ -42,7 +51,6 @@ from typing import Any, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.extensions.spot import expected_spot_time_restart
 from repro.observability import metrics
 from repro.utils.rng import SeedLike, as_generator, spawn_seed_sequences
 
@@ -52,6 +60,10 @@ __all__ = [
     "spot_monte_carlo_cost",
     "expected_spot_busy_time",
     "expected_spot_cost",
+    "expected_spot_time_restart",
+    "expected_spot_time_checkpointed",
+    "optimal_checkpoint_interval",
+    "simulate_spot_run",
     "SPOT_AUTO_PROCESS_MIN_PATHS",
 ]
 
@@ -340,6 +352,112 @@ def spot_monte_carlo_cost(
 # ----------------------------------------------------------------------
 
 
+def expected_spot_time_restart(job_length: float, interruption_rate: float) -> float:
+    """``E[T] = (e^{lam t} - 1)/lam`` (limit ``t`` as ``lam -> 0``)."""
+    if job_length < 0:
+        raise ValueError(f"job length must be nonnegative, got {job_length}")
+    if interruption_rate < 0:
+        raise ValueError(f"rate must be nonnegative, got {interruption_rate}")
+    if interruption_rate == 0.0:
+        return job_length
+    x = interruption_rate * job_length
+    if x > 700.0:
+        return math.inf  # astronomically unlikely to ever finish
+    if x < 1e-8:
+        # expm1(x)/lam loses all precision when lam is subnormal (the product
+        # lam*t rounds to a few ulp, and dividing by lam amplifies that to
+        # O(1) error).  Use the series t*(1 + x/2 + ...) instead.
+        return job_length * (1.0 + 0.5 * x)
+    return math.expm1(x) / interruption_rate
+
+
+def expected_spot_time_checkpointed(
+    job_length: float,
+    interruption_rate: float,
+    checkpoint_interval: float,
+    checkpoint_overhead: float = 0.0,
+) -> float:
+    """Expected spot busy time with checkpoints every ``checkpoint_interval``."""
+    if checkpoint_interval <= 0:
+        raise ValueError(
+            f"checkpoint interval must be positive, got {checkpoint_interval}"
+        )
+    if checkpoint_overhead < 0:
+        raise ValueError(
+            f"checkpoint overhead must be nonnegative, got {checkpoint_overhead}"
+        )
+    if job_length <= 0:
+        return 0.0
+    # At least one segment: ``t/tau`` below the 1e-12 slack (a tiny job, or
+    # ``tau = inf``) would otherwise give ``full_segments = -1``.
+    segments = max(math.ceil(job_length / checkpoint_interval - 1e-12), 1)
+    if segments == 1:
+        # tau >= t writes no checkpoint: exactly the restart time (pricing a
+        # zero count of overflowed full segments would give 0 * inf = nan).
+        return expected_spot_time_restart(job_length, interruption_rate)
+    full_segments = segments - 1
+    per_full_segment = expected_spot_time_restart(
+        checkpoint_interval + checkpoint_overhead, interruption_rate
+    )
+    # The final segment runs only the leftover work and writes no checkpoint
+    # — the job completes when it does — so it is priced at its true length.
+    last_length = job_length - full_segments * checkpoint_interval
+    last_segment = expected_spot_time_restart(last_length, interruption_rate)
+    return full_segments * per_full_segment + last_segment
+
+
+def optimal_checkpoint_interval(
+    interruption_rate: float, checkpoint_overhead: float
+) -> float:
+    """Interval minimizing the per-unit-work overhead factor
+    ``f(tau) = (e^{lam (tau + C)} - 1) / (lam tau)``.
+
+    Solved numerically (the optimum satisfies a transcendental equation close
+    to the Young/Daly approximation ``tau* ~ sqrt(2 C / lam)`` for small
+    ``lam C``).
+    """
+    if interruption_rate <= 0:
+        raise ValueError("needs a positive interruption rate")
+    if checkpoint_overhead <= 0:
+        raise ValueError("needs a positive checkpoint overhead")
+    from scipy import optimize
+
+    lam, C = interruption_rate, checkpoint_overhead
+
+    def per_work(tau: float) -> float:
+        return math.expm1(min(lam * (tau + C), 700.0)) / (lam * tau)
+
+    daly = math.sqrt(2.0 * C / lam)
+    result = optimize.minimize_scalar(
+        per_work, bounds=(daly / 50.0, daly * 50.0 + 10.0 / lam), method="bounded"
+    )
+    return float(result.x)
+
+
+def simulate_spot_run(
+    job_length: float,
+    interruption_rate: float,
+    seed: SeedLike = None,
+    max_restarts: int = 100_000,
+) -> float:
+    """Monte-Carlo one restart-from-scratch spot execution; returns the busy
+    time (validates the closed form in tests)."""
+    if job_length < 0:
+        raise ValueError("job length must be nonnegative")
+    rng = as_generator(seed)
+    total = 0.0
+    for _ in range(max_restarts):
+        if interruption_rate == 0.0:
+            return total + job_length
+        gap = rng.exponential(1.0 / interruption_rate)
+        if gap >= job_length:
+            return total + job_length
+        total += gap
+    raise RuntimeError(
+        f"job of length {job_length} not finished after {max_restarts} restarts"
+    )
+
+
 def _job_upper(distribution: Any, tail: float) -> float:
     upper = float(distribution.upper)
     if math.isfinite(upper):
@@ -359,8 +477,7 @@ def expected_spot_busy_time(
 
     * ``checkpoint_interval=inf``: restart-from-scratch —
       ``int E_restart(t) f(t) dt`` (heavy tails truncated at
-      ``quantile(1 - tail)``, the ``SpotModel`` convention, because
-      ``E[e^{lam X}]`` may diverge).
+      ``quantile(1 - tail)``, because ``E[e^{lam X}]`` may diverge).
     * finite ``checkpoint_interval``: the ``m - 1`` full segments are the
       exact survival series ``E_restart(tau + C) sum_{k>=1} P(X > k tau)``;
       the true-length final segment is integrated per checkpoint window

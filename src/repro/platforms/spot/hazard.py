@@ -2,7 +2,7 @@
 
 A hazard model maps the current spot price vector to an instantaneous
 preemption rate per path (interruptions per hour).  ``ConstantHazard`` is
-the memoryless regime of the ``extensions/spot.py`` closed forms; price-
+the memoryless regime of the evaluator's scalar closed forms; price-
 dependent hazards capture the empirical pattern that preemptions cluster
 when the market is contended (price high).
 """

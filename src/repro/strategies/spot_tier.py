@@ -76,7 +76,7 @@ def _spot_interval(scenario, rate: float, distribution) -> float:
     overhead drives the optimizer to 0; zero rate makes it irrelevant)."""
     overhead = scenario.checkpoint_overhead
     if rate > 0 and overhead > 0:
-        from repro.extensions.spot import optimal_checkpoint_interval
+        from repro.platforms.spot.evaluator import optimal_checkpoint_interval
 
         return optimal_checkpoint_interval(rate, overhead)
     return max(float(distribution.quantile(0.5)) / 8.0, 1e-6)

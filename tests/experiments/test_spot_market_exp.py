@@ -65,6 +65,22 @@ class TestCrossover:
             assert long_row.spot_checkpointed_cost < long_row.spot_restart_cost
 
 
+class TestVolatileMarket:
+    def test_reservations_win_at_every_scale(self):
+        # At 5 preemptions/h with 0.5 h checkpoints the retry-inflated spot
+        # price exceeds the reserved rate for every job size, so even the
+        # mixed plan degenerates to pure reserved (cap 0).
+        (cell,) = run_spot_market_experiment(
+            volatilities=(0.0,),
+            base_rates=(5.0,),
+            overheads=(0.5,),
+            mean_hours_sweep=(0.5, 8.0, 72.0),
+            config=QUICK,
+        )
+        for row in cell.rows:
+            assert row.winner == "reserved", row
+
+
 class TestRows:
     def test_winner_tie_breaks_to_reserved(self):
         row = SpotMarketRow(

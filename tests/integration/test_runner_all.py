@@ -32,7 +32,7 @@ class TestRunnerAll:
             "Extension E4",
             "Extension E5",
             "Extension E6",
-            "Extension E7",
+            "Spot market:",
             "Pricing study",
             "Reproducibility R1",
         ):

@@ -19,7 +19,10 @@ from repro.extensions.multiresource import (
     MultiResourceCostModel,
     solve_multiresource_dp,
 )
-from repro.extensions.spot import expected_spot_time_restart
+from repro.platforms.spot import (
+    expected_spot_time_checkpointed,
+    expected_spot_time_restart,
+)
 from repro.strategies.dynamic_programming import solve_discrete_dp
 
 discrete_supports = st.lists(
@@ -135,3 +138,40 @@ def test_spot_restart_superadditive(lam, t1, t2):
     parts = expected_spot_time_restart(t1, lam) + expected_spot_time_restart(t2, lam)
     assume(math.isfinite(whole))
     assert whole >= parts - 1e-9
+
+
+# t >= 0, with jobs far below the segment count's 1e-12 slack drawn often.
+spot_job_lengths = st.one_of(
+    st.floats(min_value=0.0, max_value=50.0),
+    st.floats(min_value=0.0, max_value=1e-9),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    t=spot_job_lengths,
+    lam=st.floats(min_value=0.0, max_value=5.0),
+    tau=st.one_of(st.floats(min_value=1e-6, max_value=1e3), st.just(math.inf)),
+    overhead=st.floats(min_value=0.0, max_value=2.0),
+)
+def test_spot_checkpointed_time_nonnegative(t, lam, tau, overhead):
+    """Busy time is never negative (nor nan) over t >= 0, tau in (0, inf]."""
+    assert expected_spot_time_checkpointed(t, lam, tau, overhead) >= 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    t=spot_job_lengths,
+    lam=st.floats(min_value=0.0, max_value=5.0),
+    extra=st.one_of(st.floats(min_value=0.0, max_value=1e3), st.just(math.inf)),
+    overhead=st.floats(min_value=0.0, max_value=2.0),
+)
+def test_spot_checkpointed_is_restart_when_interval_covers_job(
+    t, lam, extra, overhead
+):
+    """tau >= t writes no checkpoint: exactly the restart time."""
+    tau = t + extra
+    assume(tau > 0.0)
+    assert expected_spot_time_checkpointed(
+        t, lam, tau, overhead
+    ) == expected_spot_time_restart(t, lam)

@@ -6,12 +6,12 @@ import pytest
 
 from repro import CostModel
 from repro.distributions.lognormal import lognormal_from_moments
-from repro.extensions.spot import optimal_checkpoint_interval
 from repro.platforms.spot import (
     ConstantHazard,
     ConstantPrice,
     SpotScenario,
     expected_spot_busy_time,
+    optimal_checkpoint_interval,
 )
 from repro.simulation.evaluator import evaluate_strategy
 from repro.strategies import (
