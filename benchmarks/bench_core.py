@@ -1,7 +1,7 @@
 """Micro-benchmarks of the library's hot paths.
 
 These time the primitives the experiment harness leans on: the vectorized
-Monte-Carlo cost engine, the O(n^2) Theorem 5 DP, Eq. (11) sequence
+Monte-Carlo cost engine, the lower-envelope Theorem 5 DP, Eq. (11) sequence
 generation, and the Theorem 1 series evaluator.  They guard against
 accidental de-vectorization (the hpc-parallel guides' main failure mode).
 

@@ -35,6 +35,11 @@ import numpy as np
 
 from repro.core.cost import CostModel
 from repro.distributions.discrete import DiscreteDistribution
+from repro.strategies.dynamic_programming import (
+    backtrack_picks,
+    solve_lower_envelope,
+    suffix_and_prefix_sums,
+)
 from repro.utils.numeric import is_strictly_increasing
 from repro.utils.rng import SeedLike, as_generator
 
@@ -166,7 +171,7 @@ def solve_checkpoint_dp(
     overhead: float,
 ) -> CheckpointPlan:
     """Optimal checkpoint thresholds over a discrete support (Theorem-5-style
-    DP, O(n^2)).
+    DP, amortised O(n) on the lower-envelope kernel).
 
     ``U_i`` is the unnormalized optimal expected cost given ``X > v_{i-1}``
     (progress ``v_{i-1}`` already checkpointed); each step picks the next
@@ -176,41 +181,28 @@ def solve_checkpoint_dp(
             + beta (S_j - S_{i-1}) - beta v_{i-1} (W_i - W_{j+1})
             + beta (v_j - v_{i-1} + C) W_{j+1} + U_{j+1} ]``
 
-    where ``W_i = sum_{k>=i} f_k`` and ``S_j = sum_{k<=j} f_k v_k``.
+    where ``W_i = sum_{k>=i} f_k`` and ``S_j = sum_{k<=j} f_k v_k``.  The
+    ``v_{i-1} W_{j+1}`` terms cancel, leaving the line of slope ``alpha v_j``
+    and intercept ``beta S_j + beta (v_j + C) W_{j+1} + U_{j+1}`` in ``W_i``.
     """
     if overhead < 0:
         raise ValueError(f"overhead must be nonnegative, got {overhead}")
-    v = discrete.values
-    f = discrete.masses / discrete.masses.sum()
-    n = v.size
+    v, _, suffix, prefix_fv = suffix_and_prefix_sums(discrete)
     alpha, beta, gamma = cost_model.alpha, cost_model.beta, cost_model.gamma
+    slopes = (alpha * v).tolist()
+    intercepts = (beta * prefix_fv[1:] + beta * (v + overhead) * suffix[1:]).tolist()
+    vs, W, S = v.tolist(), suffix.tolist(), prefix_fv.tolist()
 
-    suffix = np.concatenate([np.cumsum(f[::-1])[::-1], [0.0]])
-    prefix_fv = np.concatenate([[0.0], np.cumsum(f * v)])
-
-    U = np.zeros(n + 1)
-    choice = np.zeros(n, dtype=np.intp)
-    v_prev_all = np.concatenate([[0.0], v])  # v_{i-1} with v_0 = 0
-
-    for i in range(n - 1, -1, -1):
-        v_prev = v_prev_all[i]
-        j = np.arange(i, n)
-        w_jc = v[j] - v_prev + overhead
-        cand = (
-            (alpha * w_jc + gamma) * suffix[i]
-            + beta * (prefix_fv[j + 1] - prefix_fv[i])
-            - beta * v_prev * (suffix[i] - suffix[j + 1])
-            + beta * w_jc * suffix[j + 1]
+    def value(i: int, j: int, U: List[float]) -> float:
+        v_prev = vs[i - 1] if i else 0.0  # v_{i-1} with v_0 = 0
+        w_jc = vs[j] - v_prev + overhead
+        return (
+            (alpha * w_jc + gamma) * W[i]
+            + beta * (S[j + 1] - S[i])
+            - beta * v_prev * (W[i] - W[j + 1])
+            + beta * w_jc * W[j + 1]
             + U[j + 1]
         )
-        k = int(np.argmin(cand))
-        choice[i] = i + k
-        U[i] = float(cand[k])
 
-    picks: List[int] = []
-    i = 0
-    while i < n:
-        j = int(choice[i])
-        picks.append(j)
-        i = j + 1
-    return CheckpointPlan(thresholds=v[np.asarray(picks, dtype=np.intp)], overhead=overhead)
+    _, choice, _ = solve_lower_envelope(W, [(slopes, intercepts, value)])
+    return CheckpointPlan(thresholds=v[backtrack_picks(choice)], overhead=overhead)

@@ -20,8 +20,9 @@ Extend the Theorem 5 DP with a *spent-budget* coordinate, discretized into
 ``budget_buckets`` levels (spent budget is rounded **up** to the next bucket,
 so the returned plan's guarantee is conservative — never violated by the
 rounding).  Beyond the quantile index the constraint is inactive and the
-continuation is the unconstrained DP's value function, which
-:func:`solve_discrete_dp` exposes.  Complexity: O(q · n · B).
+continuation is the unconstrained DP's value function, and the plan's tail
+its per-level choices; :func:`solve_discrete_dp` exposes both.
+Complexity: O(q · n · B).
 
 Sweeping ``D`` traces the cost-vs-deadline Pareto frontier: loose deadlines
 recover the unconstrained optimum; tight ones force fewer, larger
@@ -33,13 +34,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from repro.core.cost import CostModel
 from repro.distributions.discrete import DiscreteDistribution
-from repro.strategies.dynamic_programming import solve_discrete_dp
+from repro.strategies.dynamic_programming import (
+    backtrack_picks,
+    solve_discrete_dp,
+    suffix_and_prefix_sums,
+)
 
 __all__ = ["DeadlineInfeasible", "DeadlinePlan", "solve_deadline_dp"]
 
@@ -82,8 +87,7 @@ def solve_deadline_dp(
     if budget_buckets < 2:
         raise ValueError(f"need at least 2 budget buckets, got {budget_buckets}")
 
-    v = discrete.values
-    f = discrete.masses / discrete.masses.sum()
+    v, f, suffix, prefix_fv = suffix_and_prefix_sums(discrete)
     n = v.size
     alpha, beta, gamma = cost_model.alpha, cost_model.beta, cost_model.gamma
 
@@ -98,19 +102,10 @@ def solve_deadline_dp(
             f"({quantile_point:g}) exceeds the deadline {deadline:g}"
         )
 
-    suffix = np.concatenate([np.cumsum(f[::-1])[::-1], [0.0]])
-    prefix_fv = np.concatenate([[0.0], np.cumsum(f * v)])
-    unconstrained = solve_discrete_dp(discrete, cost_model).value_unnormalized
+    plain = solve_discrete_dp(discrete, cost_model)  # the unconstrained DP
 
     # Budget grid: spent budget is snapped *up* onto grid points.
     grid = np.linspace(0.0, deadline, budget_buckets)
-
-    def bucket_of(spent: float) -> Optional[int]:
-        """Smallest grid index with grid[idx] >= spent, or None if > D."""
-        if spent > deadline + 1e-12:
-            return None
-        idx = int(np.searchsorted(grid, spent - 1e-12, side="left"))
-        return min(idx, budget_buckets - 1)
 
     INF = math.inf
     # U_c[i][b]: optimal cost-to-go from level i with grid[b] already spent,
@@ -140,7 +135,7 @@ def solve_deadline_dp(
             rows = (j[before_q] + 1)[None, :].repeat(budget_buckets, axis=0)
             cont[:, before_q] = U_c[rows, nb[:, before_q]]
         if (~before_q).any():
-            cont[:, ~before_q] = unconstrained[j[~before_q] + 1][None, :]
+            cont[:, ~before_q] = plain.value_unnormalized[j[~before_q] + 1][None, :]
 
         total = np.where(feasible, stage[None, :] + cont, INF)
         k = np.argmin(total, axis=1)  # best choice per budget level
@@ -164,12 +159,8 @@ def solve_deadline_dp(
             i = j + 1
             break
         i, b = j + 1, nb
-    # Unconstrained suffix via the plain DP restricted to the remaining tail.
-    if i < n:
-        tail = solve_discrete_dp(
-            DiscreteDistribution(v[i:], f[i:]), cost_model
-        )
-        picks.extend(int(i + k) for k in tail.choice_indices)
+    # Unconstrained suffix: the plain DP's own choices from level i on.
+    picks.extend(backtrack_picks(plain.level_choices, i))
 
     reservations = v[np.asarray(picks, dtype=np.intp)]
     covering = int(np.searchsorted(reservations, quantile_point, side="left"))

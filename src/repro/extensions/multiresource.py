@@ -35,11 +35,17 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.distributions.discrete import DiscreteDistribution
+from repro.strategies.dynamic_programming import (
+    LineFamily,
+    backtrack_picks,
+    solve_lower_envelope,
+    suffix_and_prefix_sums,
+)
 from repro.utils.numeric import is_strictly_increasing
 from repro.utils.rng import SeedLike, as_generator
 
@@ -266,52 +272,39 @@ def solve_multiresource_dp(
     ``U_i = min_{j >= i, p} [ (alpha(p) t_{jp} + gamma) W_i
              + beta g(p) (S_j - S_{i-1}) + beta t_{jp} W_{j+1} + U_{j+1} ]``
 
-    with ``t_{jp} = v_j g(p)``; each (i, p) pair is one vectorized scan over
-    ``j``, so the total cost is O(n^2 |P|).
+    with ``t_{jp} = v_j g(p)``: one family of lines in ``W_i`` per processor
+    count on the lower-envelope kernel, amortised O(n |P|).
     """
     procs = sorted(set(int(p) for p in processor_choices))
     if not procs or procs[0] < 1:
         raise ValueError(f"invalid processor choices: {processor_choices}")
-    v = discrete.values
-    f = discrete.masses / discrete.masses.sum()
-    n = v.size
+    v, _, suffix, prefix_fv = suffix_and_prefix_sums(discrete)
     a0, a1 = cost_model.alpha0, cost_model.alpha1
     beta, gamma = cost_model.beta, cost_model.gamma
+    W, S = suffix.tolist(), prefix_fv.tolist()
 
-    suffix = np.concatenate([np.cumsum(f[::-1])[::-1], [0.0]])
-    prefix_fv = np.concatenate([[0.0], np.cumsum(f * v)])
+    def family(p: int) -> LineFamily:
+        g, alpha_p = speedup.g(p), a0 + a1 * p
+        t = v * g
+        t_list = t.tolist()
 
-    U = np.zeros(n + 1)
-    choice_j = np.zeros(n, dtype=np.intp)
-    choice_p = np.zeros(n, dtype=np.intp)
-
-    g_by_p = {p: speedup.g(p) for p in procs}
-    for i in range(n - 1, -1, -1):
-        j = np.arange(i, n)
-        best_val = math.inf
-        best = (i, procs[0])
-        for p in procs:
-            g = g_by_p[p]
-            t_j = v[j] * g
-            cand = (
-                ((a0 + a1 * p) * t_j + gamma) * suffix[i]
-                + beta * g * (prefix_fv[j + 1] - prefix_fv[i])
-                + beta * t_j * suffix[j + 1]
+        def value(i: int, j: int, U: List[float]) -> float:
+            return (
+                (alpha_p * t_list[j] + gamma) * W[i]
+                + beta * g * (S[j + 1] - S[i])
+                + beta * t_list[j] * W[j + 1]
                 + U[j + 1]
             )
-            k = int(np.argmin(cand))
-            if cand[k] < best_val:
-                best_val = float(cand[k])
-                best = (i + k, p)
-        choice_j[i], choice_p[i] = best
-        U[i] = best_val
 
-    reservations: List[MultiReservation] = []
-    i = 0
-    while i < n:
-        j, p = int(choice_j[i]), int(choice_p[i])
-        reservations.append(
-            MultiReservation(duration=float(v[j]) * g_by_p[p], processors=p)
-        )
-        i = j + 1
+        intercepts = beta * g * prefix_fv[1:] + beta * t * suffix[1:]
+        return (alpha_p * t).tolist(), intercepts.tolist(), value
+
+    _, choice, chosen = solve_lower_envelope(W, [family(p) for p in procs])
+    picks = backtrack_picks(choice)
+    levels = [0] + [j + 1 for j in picks[:-1]]  # the level that chose each pick
+    widths = [procs[chosen[i]] for i in levels]
+    reservations = [
+        MultiReservation(duration=float(v[j]) * speedup.g(p), processors=p)
+        for j, p in zip(picks, widths)
+    ]
     return MultiResourcePlan(reservations, speedup)

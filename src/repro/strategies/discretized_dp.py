@@ -40,15 +40,10 @@ class DiscretizedDP(Strategy):
         self.n = n
         self.epsilon = epsilon
         self.name = f"{scheme}_dp"
-        # Scratch buffers shared by this instance's DP solves (always the
-        # same n, so repeated sequence() calls — e.g. one per cost model in
-        # a sweep — skip the O(n) reallocations).  Strategy instances are
-        # built per request and never shared across threads.
-        self._dp_workspace: dict = {}
 
     def sequence(self, distribution, cost_model: CostModel) -> ReservationSequence:
         discrete = discretize(distribution, self.n, self.scheme, self.epsilon)
-        result = solve_discrete_dp(discrete, cost_model, workspace=self._dp_workspace)
+        result = solve_discrete_dp(discrete, cost_model)
         values = result.reservations
         hi = distribution.upper
 

@@ -13,7 +13,7 @@ from repro.extensions.deadline import (
     DeadlinePlan,
     solve_deadline_dp,
 )
-from repro.strategies.dynamic_programming import solve_discrete_dp
+from repro.strategies.dynamic_programming import backtrack_picks, solve_discrete_dp
 
 
 def small_discrete():
@@ -60,6 +60,19 @@ class TestGuarantee:
             unconstrained.expected_cost, rel=1e-9
         )
         np.testing.assert_allclose(plan.reservations, unconstrained.reservations)
+
+    def test_suffix_backtrack_matches_tail_resolve(self):
+        """The plan's unconstrained tail is read off the full solve's level
+        choices; it must equal solving the DP again on the suffix law."""
+        d = equal_probability(LogNormal(3.0, 0.5), 300, 1e-6)
+        cm = CostModel.reservation_only()
+        full = solve_discrete_dp(d, cm)
+        v, f = d.values, d.masses / d.masses.sum()
+        for i in range(1, v.size):
+            tail = solve_discrete_dp(DiscreteDistribution(v[i:], f[i:]), cm)
+            assert backtrack_picks(full.level_choices, i) == [
+                i + int(k) for k in tail.choice_indices
+            ]
 
     def test_tight_deadline_single_shot(self):
         d = small_discrete()

@@ -1,7 +1,5 @@
 """Tests for the Theorem 5 dynamic program."""
 
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,33 +7,7 @@ from hypothesis import strategies as st
 
 from repro import CostModel, DiscreteDistribution, solve_discrete_dp
 from repro.strategies.dynamic_programming import dp_sequence_for_discrete
-
-
-def exhaustive_optimal(discrete: DiscreteDistribution, cm: CostModel) -> float:
-    """Brute-force over all subsets of support points that include the last
-    value (every valid sequence must end at v_n)."""
-    v = discrete.values
-    f = discrete.masses / discrete.masses.sum()
-    n = len(v)
-    best = float("inf")
-    for r in range(n):
-        for subset in itertools.combinations(range(n - 1), r):
-            picks = list(subset) + [n - 1]
-            seq = v[np.asarray(picks, dtype=int)]
-            # Expected cost under the discrete law.
-            cost = 0.0
-            for k, prob in zip(v, f):
-                total, covered = 0.0, False
-                for t in seq:
-                    if k <= t:
-                        total += cm.alpha * t + cm.beta * k + cm.gamma
-                        covered = True
-                        break
-                    total += (cm.alpha + cm.beta) * t + cm.gamma
-                assert covered
-                cost += prob * total
-            best = min(best, cost)
-    return best
+from tests.strategies.dp_reference import exhaustive_optimal
 
 
 class TestAgainstExhaustive:
