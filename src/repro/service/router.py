@@ -143,9 +143,20 @@ class ShardedPlanCache:
         return self._clients[shard_id]
 
     def set_client(self, shard_id: int, client: ShardClient) -> None:
-        """Swap in the endpoint of a restarted worker (new ephemeral port)."""
+        """Swap in the endpoint of a restarted worker (new ephemeral port)
+        and close the replaced client's idle connections."""
         with self._state_lock:
+            old = self._clients.get(shard_id)
             self._clients[shard_id] = client
+        if old is not None and old is not client:
+            old.close()
+
+    def close(self) -> None:
+        """Close every shard client's idle connections."""
+        with self._state_lock:
+            clients = list(self._clients.values())
+        for client in clients:
+            client.close()
 
     def mark_down(self, shard_id: int) -> bool:
         """Bench a shard; returns True on an up->down transition."""
@@ -536,3 +547,6 @@ class ShardFleet:
                 proc.wait()
             if proc.stdout is not None:
                 proc.stdout.close()
+        cache = self.cache
+        if cache is not None:
+            cache.close()

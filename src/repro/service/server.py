@@ -127,15 +127,39 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, fmt, *args):  # default logs every request to stderr
         pass
 
+    def _start_request(self) -> None:
+        metrics.inc(names.SERVER_REQUESTS)
+        self._body_read = False
+
+    def _body_pending(self) -> bool:
+        """Whether the request's body is still unread in the stream."""
+        if self._body_read:
+            return False
+        length = self.headers.get("Content-Length", "0").strip()
+        return length != "0" or "Transfer-Encoding" in self.headers
+
     def _send_json(self, status: int, payload: dict, extra_headers=()) -> None:
         body = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self._body_pending():
+            # Answered before the body was read (404, 429, 413, an
+            # injected 500): on a kept-alive connection the body would be
+            # parsed as the next request line, so close it instead.
+            self.send_header("Connection", "close")
         for name, value in extra_headers:
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        # The whole message in one write.  end_headers() would send the
+        # header block on its own and the body in a second send(), which
+        # Nagle's algorithm holds until the client's delayed ACK (~40 ms
+        # per response on a keep-alive connection).
+        head = getattr(self, "_headers_buffer", None)  # absent for HTTP/0.9
+        if head is None:
+            self.wfile.write(body)
+        else:
+            head.append(b"\r\n" + body)
+            self.flush_headers()
 
     def _error(self, status: int, message: str, extra_headers=()) -> None:
         metrics.inc(f"{names.SERVER_RESPONSES_PREFIX}{status}")
@@ -148,6 +172,7 @@ class _Handler(BaseHTTPRequestHandler):
         if length > MAX_BODY_BYTES:
             raise ServiceError("request body too large", status=413)
         raw = self.rfile.read(length)
+        self._body_read = True
         try:
             body = json.loads(raw)
         except json.JSONDecodeError as exc:
@@ -158,7 +183,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- routes --------------------------------------------------------
     def do_GET(self) -> None:
-        metrics.inc(names.SERVER_REQUESTS)
+        self._start_request()
         if self.path == "/healthz":
             self._send_json(200, self.server.service.health())
         elif self.path == "/metrics":
@@ -167,7 +192,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(404, f"unknown endpoint {self.path!r}")
 
     def do_POST(self) -> None:
-        metrics.inc(names.SERVER_REQUESTS)
+        self._start_request()
         if self.path not in ("/plan", "/evaluate"):
             self._error(404, f"unknown endpoint {self.path!r}")
             return

@@ -20,9 +20,21 @@ memory (:class:`~repro.service.plancache.PlanCache`) and on disk
   :class:`ShardUnavailable`, which the router treats as "fail this
   shard's keys over to the surviving ring".
 
-The protocol is deliberately one JSON line per request over a fresh
-connection — no framing state to corrupt, no pooled sockets to leak into
-a killed worker, and trivially testable with in-process servers.
+The protocol is one JSON line per request and one per answer, each sent
+in a single write with ``TCP_NODELAY`` on both ends.  A worker answers
+any number of requests on one connection, and each client keeps a small
+free list of idle connections, so a warm RPC costs no TCP handshake.  A
+connection goes back to the free list only after a complete answer line
+was read from it, so no late or partial answer is ever read by the next
+call.  A pooled connection can go stale (the worker restarted or closed
+it): when a reused connection hits EOF or a reset before a full line
+arrives, the call reconnects once; ``get``, ``put`` (same key and
+payload) and ``invalidate`` are idempotent, so sending the request again
+is safe.  A timeout is never retried — a wedged worker costs one
+``timeout``, not two — and any failure on a fresh connection raises
+:class:`ShardUnavailable`.  :meth:`ShardServer.server_close` shuts its
+open connections down, so a stopped worker stops answering on pooled
+sockets too.
 """
 
 from __future__ import annotations
@@ -37,7 +49,7 @@ import socketserver
 import sys
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, BinaryIO, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.observability import metrics
 from repro.observability import names
@@ -207,27 +219,34 @@ def recover_or_cold(store: ShardStore, label: str) -> int:
 # ----------------------------------------------------------------------
 class _ShardHandler(socketserver.StreamRequestHandler):
     server: "ShardServer"
+    disable_nagle_algorithm = True
 
     def handle(self) -> None:
+        """Answer request lines until the client closes the connection."""
         try:
-            line = self.rfile.readline(MAX_LINE_BYTES)
-            if not line.strip():
-                return
-            try:
-                request = json.loads(line.decode("utf-8"))
-                if not isinstance(request, dict):
-                    raise ValueError("request must be a JSON object")
-                response = self.server.dispatch(request)
-            except Exception as exc:  # noqa: BLE001 - a shard must answer,
-                # never die per-request: malformed input, an injected
-                # journal fault, or a full disk all surface as a
-                # structured error the router can fail over on.
-                response = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
-            self.wfile.write(
-                json.dumps(response, separators=(",", ":")).encode("utf-8") + b"\n"
-            )
+            while True:
+                line = self.rfile.readline(MAX_LINE_BYTES)
+                if not line:
+                    return
+                if line.strip():
+                    self.wfile.write(self._answer(line))
+                if not line.endswith(b"\n"):
+                    return  # oversized or torn line: the framing is lost
         except OSError:
             pass  # peer vanished mid-exchange; nothing left to answer
+
+    def _answer(self, line: bytes) -> bytes:
+        try:
+            request = json.loads(line.decode("utf-8"))
+            if not isinstance(request, dict):
+                raise ValueError("request must be a JSON object")
+            response = self.server.dispatch(request)
+        except Exception as exc:  # noqa: BLE001 - a shard must answer,
+            # never die per-request: malformed input, an injected
+            # journal fault, or a full disk all surface as a
+            # structured error the router can fail over on.
+            response = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+        return json.dumps(response, separators=(",", ":")).encode("utf-8") + b"\n"
 
 
 class ShardServer(socketserver.ThreadingTCPServer):
@@ -246,10 +265,38 @@ class ShardServer(socketserver.ThreadingTCPServer):
         super().__init__((host, port), _ShardHandler)
         self.store = store
         self.shard_id = int(shard_id)
+        self._connections: Set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
 
     @property
     def port(self) -> int:
         return int(self.server_address[1])
+
+    def process_request(self, request, client_address) -> None:
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        """Close the listener and shut down every open connection.
+
+        Handler threads are daemons serving pooled connections until the
+        client hangs up; shutting their sockets down makes a stopped
+        server stop answering, the way a killed worker process does.
+        """
+        super().server_close()
+        with self._connections_lock:
+            connections = list(self._connections)
+        for conn in connections:
+            try:
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # already closed by the peer
 
     def dispatch(self, request: Dict[str, Any]) -> Dict[str, Any]:
         op = request.get("op")
@@ -300,11 +347,18 @@ def serve_shard(
 class ShardClient:
     """One shard's endpoint as seen from the router.
 
-    Every call passes the ``shard.rpc`` fault site and is counted; any
-    transport-level failure — connection refused (dead worker), timeout
-    (wedged worker), injected fault — raises :class:`ShardUnavailable`,
-    the router's signal to fail the key over to the surviving ring.
+    Every call passes the ``shard.rpc`` fault site and is counted once;
+    any transport-level failure — connection refused (dead worker),
+    timeout (wedged worker), injected fault — raises
+    :class:`ShardUnavailable`, the router's signal to fail the key over to
+    the surviving ring.  Idle connections are kept on a free list of at
+    most :attr:`MAX_IDLE` entries (see the module docstring for when a
+    call reconnects); :meth:`close` releases them.
     """
+
+    #: Idle connections kept per shard: one per concurrent caller, up to
+    #: the server's default admission budget.
+    MAX_IDLE = 8
 
     def __init__(
         self, host: str, port: int, shard_id: int, timeout: float = 2.0
@@ -313,30 +367,26 @@ class ShardClient:
         self.port = int(port)
         self.shard_id = int(shard_id)
         self.timeout = float(timeout)
+        self._idle: List[Tuple[socket.socket, BinaryIO]] = []
+        self._idle_lock = threading.Lock()
+        self._closed = False
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<ShardClient shard={self.shard_id} {self.host}:{self.port}>"
 
     def call(self, request: Dict[str, Any]) -> Dict[str, Any]:
         metrics.inc(names.SHARD_RPC_CALLS)
+        data = json.dumps(request, separators=(",", ":")).encode("utf-8") + b"\n"
         try:
             faults.fire("shard.rpc")  # repro-lint: disable=RS203 -- the very next clause catches InjectedFault and re-raises ShardUnavailable, which ShardedPlanCache absorbs (bench + fail over); routes past that are name-based CHA conflating ShardClient.call with unrelated call() methods
-            with socket.create_connection(
-                (self.host, self.port), timeout=self.timeout
-            ) as conn:
-                conn.sendall(
-                    json.dumps(request, separators=(",", ":")).encode("utf-8")
-                    + b"\n"
-                )
-                with conn.makefile("rb") as fh:
-                    line = fh.readline(MAX_LINE_BYTES)
+            line = self._exchange(data)
         except (OSError, faults.InjectedFault) as exc:
             metrics.inc(names.SHARD_RPC_FAILURES)
             raise ShardUnavailable(
                 f"shard {self.shard_id} at {self.host}:{self.port} "
                 f"unreachable: {exc}"
             ) from exc
-        if not line:
+        if not line.endswith(b"\n"):
             metrics.inc(names.SHARD_RPC_FAILURES)
             raise ShardUnavailable(
                 f"shard {self.shard_id} closed the connection without answering"
@@ -354,6 +404,55 @@ class ShardClient:
                 error = str(response.get("error", ""))
             raise ShardError(f"shard {self.shard_id} error: {error}")
         return response
+
+    def close(self) -> None:
+        """Close the idle connections; later calls no longer pool theirs."""
+        with self._idle_lock:
+            self._closed = True
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            _close_connection(conn)
+
+    # -- connection pool ------------------------------------------------
+    def _exchange(self, data: bytes) -> bytes:
+        """Send one request line; returns the answer line (may be torn).
+
+        A reused connection that hits EOF or a reset before a full line
+        arrives is replaced by one fresh connection; a timeout is not.
+        """
+        with self._idle_lock:
+            conn = self._idle.pop() if self._idle else None
+        if conn is not None:
+            try:
+                line = self._roundtrip(conn, data)
+            except ConnectionError:
+                line = b""
+            if line.endswith(b"\n"):
+                return line
+        sock = socket.create_connection((self.host, self.port), timeout=self.timeout)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return self._roundtrip((sock, sock.makefile("rb")), data)
+
+    def _roundtrip(self, conn: Tuple[socket.socket, BinaryIO], data: bytes) -> bytes:
+        """One request/answer on ``conn``; pools it again only after a full
+        answer line, and closes it on anything else."""
+        line = b""
+        try:
+            conn[0].sendall(data)
+            line = conn[1].readline(MAX_LINE_BYTES)
+        finally:
+            if line.endswith(b"\n"):
+                self._release(conn)
+            else:
+                _close_connection(conn)
+        return line
+
+    def _release(self, conn: Tuple[socket.socket, BinaryIO]) -> None:
+        with self._idle_lock:
+            if not self._closed and len(self._idle) < self.MAX_IDLE:
+                self._idle.append(conn)
+                return
+        _close_connection(conn)
 
     # -- typed helpers --------------------------------------------------
     def ping(self) -> bool:
@@ -384,6 +483,12 @@ class ShardClient:
     def stats(self) -> Dict[str, object]:
         stats = self.call({"op": "stats"}).get("stats", {})
         return stats if isinstance(stats, dict) else {}
+
+
+def _close_connection(conn: Tuple[socket.socket, BinaryIO]) -> None:
+    sock, reader = conn
+    reader.close()
+    sock.close()
 
 
 # ----------------------------------------------------------------------

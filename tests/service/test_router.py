@@ -8,11 +8,15 @@ stay fast and a "dead shard" is simply a server that was shut down.
 from __future__ import annotations
 
 import hashlib
+import socket
 import threading
+import time
 from collections import Counter
 
 import pytest
 
+from repro.resilience import faults
+from repro.resilience.faults import FaultPlan
 from repro.service.plancache import PlanCache
 from repro.service.router import HashRing, ShardedPlanCache
 from repro.service.shard import (
@@ -91,6 +95,7 @@ def fleet(tmp_path):
         clients[sid] = ShardClient("127.0.0.1", server.port, sid, timeout=2.0)
     cache = ShardedPlanCache(clients, maxsize_per_shard=64)
     yield cache, servers
+    cache.close()
     for server in servers:
         server.shutdown()
         server.server_close()
@@ -220,6 +225,152 @@ def test_client_signals_unavailable_for_dead_port(fleet):
     with pytest.raises(ShardUnavailable):
         client.get(sha(1))
     assert client.ping() is False
+
+
+# ----------------------------------------------------------------------
+# Pooled shard connections
+# ----------------------------------------------------------------------
+def count_accepts(server) -> list:
+    """Record each connection ``server`` accepts from now on."""
+    accepted: list = []
+    process_request = server.process_request
+
+    def counting(request, client_address):
+        accepted.append(client_address)
+        process_request(request, client_address)
+
+    server.process_request = counting
+    return accepted
+
+
+def test_sequential_rpcs_reuse_one_connection(fleet):
+    cache, servers = fleet
+    accepted = count_accepts(servers[0])
+    client = cache.client(0)
+    for i in range(20):
+        client.put(sha(i), {"v": i})
+        assert client.get(sha(i)) == {"v": i}
+    assert len(accepted) == 1
+
+
+def test_two_threads_hold_at_most_two_connections(fleet):
+    cache, servers = fleet
+    accepted = count_accepts(servers[0])
+    client = cache.client(0)
+    errors: list = []
+
+    def worker(offset):
+        try:
+            for i in range(30):
+                client.put(sha(offset + i), {"v": i})
+                client.get(sha(offset + i))
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(k * 100,)) for k in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+    assert errors == []
+    assert 1 <= len(accepted) <= 2
+
+
+def test_pooled_client_is_unavailable_after_kill(fleet):
+    cache, servers = fleet
+    client = cache.client(2)
+    assert client.ping() is True
+    kill(servers[2])
+    with pytest.raises(ShardUnavailable):
+        client.get(sha(1))
+
+
+def test_stale_pooled_socket_reconnects_once(tmp_path, enabled_obs):
+    registry, _ = enabled_obs
+    first = serve_shard(ShardStore(str(tmp_path / "a"), fsync=False), 0)
+    port = first.port
+    thread = threading.Thread(target=first.serve_forever, daemon=True)
+    thread.start()
+    client = ShardClient("127.0.0.1", port, 0, timeout=2.0)
+    client.put(sha(1), {"v": 1})
+    kill(first)
+    thread.join(timeout=5)
+    first.store.close()
+
+    # A worker restarted on the same port: the pooled socket is stale.
+    second = serve_shard(ShardStore(str(tmp_path / "b"), fsync=False), 0, port=port)
+    accepted = count_accepts(second)
+    thread = threading.Thread(target=second.serve_forever, daemon=True)
+    thread.start()
+    plan = FaultPlan.from_spec("shard.rpc:delay:1:seconds=0")
+    calls_before = registry.counter("shard.rpc_calls").value
+    try:
+        with faults.installed(plan):
+            client.put(sha(2), {"v": 2})
+        assert second.store.get(sha(2)) == {"v": 2}
+        assert plan.rules[0].triggered == 1
+        assert registry.counter("shard.rpc_calls").value == calls_before + 1
+        assert registry.counter("shard.rpc_failures").value == 0
+        assert len(accepted) == 1
+    finally:
+        client.close()
+        kill(second)
+        second.store.close()
+
+
+def _silent_after_first_answer(listener: socket.socket, stop: threading.Event):
+    """Accept connections; answer one ping on the first, then go quiet."""
+    held = []
+    answered = False
+    listener.settimeout(0.05)
+    while not stop.is_set():
+        try:
+            conn, _ = listener.accept()
+        except socket.timeout:
+            continue
+        held.append(conn)
+        if not answered:
+            with conn.makefile("rb") as reader:
+                reader.readline()
+            conn.sendall(b'{"ok":true,"pong":true}\n')
+            answered = True
+    for conn in held:
+        conn.close()
+
+
+def test_wedged_shard_costs_one_timeout_not_two():
+    timeout = 0.5
+    stop = threading.Event()
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        server = threading.Thread(
+            target=_silent_after_first_answer, args=(listener, stop), daemon=True
+        )
+        server.start()
+        client = ShardClient("127.0.0.1", listener.getsockname()[1], 0, timeout=timeout)
+        try:
+            assert client.ping() is True  # leaves one pooled connection
+            for _ in range(2):  # pooled, then fresh
+                started = time.monotonic()
+                with pytest.raises(ShardUnavailable):
+                    client.get(sha(1))
+                assert time.monotonic() - started < 2 * timeout
+        finally:
+            client.close()
+            stop.set()
+            server.join(timeout=5)
+    assert not server.is_alive()
+
+
+def test_set_client_closes_the_replaced_clients_idle_sockets(fleet):
+    cache, servers = fleet
+    old = cache.client(1)
+    assert old.ping() is True
+    (sock, _reader), = old._idle
+    cache.set_client(1, ShardClient("127.0.0.1", servers[1].port, 1, timeout=2.0))
+    assert sock.fileno() == -1
+    assert old._idle == []
+    assert cache.client(1).ping() is True
 
 
 def test_planner_protocol_parity_with_plancache():
