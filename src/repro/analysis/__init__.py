@@ -6,13 +6,17 @@ properties mechanically, at lint time, with zero dependencies beyond the
 stdlib ``ast``/``tokenize``:
 
 =======  ==========================================================
-RS101    unseeded / global RNG (``np.random.*``, ``random.*``,
-         argless ``default_rng()``)
 RS102    float ``==`` / ``!=`` in the numeric packages
 RS103    Distribution protocol conformance for every registered law
-RS104    lock discipline in ``service/`` and ``observability/``
 RS105    bare / over-broad ``except`` that drops the error
 RS106    metric names not in ``repro/observability/names.py``
+RS201    unseeded / global RNG (``np.random.*``, ``random.*``,
+         argless ``default_rng()``) and dropped seeds, anywhere
+RS202    lock discipline in ``service/``, ``observability/`` and
+         ``resilience/``: unlocked mutation, bare ``acquire()``,
+         lock-order cycles, blocking calls under a lock
+RS203    fault-injection sites no terminal handler dominates
+RS204    impure calls reachable from plan-key hashing
 =======  ==========================================================
 
 See ``docs/ANALYSIS.md`` for the full rule catalogue, the suppression

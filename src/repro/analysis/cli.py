@@ -36,8 +36,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
         description=(
-            "AST-based reproducibility lint: per-file rules RS101-RS106 "
-            "plus call-graph dataflow rules RS201-RS204."
+            "AST-based reproducibility lint: per-file rules RS102, RS103, "
+            "RS105 and RS106 plus call-graph dataflow rules RS201-RS204."
         ),
     )
     parser.add_argument(

@@ -14,14 +14,22 @@ RS2xx analyses consume:
   right-hand side that mentions a tainted name, to a fixpoint.  The
   propagation is name-based and intra-procedural by design — the
   inter-procedural half is the call graph's job;
-* **lock acquisitions** (``with self._lock:`` / ``with MODULE_LOCK:``)
-  with reentrancy info, for the lock-order analysis;
+* **lock acquisitions** (``with self._lock:`` / ``with MODULE_LOCK:``,
+  and bare ``.acquire()`` calls) for the lock-order analysis.  A lock is
+  any ``self.<attr>`` or module-level name bound to ``threading.Lock()``
+  or ``RLock()``; ``self._lock`` also counts where a base class builds it;
+* **attribute stores** (``self.<attr> = …``, augmented, annotated,
+  ``del``) with the locks held at each, for the lock-discipline check;
 * **fault-injection sites** (``faults.fire("…")`` calls,
   ``@faults.injection_point`` decorators, ``with faults.fault_point``),
   for the exception-flow analysis;
 * **guards**: every ``except`` handler in the function, classified as
   broad/narrow, swallowing, re-raising — the exception-flow analysis
   decides whether a propagating fault is *terminated* here.
+
+Module-level code (top-level statements, class bodies, decorators and
+default values) gets a summary of its own, :attr:`ModuleSummary.body`,
+which is not a node of the call graph.
 
 Summaries never look outside their own module; resolution happens in
 :mod:`repro.analysis.graph.callgraph`.
@@ -31,7 +39,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.analysis.finding import SourceFile
 from repro.analysis.rules.base import dotted_name
@@ -43,6 +51,7 @@ __all__ = [
     "Guard",
     "CallSite",
     "LockAcquisition",
+    "AttrStore",
     "FaultSite",
     "FunctionSummary",
     "ClassSummary",
@@ -133,6 +142,9 @@ class CallSite:
     #: arguments at all) from ``default_rng(12345)`` (a constant seed, which
     #: mentions no identifiers but is perfectly reproducible).
     num_args: int = 0
+    #: True when every positional argument is the literal ``None``
+    #: (``default_rng(None)`` asks for fresh entropy explicitly).
+    none_args: bool = False
 
     def passes_seedish(self, tainted: frozenset) -> bool:
         """Does any argument thread seed provenance into the callee?
@@ -156,12 +168,25 @@ class CallSite:
 
 @dataclass(frozen=True)
 class LockAcquisition:
-    """One ``with <lock>:`` acquisition."""
+    """One ``with <lock>:`` block or bare ``<lock>.acquire()`` call."""
 
     lock_id: str
     lineno: int
     #: Locks already held when this one is acquired (outermost first).
     held: Tuple[str, ...]
+    #: True for an ``acquire()`` call, which no ``with`` block releases.
+    bare: bool = False
+
+
+@dataclass(frozen=True)
+class AttrStore:
+    """One statement storing to (or deleting) ``self.<attr>`` targets."""
+
+    attrs: Tuple[str, ...]
+    lineno: int
+    col: int
+    #: Lock ids lexically held at the statement.
+    locks_held: Tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -193,6 +218,7 @@ class FunctionSummary:
     decorators: Tuple[str, ...] = ()
     calls: List[CallSite] = field(default_factory=list)
     lock_acquisitions: List[LockAcquisition] = field(default_factory=list)
+    attr_stores: List[AttrStore] = field(default_factory=list)
     fault_sites: List[FaultSite] = field(default_factory=list)
     guards: List[Guard] = field(default_factory=list)
     #: Names carrying seed provenance (params + propagated locals).
@@ -210,7 +236,7 @@ class FunctionSummary:
 
 @dataclass
 class ClassSummary:
-    """One class: methods, base-class names, and whether `_lock` is an RLock."""
+    """One class: methods, base-class names, and the locks it builds."""
 
     name: str
     module: str
@@ -218,9 +244,8 @@ class ClassSummary:
     lineno: int
     bases: Tuple[str, ...]
     methods: Dict[str, FunctionSummary] = field(default_factory=dict)
-    #: True when ``self._lock`` is assigned from ``threading.RLock()``.
-    lock_reentrant: bool = False
-    owns_lock: bool = False
+    #: ``self.<attr>`` names bound to ``Lock()``/``RLock()`` -> reentrant.
+    locks: Dict[str, bool] = field(default_factory=dict)
 
 
 @dataclass
@@ -237,6 +262,8 @@ class ModuleSummary:
     module_locks: Dict[str, bool] = field(default_factory=dict)  # name -> reentrant
     #: Module-level function/class names (definition order).
     toplevel: Set[str] = field(default_factory=set)
+    #: Module-level code: everything that runs at import time.
+    body: Optional[FunctionSummary] = None
 
     def all_functions(self) -> List[FunctionSummary]:
         out = list(self.functions.values())
@@ -334,16 +361,67 @@ def collect_imports(tree: ast.AST, module: str) -> Dict[str, str]:
 # The summarizing visitor
 # ---------------------------------------------------------------------------
 
-_LOCK_FACTORIES = {"threading.Lock", "threading.RLock"}
+#: Lock constructors (canonical dotted name) -> whether the lock is reentrant.
+_LOCK_FACTORIES = {"threading.Lock": False, "threading.RLock": True}
+
+#: A class's locks are the ones it builds, plus ``self._lock`` by convention:
+#: ``ShardStore`` takes the ``_lock`` its base ``PlanCache`` builds.
+_CONVENTIONAL_LOCK = "_lock"
 
 
-def _is_self_attr(node: ast.AST, attr: str) -> bool:
-    return (
+def _lock_factory(value: Optional[ast.AST], imports: Dict[str, str]) -> Optional[bool]:
+    """Reentrancy of a ``threading.Lock()``/``RLock()`` call, else ``None``."""
+    if not isinstance(value, ast.Call):
+        return None
+    dotted = dotted_name(value.func)
+    if dotted is None:
+        return None
+    head, _, rest = dotted.partition(".")
+    canonical = imports.get(head, head) + (f".{rest}" if rest else "")
+    return _LOCK_FACTORIES.get(canonical)
+
+
+def _self_attr(node: ast.AST) -> Optional[str]:
+    """``attr`` when ``node`` is ``self.attr``, else ``None``."""
+    if (
         isinstance(node, ast.Attribute)
-        and node.attr == attr
         and isinstance(node.value, ast.Name)
         and node.value.id == "self"
-    )
+    ):
+        return node.attr
+    return None
+
+
+def _self_attrs(targets: Sequence[ast.AST]) -> List[str]:
+    """``self.<attr>`` names among assignment targets, unpacking included."""
+    out: List[str] = []
+    for target in targets:
+        if isinstance(target, (ast.Tuple, ast.List)):
+            out.extend(_self_attrs(target.elts))
+        elif isinstance(target, ast.Starred):
+            out.extend(_self_attrs([target.value]))
+        else:
+            attr = _self_attr(target)
+            if attr is not None:
+                out.append(attr)
+    return out
+
+
+def _class_locks(node: ast.ClassDef, imports: Dict[str, str]) -> Dict[str, bool]:
+    """``self.<attr>`` names a class binds to a lock factory -> reentrant."""
+    locks: Dict[str, bool] = {}
+    for item in ast.walk(node):
+        if isinstance(item, ast.Assign):
+            targets: List[ast.expr] = item.targets
+        elif isinstance(item, ast.AnnAssign):
+            targets = [item.target]
+        else:
+            continue
+        reentrant = _lock_factory(item.value, imports)
+        if reentrant is not None:
+            for attr in _self_attrs(targets):
+                locks[attr] = reentrant
+    return locks
 
 
 def _names_in(node: ast.AST) -> Set[str]:
@@ -363,6 +441,13 @@ def _target_names(target: ast.AST) -> Set[str]:
     return out
 
 
+_Def = Union[ast.FunctionDef, ast.AsyncFunctionDef]
+
+#: A nested definition awaiting its own summary:
+#: (def node, enclosing qname, class name, that class's locks).
+_Nested = Tuple[_Def, str, Optional[str], Dict[str, bool]]
+
+
 class _FunctionCollector(ast.NodeVisitor):
     """Walks one function body, tracking locks, guards, calls, taint."""
 
@@ -371,26 +456,42 @@ class _FunctionCollector(ast.NodeVisitor):
         summary: FunctionSummary,
         module_summary: ModuleSummary,
         class_name: Optional[str],
-        nested_sink: List[Tuple[ast.AST, str, Optional[str]]],
+        class_locks: Dict[str, bool],
     ):
         self.summary = summary
         self.module_summary = module_summary
         self.class_name = class_name
+        self.class_locks = class_locks
         self.lock_stack: List[str] = []
         self.guard_stack: List[Guard] = []
-        self.nested_sink = nested_sink
+        self.nested_sink: List[_Nested] = []
         #: (target_names, rhs_names) pairs for the taint fixpoint.
         self.assignments: List[Tuple[Set[str], Set[str]]] = []
 
     # -- lock identification -------------------------------------------
     def _lock_id(self, expr: ast.AST) -> Optional[str]:
-        if _is_self_attr(expr, "_lock"):
+        attr = _self_attr(expr)
+        if attr is not None and (
+            attr in self.class_locks or attr == _CONVENTIONAL_LOCK
+        ):
             owner = self.class_name or "<module>"
-            return f"{self.summary.module}.{owner}._lock"
+            return f"{self.summary.module}.{owner}.{attr}"
         if isinstance(expr, ast.Name):
             if expr.id in self.module_summary.module_locks:
                 return f"{self.summary.module}.{expr.id}"
         return None
+
+    def _record_store(self, node: ast.stmt, targets: Sequence[ast.AST]) -> None:
+        attrs = _self_attrs(targets)
+        if attrs:
+            self.summary.attr_stores.append(
+                AttrStore(
+                    attrs=tuple(attrs),
+                    lineno=node.lineno,
+                    col=node.col_offset + 1,
+                    locks_held=tuple(self.lock_stack),
+                )
+            )
 
     # -- statements -----------------------------------------------------
     def visit_With(self, node: ast.With) -> None:
@@ -440,6 +541,7 @@ class _FunctionCollector(ast.NodeVisitor):
             self.summary.has_global_write = node.lineno
 
     def visit_Assign(self, node: ast.Assign) -> None:
+        self._record_store(node, node.targets)
         targets: Set[str] = set()
         for target in node.targets:
             targets |= _target_names(target)
@@ -448,10 +550,19 @@ class _FunctionCollector(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
+        self._record_store(node, [node.target])
         if node.value is not None:
             targets = _target_names(node.target)
             if targets:
                 self.assignments.append((targets, _names_in(node.value)))
+        self.generic_visit(node)
+
+    def visit_AugAssign(self, node: ast.AugAssign) -> None:
+        self._record_store(node, [node.target])
+        self.generic_visit(node)
+
+    def visit_Delete(self, node: ast.Delete) -> None:
+        self._record_store(node, node.targets)
         self.generic_visit(node)
 
     def visit_For(self, node: ast.For) -> None:
@@ -481,16 +592,33 @@ class _FunctionCollector(ast.NodeVisitor):
 
     # -- nested definitions ---------------------------------------------
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self.nested_sink.append((node, self.summary.qname, self.class_name))
+        self.nested_sink.append(
+            (node, self.summary.qname, self.class_name, self.class_locks)
+        )
 
     visit_AsyncFunctionDef = visit_FunctionDef  # type: ignore[assignment]
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
         # Classes nested in functions are rare and out of analysis scope;
         # still record their methods as nested functions for completeness.
+        locks = _class_locks(node, self.module_summary.imports)
         for item in node.body:
             if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self.nested_sink.append((item, self.summary.qname, node.name))
+                self.nested_sink.append(
+                    (item, self.summary.qname, node.name, locks)
+                )
+
+    def visit_header(self, node: Union[_Def, ast.ClassDef]) -> None:
+        """What a ``def``/``class`` statement evaluates where it stands:
+        decorators, default values, base classes and class keywords."""
+        exprs: List[ast.expr] = list(node.decorator_list)
+        if isinstance(node, ast.ClassDef):
+            exprs += node.bases + [kw.value for kw in node.keywords]
+        else:
+            exprs += node.args.defaults
+            exprs += [d for d in node.args.kw_defaults if d is not None]
+        for expr in exprs:
+            self.visit(expr)
 
     # -- calls -----------------------------------------------------------
     def _maybe_fault_site(self, node: ast.Call) -> None:
@@ -517,6 +645,17 @@ class _FunctionCollector(ast.NodeVisitor):
     def visit_Call(self, node: ast.Call) -> None:
         dotted = dotted_name(node.func)
         self._maybe_fault_site(node)
+        if isinstance(node.func, ast.Attribute) and node.func.attr == "acquire":
+            lock = self._lock_id(node.func.value)
+            if lock is not None:
+                self.summary.lock_acquisitions.append(
+                    LockAcquisition(
+                        lock_id=lock,
+                        lineno=node.lineno,
+                        held=tuple(self.lock_stack),
+                        bare=True,
+                    )
+                )
 
         arg_names: Set[str] = set()
         ref_args: List[str] = []
@@ -554,6 +693,10 @@ class _FunctionCollector(ast.NodeVisitor):
                 guards=tuple(reversed(self.guard_stack)),
                 has_splat=has_splat,
                 num_args=len(node.args),
+                none_args=bool(node.args) and all(
+                    isinstance(a, ast.Constant) and a.value is None
+                    for a in node.args
+                ),
             )
         )
         # Visit arguments (nested calls) and non-name callee expressions.
@@ -616,6 +759,7 @@ def _summarize_function(
     module_summary: ModuleSummary,
     qname: str,
     class_name: Optional[str],
+    class_locks: Dict[str, bool],
     parent: Optional[str],
     path: str,
 ) -> FunctionSummary:
@@ -655,19 +799,23 @@ def _summarize_function(
                         )
                     )
 
-    nested: List[Tuple[ast.AST, str, Optional[str]]] = []
-    collector = _FunctionCollector(summary, module_summary, class_name, nested)
+    collector = _FunctionCollector(summary, module_summary, class_name, class_locks)
     for stmt in node.body:
         collector.visit(stmt)
+    _finish(collector)
+    return summary
 
-    # Seed-taint fixpoint: roots are seed-looking params and locals; plain
-    # assignments propagate taint from rhs mentions.
-    tainted: Set[str] = {p for p in params if is_seedish_name(p)}
-    pending = list(collector.assignments)
+
+def _finish(collector: _FunctionCollector) -> None:
+    """Seed taint to a fixpoint, then summarize the nested definitions."""
+    summary, module_summary = collector.summary, collector.module_summary
+    # Roots are seed-looking params and locals; plain assignments propagate
+    # taint from rhs mentions.
+    tainted: Set[str] = {p for p in summary.params if is_seedish_name(p)}
     changed = True
     while changed:
         changed = False
-        for targets, rhs_names in pending:
+        for targets, rhs_names in collector.assignments:
             if targets & tainted:
                 continue
             if any(is_seedish_name(n) for n in rhs_names) or (rhs_names & tainted):
@@ -677,35 +825,14 @@ def _summarize_function(
     summary.tainted = frozenset(tainted)
 
     # Nested defs become their own summaries, registered on the module.
-    for child, parent_qname, child_class in nested:
+    for child, parent_qname, child_class, child_locks in collector.nested_sink:
         child_qname = f"{parent_qname}.<locals>.{child.name}"
         child_summary = _summarize_function(
-            child, module_summary, child_qname, child_class, parent_qname, path
+            child, module_summary, child_qname, child_class, child_locks,
+            parent_qname, summary.path,
         )
         local_key = child_qname[len(module_summary.module) + 1:]
         module_summary.functions[local_key] = child_summary
-    return summary
-
-
-def _class_owns_lock(node: ast.ClassDef) -> Tuple[bool, bool]:
-    """(owns ``self._lock``, lock is reentrant) for one class body."""
-    owns = reentrant = False
-    for item in ast.walk(node):
-        value = None
-        if isinstance(item, ast.Assign) and any(
-            _is_self_attr(t, "_lock") for t in item.targets
-        ):
-            value = item.value
-        elif isinstance(item, ast.AnnAssign) and _is_self_attr(item.target, "_lock"):
-            value = item.value
-        if value is None:
-            continue
-        owns = True
-        if isinstance(value, ast.Call):
-            dotted = dotted_name(value.func)
-            if dotted and dotted.rsplit(".", 1)[-1] == "RLock":
-                reentrant = True
-    return owns, reentrant
 
 
 def summarize_module(source: SourceFile, module: str) -> ModuleSummary:
@@ -720,31 +847,37 @@ def summarize_module(source: SourceFile, module: str) -> ModuleSummary:
 
     # Module-level locks first: function bodies reference them by name.
     for node in tree.body:  # type: ignore[attr-defined]
-        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-            dotted = dotted_name(node.value.func)
-            if dotted is None:
+        if isinstance(node, ast.Assign):
+            reentrant = _lock_factory(node.value, summary.imports)
+            if reentrant is None:
                 continue
-            canonical = summary.imports.get(
-                dotted.split(".", 1)[0], dotted.split(".", 1)[0]
-            )
-            rest = dotted.split(".", 1)[1] if "." in dotted else ""
-            full = f"{canonical}.{rest}" if rest else canonical
-            if full in _LOCK_FACTORIES or dotted in ("Lock", "RLock"):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        summary.module_locks[target.id] = full.endswith("RLock") or (
-                            dotted == "RLock"
-                        )
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    summary.module_locks[target.id] = reentrant
 
+    body = FunctionSummary(
+        qname=f"{module}.<module>",
+        module=module,
+        path=source.path,
+        lineno=1,
+        col=1,
+        name="<module>",
+        class_name=None,
+        parent=None,
+        params=(),
+    )
+    summary.body = body
+    top = _FunctionCollector(body, summary, None, {})
     for node in tree.body:  # type: ignore[attr-defined]
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            top.visit_header(node)
             qname = f"{module}.{node.name}"
             summary.functions[node.name] = _summarize_function(
-                node, summary, qname, None, None, source.path
+                node, summary, qname, None, {}, None, source.path
             )
             summary.toplevel.add(node.name)
         elif isinstance(node, ast.ClassDef):
-            owns, reentrant = _class_owns_lock(node)
+            top.visit_header(node)
             cls = ClassSummary(
                 name=node.name,
                 module=module,
@@ -754,15 +887,20 @@ def summarize_module(source: SourceFile, module: str) -> ModuleSummary:
                     b for b in (dotted_name(base) for base in node.bases)
                     if b is not None
                 ),
-                owns_lock=owns,
-                lock_reentrant=reentrant,
+                locks=_class_locks(node, summary.imports),
             )
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    top.visit_header(item)
                     qname = f"{module}.{node.name}.{item.name}"
                     cls.methods[item.name] = _summarize_function(
-                        item, summary, qname, node.name, None, source.path
+                        item, summary, qname, node.name, cls.locks, None, source.path
                     )
+                else:
+                    top.visit(item)
             summary.classes[node.name] = cls
             summary.toplevel.add(node.name)
+        else:
+            top.visit(node)
+    _finish(top)
     return summary

@@ -17,10 +17,8 @@ __all__ = ["register", "all_rules", "rule_classes", "ProjectRule", "Rule"]
 _REGISTRY: Dict[str, Type[Rule]] = {}
 
 _BUILTIN_MODULES = (
-    "repro.analysis.rules.rs101_rng",
     "repro.analysis.rules.rs102_float_eq",
     "repro.analysis.rules.rs103_protocol",
-    "repro.analysis.rules.rs104_locks",
     "repro.analysis.rules.rs105_except",
     "repro.analysis.rules.rs106_metric_names",
     "repro.analysis.rules.rs201_seed_taint",

@@ -141,18 +141,6 @@ class ImportMap:
         canonical_head = self.aliases.get(head, head)
         return f"{canonical_head}.{rest}" if rest else canonical_head
 
-    def resolve_strict(self, node: ast.AST) -> Optional[str]:
-        """Like :meth:`resolve`, but only for names actually imported —
-        a local variable that shadows a module name resolves to ``None``."""
-        dotted = dotted_name(node)
-        if dotted is None:
-            return None
-        head, _, rest = dotted.partition(".")
-        canonical_head = self.aliases.get(head)
-        if canonical_head is None:
-            return None
-        return f"{canonical_head}.{rest}" if rest else canonical_head
-
 
 def walk_classes(tree: ast.AST) -> Iterator[ast.ClassDef]:
     for node in ast.walk(tree):

@@ -1,33 +1,38 @@
-"""RS201 — seed provenance must survive every path from an MC entry point.
+"""RS201 — unseeded or global random number generation.
 
-The bit-identity guarantees of PRs 3/6/7 (``jobs=1`` equals ``jobs=N``
-equals the seed path) hold only if every function on a call path from a
-seeded Monte-Carlo entry point down to an actual RNG draw threads the
-seed / :class:`~numpy.random.SeedSequence` / Generator through.  RS101
-catches unseeded draws *per file*; this rule walks the call graph so a
-helper three modules away cannot quietly call ``default_rng()`` and break
-replays only when some backend happens to route through it.
+Every stochastic result in this library (the Eq. 13 Monte-Carlo estimator
+above all) is only reproducible if randomness flows through an explicit
+seed / :class:`numpy.random.Generator` — the contract documented in
+:mod:`repro.utils.rng`.  The bit-identity guarantees (``jobs=1`` equals
+``jobs=N`` equals the seed path) hold only if every function between a
+seeded entry point and an RNG draw threads the seed through.
 
-Two findings:
+The rule checks every function, and module-level code, for two findings:
 
-* an **unseeded RNG construction or legacy-global draw** inside any
-  function reachable from a seeded entry point (``monte_carlo_*``,
-  ``*monte_carlo*`` including ``spot_monte_carlo_cost``, ``batch_*``
-  kernels) — reachability includes callback edges, so rung evaluators
-  handed to ``run_ladder`` and chunk tasks handed to ``backend.map`` are
-  covered;
+* an **unseeded draw**: ``np.random.<legacy>`` (NumPy's hidden
+  module-global ``RandomState``), any call into the stdlib ``random``
+  module (a second hidden global stream), ``default_rng()`` or
+  ``default_rng(None)`` (fresh OS entropy that no replay reproduces), or
+  a :mod:`repro.utils.rng` helper called without a live seed;
 * a **dropped seed**: a call that omits a callee's ``seed=None``-style
   parameter even though seed provenance is in scope at the caller — the
   callee will silently fall back to fresh entropy.
 
-``utils/rng.py`` is exempt as the sanctioned seed-plumbing module, same
-as RS101.
+The call graph only adds attribution: a finding in a function reachable
+from a seeded Monte-Carlo entry point (``monte_carlo_*``,
+``*monte_carlo*`` including ``spot_monte_carlo_cost``, ``batch_*``
+kernels — reachability includes callback edges, so rung evaluators
+handed to ``run_ladder`` and chunk tasks handed to ``backend.map`` are
+covered) names the entry point whose replays it breaks.
+
+``utils/rng.py`` is exempt as the sanctioned seed-plumbing module.
 """
 
 from __future__ import annotations
 
 import fnmatch
-from typing import Iterator, List, Set, Tuple
+from pathlib import PurePosixPath
+from typing import Dict, Iterator, List, Set, Tuple
 
 from repro.analysis.finding import Finding
 from repro.analysis.graph.callgraph import CallGraph
@@ -56,8 +61,8 @@ _RNG_PLUMBING = frozenset(
     {"as_generator", "spawn_generators", "spawn_seed_sequences"}
 )
 
-# Mirrors RS101: the modern numpy construction surface is fine to *name*;
-# everything else under numpy.random is the legacy global-state API.
+#: numpy.random attributes that are fine to call: the modern explicit
+#: Generator construction surface, not the legacy global-state functions.
 _SAFE_NP_RANDOM = {
     "default_rng",
     "Generator",
@@ -78,46 +83,48 @@ def _is_entry(fn: FunctionSummary) -> bool:
 
 
 def _is_rng_module(fn: FunctionSummary) -> bool:
-    from pathlib import PurePosixPath
-
     return PurePosixPath(fn.path).parts[-2:] == ("utils", "rng.py")
+
+
+def _entry_of(graph: CallGraph) -> Dict[str, str]:
+    """Function qname -> the seeded entry point that first reaches it (BFS)."""
+    via: Dict[str, str] = {}
+    frontier: List[str] = []
+    for fn in graph.functions.values():
+        if _is_entry(fn) and fn.qname not in via:
+            via[fn.qname] = fn.qname
+            frontier.append(fn.qname)
+    while frontier:
+        current = frontier.pop(0)
+        for edge in graph.out_edges.get(current, ()):
+            if edge.callee not in via:
+                via[edge.callee] = via[current]
+                frontier.append(edge.callee)
+    return via
 
 
 @register
 class SeedTaintRule(GraphRule):
     rule_id = "RS201"
     summary = (
-        "seed provenance dropped on a path from a Monte-Carlo entry point "
-        "to an RNG draw"
+        "unseeded or global RNG use (np.random.*, random.*, argless "
+        "default_rng()), or a seed dropped on the way to a draw"
     )
 
     def check_graph(self, graph: CallGraph) -> Iterator[Finding]:
-        entries = [fn for fn in graph.functions.values() if _is_entry(fn)]
-        if not entries:
-            return
-
-        # BFS from each entry, remembering which entry first reached each
-        # function (for the finding message).
-        via: dict = {}
-        frontier: List[str] = []
-        for entry in entries:
-            if entry.qname not in via:
-                via[entry.qname] = entry.qname
-                frontier.append(entry.qname)
-        while frontier:
-            current = frontier.pop(0)
-            for edge in graph.out_edges.get(current, ()):
-                if edge.callee not in via:
-                    via[edge.callee] = via[current]
-                    frontier.append(edge.callee)
-
+        via = _entry_of(graph)
+        code = list(graph.functions.values())
+        code += [m.body for m in graph.modules.values() if m.body is not None]
         seen: Set[Tuple[str, int, str]] = set()
-        for qname, entry_qname in via.items():
-            fn = graph.functions.get(qname)
-            if fn is None or _is_rng_module(fn):
+        for fn in code:
+            if _is_rng_module(fn):
                 continue
+            entry = via.get(fn.qname)
+            where = (
+                f" (reachable from seeded entry point `{entry}`)" if entry else ""
+            )
             for site in fn.calls:
-                for finding in self._check_site(graph, fn, site, entry_qname):
+                for finding in self._check_site(graph, fn, site, where):
                     key = (finding.path, finding.line, finding.message)
                     if key not in seen:
                         seen.add(key)
@@ -129,71 +136,66 @@ class SeedTaintRule(GraphRule):
         graph: CallGraph,
         fn: FunctionSummary,
         site: CallSite,
-        entry: str,
+        where: str,
     ) -> Iterator[Finding]:
         dotted = site.dotted
-        if dotted is not None:
+        # Only imported names: a local called ``random`` is not the module.
+        if dotted is not None and (
+            dotted.partition(".")[0] in graph.modules[fn.module].imports
+        ):
             canonical = graph.canonical(fn.module, dotted)
-            yield from self._check_rng_sink(fn, site, canonical, entry)
-        yield from self._check_dropped_seed(graph, fn, site, entry)
+            yield from self._check_rng_sink(fn, site, canonical, where)
+        yield from self._check_dropped_seed(graph, fn, site, where)
 
     def _unseeded_args(self, site: CallSite, fn: FunctionSummary) -> bool:
-        """No live seed reaches this call: either no arguments at all, or
-        only identifiers that carry no taint.  Constant-only arguments
-        (``default_rng(12345)``) count as seeded — they are reproducible."""
+        """No live seed reaches this call: no arguments at all, only
+        ``None``, or only identifiers that carry no taint.  Constant-only
+        arguments (``default_rng(12345)``) count as seeded — they are
+        reproducible."""
         if site.has_splat:
             return False
         if any(is_seedish_name(kw) for kw in site.keywords):
             return False  # an explicit seed-ish keyword is a thread
         if site.num_args == 0 and not site.keywords:
             return True
+        if site.none_args:
+            return True
         if site.arg_names and not site.passes_seedish(fn.tainted):
             return True
         return False
 
     def _check_rng_sink(
-        self, fn: FunctionSummary, site: CallSite, canonical: str, entry: str
+        self, fn: FunctionSummary, site: CallSite, canonical: str, where: str
     ) -> Iterator[Finding]:
         tail = canonical.rsplit(".", 1)[-1]
-        where = f"(reachable from seeded entry point `{entry}`)"
+        message = None
         if canonical.startswith("numpy.random.") and tail not in _SAFE_NP_RANDOM:
-            yield self.graph_finding(
-                fn.path,
-                site.lineno,
-                site.col,
-                f"legacy global-state RNG `np.random.{tail}` on a seeded "
-                f"Monte-Carlo path {where}; thread the caller's seed instead",
+            message = (
+                f"legacy global-state RNG `np.random.{tail}`{where}; thread "
+                "an explicit seed through `repro.utils.rng.as_generator` instead"
             )
-            return
-        if canonical == "random" or canonical.startswith("random."):
-            yield self.graph_finding(
-                fn.path,
-                site.lineno,
-                site.col,
-                f"stdlib `random` call (`{canonical}`) on a seeded "
-                f"Monte-Carlo path {where}; it draws from a hidden global "
-                "stream the seed plumbing never touches",
+        elif canonical == "random" or canonical.startswith("random."):
+            # Every function shares one hidden global stream, so even
+            # `random.seed` is a reproducibility hazard.
+            message = (
+                f"stdlib `random` call (`{canonical}`){where} draws from a "
+                "hidden global stream the seed plumbing never touches; use "
+                "a seeded numpy Generator"
             )
-            return
-        if canonical == "numpy.random.default_rng" and self._unseeded_args(
+        elif canonical == "numpy.random.default_rng" and self._unseeded_args(
             site, fn
         ):
-            yield self.graph_finding(
-                fn.path,
-                site.lineno,
-                site.col,
-                f"`default_rng()` without live seed provenance {where}; "
-                "every replay of this entry point will diverge here",
+            message = (
+                f"`default_rng()` without live seed provenance{where}; it "
+                "draws OS entropy, so no replay can reproduce it"
             )
-            return
-        if tail in _RNG_PLUMBING and self._unseeded_args(site, fn):
-            yield self.graph_finding(
-                fn.path,
-                site.lineno,
-                site.col,
-                f"`{tail}(...)` called without threading the entry point's "
-                f"seed {where}; pass the seed/SeedSequence through",
+        elif tail in _RNG_PLUMBING and self._unseeded_args(site, fn):
+            message = (
+                f"`{tail}(...)` called without a live seed{where}; pass the "
+                "seed/SeedSequence through"
             )
+        if message is not None:
+            yield self.graph_finding(fn.path, site.lineno, site.col, message)
 
     # -- dropped seed ----------------------------------------------------
     def _check_dropped_seed(
@@ -201,7 +203,7 @@ class SeedTaintRule(GraphRule):
         graph: CallGraph,
         fn: FunctionSummary,
         site: CallSite,
-        entry: str,
+        where: str,
     ) -> Iterator[Finding]:
         if site.has_splat or not fn.tainted:
             return
@@ -223,8 +225,7 @@ class SeedTaintRule(GraphRule):
                         site.lineno,
                         site.col,
                         f"call to `{callee.name}` omits its `{param}` "
-                        "parameter although seed provenance is in scope "
-                        f"(reachable from `{entry}`); the callee defaults "
-                        "to fresh entropy",
+                        f"parameter although seed provenance is in scope"
+                        f"{where}; the callee defaults to fresh entropy",
                     )
                     break

@@ -1,8 +1,21 @@
-"""RS202 — global lock-acquisition ordering and blocking-under-lock.
+"""RS202 — lock discipline in the concurrent packages.
 
-RS104 enforces *lexical* lock discipline inside one class; this rule
-builds the global lock-acquisition graph across the ``service`` /
-``observability`` / ``resilience`` subsystems and reports:
+The ``service`` / ``observability`` / ``resilience`` subsystems run user
+requests on many threads.  A lock is any ``self.<attr>`` or module-level
+name bound to ``threading.Lock()`` / ``RLock()`` (plus ``self._lock`` where
+a base class builds it); semaphores and conditions are out of scope.  The
+rule reports, per function:
+
+* **unlocked mutation** — a class that builds a lock stores to (or
+  deletes) ``self.<attr>`` while holding none of its own locks.  Such a
+  store is either a forgotten lock (a data race the GIL hides until it
+  doesn't) or state that should not live on a locked object.
+  Constructors are exempt: the object is not shared yet;
+* **bare ``acquire()``** on a lock — an exception before the matching
+  ``release()`` leaves it held for good; ``with`` releases it on every
+  path;
+
+and, over the global lock-acquisition graph:
 
 * **cycles** — lock A is (somewhere) acquired while B is held and B
   (somewhere else, possibly through a chain of calls) while A is held:
@@ -15,7 +28,8 @@ builds the global lock-acquisition graph across the ``service`` /
   ``map``/``submit`` executed while holding a lock serializes every other
   thread behind a slow operation.
 
-Edges come from two sources: lexically nested ``with`` blocks, and the
+Edges come from two sources: acquisitions made while another lock is
+lexically held (``with`` blocks and bare ``acquire()`` calls), and the
 *call closure* — a function invoked while a lock is held transitively
 acquires whatever its callees acquire.  The closure follows ``direct``
 and ``ref`` (callback) edges only; name-based CHA edges are deliberately
@@ -36,6 +50,9 @@ from repro.analysis.rules.base import GraphRule, contains_parts
 __all__ = ["LockOrderRule", "SCOPE"]
 
 SCOPE = ("service", "observability", "resilience")
+
+#: Methods that run before the object is shared (closures inside included).
+_CONSTRUCTORS = frozenset({"__init__", "__new__", "__post_init__"})
 
 #: Canonical dotted names that block the calling thread.
 _BLOCKING_CALLS = frozenset(
@@ -71,6 +88,7 @@ def _in_scope(fn: FunctionSummary) -> bool:
 class LockOrderRule(GraphRule):
     rule_id = "RS202"
     summary = (
+        "unlocked mutation of a lock-owning object, bare acquire(), "
         "lock-order cycle, non-reentrant re-acquisition, or blocking call "
         "while holding a lock"
     )
@@ -99,6 +117,8 @@ class LockOrderRule(GraphRule):
                         for held in site.locks_held:
                             add(held, lock, fn.path, site.lineno)
 
+        yield from self._unlocked_stores(graph, scoped)
+        yield from self._bare_acquires(scoped)
         yield from self._self_edges(graph, edges)
         yield from self._cycles(edges)
         yield from self._blocking(graph, scoped)
@@ -131,12 +151,54 @@ class LockOrderRule(GraphRule):
                         changed = True
         return closure
 
-    # -- findings --------------------------------------------------------
+    # -- per-function discipline ------------------------------------------
+    def _unlocked_stores(
+        self, graph: CallGraph, scoped: List[FunctionSummary]
+    ) -> Iterator[Finding]:
+        for fn in scoped:
+            if not fn.attr_stores or fn.class_name is None:
+                continue
+            owner = f"{fn.module}.{fn.class_name}"
+            cls = graph.classes.get(owner)
+            method = fn.qname[len(owner) + 1:].split(".", 1)[0]
+            if cls is None or not cls.locks or method in _CONSTRUCTORS:
+                continue
+            locks = ", ".join(f"`self.{name}`" for name in sorted(cls.locks))
+            for store in fn.attr_stores:
+                if any(lock.startswith(f"{owner}.") for lock in store.locks_held):
+                    continue
+                attr = next((a for a in store.attrs if a not in cls.locks), None)
+                if attr is None:
+                    continue
+                yield self.graph_finding(
+                    fn.path,
+                    store.lineno,
+                    store.col,
+                    f"`{fn.class_name}.{method}` mutates `self.{attr}` "
+                    f"holding none of its locks ({locks}) — "
+                    f"{fn.class_name} owns a lock, so shared state must be "
+                    "mutated under it",
+                )
+
+    def _bare_acquires(self, scoped: List[FunctionSummary]) -> Iterator[Finding]:
+        for fn in scoped:
+            for acq in fn.lock_acquisitions:
+                if acq.bare:
+                    yield self.graph_finding(
+                        fn.path,
+                        acq.lineno,
+                        1,
+                        f"bare `acquire()` of `{acq.lock_id}`: an exception "
+                        "before the matching `release()` leaves it held — "
+                        "take the lock with a `with` block",
+                    )
+
+    # -- lock graph -------------------------------------------------------
     def _reentrant(self, graph: CallGraph, lock_id: str) -> Optional[bool]:
         owner, leaf = lock_id.rsplit(".", 1)
-        if leaf == "_lock":
-            cls = graph.classes.get(owner)
-            return cls.lock_reentrant if cls is not None else None
+        cls = graph.classes.get(owner)
+        if cls is not None:
+            return cls.locks.get(leaf)
         module = graph.modules.get(owner)
         if module is not None and leaf in module.module_locks:
             return module.module_locks[leaf]

@@ -1,4 +1,4 @@
-"""Inline suppression comments: ``# repro-lint: disable=RS101,RS102``.
+"""Inline suppression comments: ``# repro-lint: disable=RS201,RS102``.
 
 A suppression applies to findings *on the same physical line* as the
 comment.  ``disable=all`` silences every rule on that line.  Comments are

@@ -22,7 +22,7 @@ the current state is exported as a gauge (0 = closed, 1 = half-open,
 2 = open) so ``/metrics`` shows a drill's open → half-open → closed arc.
 
 The clock is injectable for tests; every piece of mutable state is
-guarded by ``self._lock`` (lint rule RS104 enforces this — the lock is an
+guarded by ``self._lock`` (lint rule RS202 enforces this — the lock is an
 ``RLock`` so the lazy open → half-open transition can take it from inside
 methods that already hold it).
 """

@@ -143,10 +143,10 @@ class ShardJournal:
         """
         fresh = not os.path.exists(self.journal_path)
         fh = open(self.journal_path, "ab")
-        self._fh = fh  # repro-lint: disable=RS104 -- caller holds _lock (or __init__)
+        self._fh = fh  # repro-lint: disable=RS202 -- caller holds _lock (or __init__)
         if fresh:
             self._write_line(self._segment_header())
-        self._segment_bytes = os.path.getsize(self.journal_path)  # repro-lint: disable=RS104 -- caller holds _lock (or __init__)
+        self._segment_bytes = os.path.getsize(self.journal_path)  # repro-lint: disable=RS202 -- caller holds _lock (or __init__)
 
     def _segment_header(self) -> dict:
         return {
@@ -167,7 +167,7 @@ class ShardJournal:
         self._fh.flush()
         if self._fsync:
             os.fsync(self._fh.fileno())
-        self._segment_bytes += len(line)  # repro-lint: disable=RS104 -- caller holds _lock
+        self._segment_bytes += len(line)  # repro-lint: disable=RS202 -- caller holds _lock
         return len(line)
 
     def close(self) -> None:

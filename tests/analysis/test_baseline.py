@@ -8,7 +8,7 @@ from repro.analysis.baseline import BASELINE_VERSION, Baseline
 from repro.analysis.finding import PARSE_ERROR_RULE, Finding
 
 
-def _fp(rule="RS101", path="src/mod.py", line=3, text="x = rand()"):
+def _fp(rule="RS201", path="src/mod.py", line=3, text="x = rand()"):
     finding = Finding(rule=rule, path=path, line=line, col=1, message="m")
     return finding, finding.fingerprint(text)
 
@@ -50,7 +50,7 @@ def test_duplicate_fingerprints_are_counted():
     # Two identical offending lines in one file share a fingerprint; a
     # baseline tolerating one of them must flag the second as new.
     a, fp = _fp(line=3)
-    b = Finding(rule="RS101", path="src/mod.py", line=9, col=1, message="m")
+    b = Finding(rule="RS201", path="src/mod.py", line=9, col=1, message="m")
     assert b.fingerprint("x = rand()") == fp
     baseline = Baseline(counts={fp: 1})
     new, baselined, _ = baseline.partition([(a, fp), (b, fp)])

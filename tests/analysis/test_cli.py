@@ -33,7 +33,7 @@ def test_new_finding_exits_one(tmp_path, capsys):
     _write(tmp_path, "mod.py", _OFFENDER)
     assert run([str(tmp_path)]) == 1
     out = capsys.readouterr().out
-    assert "RS101" in out and "1 new finding(s)" in out
+    assert "RS201" in out and "1 new finding(s)" in out
 
 
 def test_missing_path_exits_two(tmp_path, capsys):
@@ -57,7 +57,7 @@ def test_json_format_and_output_file(tmp_path, capsys):
     doc = json.loads(report_path.read_text())
     assert doc["summary"]["new"] == 1
     assert doc["summary"]["exit_code"] == 1
-    assert doc["findings"][0]["rule"] == "RS101"
+    assert doc["findings"][0]["rule"] == "RS201"
     # Terminal output stays a one-line verdict when writing to a file.
     assert "report written to" in capsys.readouterr().out
 
@@ -109,7 +109,7 @@ def test_select_and_ignore(tmp_path):
             return x == 1.5
     """)
     assert run([str(tmp_path), "--select", "RS102"]) == 1
-    assert run([str(tmp_path), "--ignore", "RS101,RS102"]) == 0
+    assert run([str(tmp_path), "--ignore", "RS201,RS102"]) == 0
 
 
 def test_parse_error_fails_even_with_write_baseline(tmp_path, monkeypatch):
@@ -123,10 +123,8 @@ def test_list_rules(capsys):
     assert run(["--list-rules"]) == 0
     out = capsys.readouterr().out
     for rule_id in (
-        "RS101",
         "RS102",
         "RS103",
-        "RS104",
         "RS105",
         "RS106",
         "RS201",

@@ -61,13 +61,13 @@ def test_disable_all_suppresses_any_rule(tmp_path):
         x = np.random.rand(3)  # repro-lint: disable=all -- fixture
         """,
     )
-    result = analyze_paths([str(tmp_path)], rules=all_rules(["RS101"]))
+    result = analyze_paths([str(tmp_path)], rules=all_rules(["RS201"]))
     assert result.findings == []
-    assert [f.rule for f in result.suppressed] == ["RS101"]
+    assert [f.rule for f in result.suppressed] == ["RS201"]
 
 
 def test_suppressions_only_match_comments_not_strings():
-    text = 's = "# repro-lint: disable=RS101"\n'
+    text = 's = "# repro-lint: disable=RS201"\n'
     assert parse_suppressions(text) == {}
 
 
@@ -105,7 +105,7 @@ def test_findings_are_sorted_by_path_then_line(tmp_path):
         np.random.rand(2)
         """,
     )
-    result = analyze_paths([str(tmp_path)], rules=all_rules(["RS101"]))
+    result = analyze_paths([str(tmp_path)], rules=all_rules(["RS201"]))
     keys = [(f.path, f.line) for f in result.findings]
     assert keys == sorted(keys)
 

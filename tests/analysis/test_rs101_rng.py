@@ -1,4 +1,9 @@
-"""RS101: unseeded / global RNG."""
+"""RS201, one module at a time: unseeded / global RNG draws.
+
+These cases need no call graph: RS201 checks every function and module-level
+code, so a draw is flagged whether or not a seeded entry point reaches it.
+The cross-module cases are in ``test_rs201_seed_taint.py``.
+"""
 
 from tests.analysis.conftest import rule_ids
 
@@ -9,9 +14,9 @@ def test_legacy_np_random_call_fires(lint):
             import numpy as np
             x = np.random.rand(10)
         """},
-        rule="RS101",
+        rule="RS201",
     )
-    assert rule_ids(result) == ["RS101"]
+    assert rule_ids(result) == ["RS201"]
     assert "np.random.rand" in result.findings[0].message
 
 
@@ -21,9 +26,9 @@ def test_np_random_seed_fires_even_aliased(lint):
             import numpy as renamed
             renamed.random.seed(0)
         """},
-        rule="RS101",
+        rule="RS201",
     )
-    assert rule_ids(result) == ["RS101"]
+    assert rule_ids(result) == ["RS201"]
 
 
 def test_stdlib_random_module_fires(lint):
@@ -32,9 +37,9 @@ def test_stdlib_random_module_fires(lint):
             import random
             v = random.gauss(0.0, 1.0)
         """},
-        rule="RS101",
+        rule="RS201",
     )
-    assert rule_ids(result) == ["RS101"]
+    assert rule_ids(result) == ["RS201"]
     assert "global stream" in result.findings[0].message
 
 
@@ -44,9 +49,9 @@ def test_from_random_import_fires(lint):
             from random import shuffle
             shuffle([1, 2, 3])
         """},
-        rule="RS101",
+        rule="RS201",
     )
-    assert rule_ids(result) == ["RS101"]
+    assert rule_ids(result) == ["RS201"]
 
 
 def test_argless_default_rng_fires(lint):
@@ -55,9 +60,9 @@ def test_argless_default_rng_fires(lint):
             from numpy.random import default_rng
             rng = default_rng()
         """},
-        rule="RS101",
+        rule="RS201",
     )
-    assert rule_ids(result) == ["RS101"]
+    assert rule_ids(result) == ["RS201"]
 
 
 def test_default_rng_none_fires(lint):
@@ -66,9 +71,9 @@ def test_default_rng_none_fires(lint):
             import numpy as np
             rng = np.random.default_rng(None)
         """},
-        rule="RS101",
+        rule="RS201",
     )
-    assert rule_ids(result) == ["RS101"]
+    assert rule_ids(result) == ["RS201"]
 
 
 def test_seeded_default_rng_and_generator_types_pass(lint):
@@ -82,7 +87,7 @@ def test_seeded_default_rng_and_generator_types_pass(lint):
                 seq = np.random.SeedSequence(seed)
                 return np.random.default_rng(seq)
         """},
-        rule="RS101",
+        rule="RS201",
     )
     assert result.findings == []
 
@@ -94,7 +99,7 @@ def test_local_variable_named_random_passes(lint):
             def pick(random):
                 return random()
         """},
-        rule="RS101",
+        rule="RS201",
     )
     assert result.findings == []
 
@@ -109,7 +114,7 @@ def test_utils_rng_module_is_whitelisted(lint):
 
             FRESH = np.random.default_rng()
         """},
-        rule="RS101",
+        rule="RS201",
     )
     assert result.findings == []
 
@@ -118,10 +123,10 @@ def test_suppression_silences_the_line(lint):
     result = lint(
         {"mod.py": """\
             import numpy as np
-            a = np.random.rand(3)  # repro-lint: disable=RS101 -- legacy shim
+            a = np.random.rand(3)  # repro-lint: disable=RS201 -- legacy shim
             b = np.random.rand(3)
         """},
-        rule="RS101",
+        rule="RS201",
     )
     assert [f.line for f in result.findings] == [3]
     assert [f.line for f in result.suppressed] == [2]

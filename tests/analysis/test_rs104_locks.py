@@ -1,4 +1,8 @@
-"""RS104: lock discipline in service/ and observability/."""
+"""RS202, one class at a time: a lock-owning object mutated outside its lock.
+
+Lock-order, re-acquisition, blocking and bare-``acquire()`` cases are in
+``test_rs202_lock_order.py``.
+"""
 
 from tests.analysis.conftest import rule_ids
 
@@ -16,9 +20,9 @@ def test_mutation_outside_lock_fires(lint):
                 def clear(self):
                     self._data = {}
         """},
-        rule="RS104",
+        rule="RS202",
     )
-    assert rule_ids(result) == ["RS104"]
+    assert rule_ids(result) == ["RS202"]
     assert "Cache.clear" in result.findings[0].message
 
 
@@ -36,7 +40,7 @@ def test_mutation_under_lock_passes(lint):
                     with self._lock:
                         self._n += 1
         """},
-        rule="RS104",
+        rule="RS202",
     )
     assert result.findings == []
 
@@ -52,7 +56,7 @@ def test_constructor_mutations_are_exempt(lint):
                     self._workers = []
                     self.started = False
         """},
-        rule="RS104",
+        rule="RS202",
     )
     assert result.findings == []
 
@@ -64,7 +68,7 @@ def test_lock_free_class_is_out_of_scope(lint):
                 def set(self, v):
                     self.value = v
         """},
-        rule="RS104",
+        rule="RS202",
     )
     assert result.findings == []
 
@@ -82,7 +86,7 @@ def test_outside_scoped_packages_passes(lint):
                 def update(self, v):
                     self.value = v
         """},
-        rule="RS104",
+        rule="RS202",
     )
     assert result.findings == []
 
@@ -99,9 +103,9 @@ def test_tuple_unpacking_target_fires(lint):
                 def reset(self):
                     self.a, self.b = 0, 0
         """},
-        rule="RS104",
+        rule="RS202",
     )
-    assert rule_ids(result) == ["RS104"]
+    assert rule_ids(result) == ["RS202"]
 
 
 def test_suppression(lint):
@@ -114,9 +118,9 @@ def test_suppression(lint):
                     self._lock = threading.Lock()
 
                 def mark(self):
-                    self.done = True  # repro-lint: disable=RS104 -- write-once bool, benign race
+                    self.done = True  # repro-lint: disable=RS202 -- write-once bool, benign race
         """},
-        rule="RS104",
+        rule="RS202",
     )
     assert result.findings == []
-    assert [f.rule for f in result.suppressed] == ["RS104"]
+    assert [f.rule for f in result.suppressed] == ["RS202"]

@@ -1,12 +1,12 @@
-"""RS201: cross-module seed-provenance taint from Monte-Carlo entry points."""
+"""RS201 across modules: seed provenance and entry-point attribution."""
 
 from tests.analysis.conftest import rule_ids
 
 
 def test_unseeded_default_rng_deep_in_helper_fires(lint):
-    """The differential guard: an entry point two modules away from an
-    unseeded ``default_rng()`` — invisible to per-file RS101-style checks,
-    caught only by walking the call graph."""
+    """An entry point two modules away from an unseeded ``default_rng()``:
+    the finding names the entry point whose replays it breaks, which only
+    the call graph can tell."""
     result = lint(
         {
             "sim/mc.py": """\
@@ -60,9 +60,9 @@ def test_seed_threaded_through_helper_passes(lint):
     assert result.findings == []
 
 
-def test_helper_not_reachable_from_entry_passes(lint):
-    """An unseeded draw in a function no seeded entry point reaches is
-    RS101's per-file business, not RS201's."""
+def test_helper_not_reachable_from_entry_fires(lint):
+    """An unseeded draw is flagged wherever it is; reachability from a
+    seeded entry point only adds the entry point to the message."""
     result = lint(
         {
             "sim/other.py": """\
@@ -74,7 +74,9 @@ def test_helper_not_reachable_from_entry_passes(lint):
         },
         rule="RS201",
     )
-    assert result.findings == []
+    assert rule_ids(result) == ["RS201"]
+    assert result.findings[0].line == 4
+    assert "entry point" not in result.findings[0].message
 
 
 def test_legacy_global_draw_on_entry_path_fires(lint):
@@ -231,3 +233,25 @@ def test_inline_suppression_lands_in_suppressed(lint):
     )
     assert result.findings == []
     assert [f.rule for f in result.suppressed] == ["RS201"]
+
+
+def test_definition_time_draws_fire(lint):
+    """Module-level code covers what runs at import time: class bodies,
+    decorators and default values, not just top-level statements."""
+    result = lint(
+        {
+            "sim/defaults.py": """\
+                import random
+
+                import numpy as np
+
+                class Jitter:
+                    scale = random.random()
+
+                    def draw(self, rng=np.random.default_rng()):
+                        return rng.normal() * self.scale
+            """,
+        },
+        rule="RS201",
+    )
+    assert [f.line for f in result.findings] == [6, 8]

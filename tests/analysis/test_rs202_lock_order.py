@@ -248,3 +248,92 @@ def test_inline_suppression_lands_in_suppressed(lint):
     )
     assert result.findings == []
     assert [f.rule for f in result.suppressed] == ["RS202"]
+
+
+def test_lock_recognised_by_construction_not_name(lint):
+    """Any ``self.<attr>`` bound to ``Lock()``/``RLock()`` is a lock, in the
+    ``from threading import Lock`` form too: the mutation outside it and the
+    non-reentrant re-acquisition fire, the store under it does not."""
+    result = lint(
+        {
+            "service/pool.py": """\
+                from threading import Lock
+
+                class ConnectionPool:
+                    def __init__(self):
+                        self._idle_guard = Lock()
+                        self._idle = []
+
+                    def reset(self):
+                        self._idle = []
+
+                    def put(self, conn):
+                        with self._idle_guard:
+                            self._idle = self._idle + [conn]
+                            self._trim()
+
+                    def _trim(self):
+                        with self._idle_guard:
+                            del self._idle[8:]
+            """,
+        },
+        rule="RS202",
+    )
+    assert [f.line for f in result.findings] == [9, 14]
+    assert "`ConnectionPool.reset` mutates `self._idle`" in result.findings[0].message
+    assert "`self._idle_guard`" in result.findings[0].message
+    assert "non-reentrant" in result.findings[1].message
+
+
+def test_semaphores_and_conditions_are_not_locks(lint):
+    result = lint(
+        {
+            "service/gate.py": """\
+                import threading
+
+                class Gate:
+                    def __init__(self):
+                        self._admission = threading.Semaphore(4)
+                        self._drain_cv = threading.Condition()
+
+                    def enter(self):
+                        self._admission.acquire()
+                        self.entered = True
+            """,
+        },
+        rule="RS202",
+    )
+    assert result.findings == []
+
+
+def test_bare_acquire_release_pair_fires(lint):
+    """``LocalReserver``'s bare ``acquire()``/``release()`` pair with no
+    ``try/finally``: an exception in between leaves the lock held, and the
+    store it was meant to guard is, as far as ``with`` scoping goes,
+    unlocked."""
+    result = lint(
+        {
+            "service/reserver.py": """\
+                from threading import Lock
+
+                class LocalReserver:
+                    def __init__(self):
+                        self.all_queues = {}
+                        self.granted = 0
+                        self.all_queues_lock = Lock()
+
+                    def request_reservation(self, reservation):
+                        self.all_queues_lock.acquire()
+                        print("Acquired lock in request reservation")
+                        self.all_queues.setdefault(reservation.priority, []).append(reservation)
+                        self.granted += 1
+                        self.all_queues_lock.release()
+                        print("Released lock in request reservation")
+            """,
+        },
+        rule="RS202",
+    )
+    assert [f.line for f in result.findings] == [10, 13]
+    assert "bare `acquire()`" in result.findings[0].message
+    assert "`with` block" in result.findings[0].message
+    assert "mutates `self.granted`" in result.findings[1].message
