@@ -29,7 +29,10 @@ import tempfile
 import threading
 
 from repro import observability as obs
-from repro.service import PlannerService, ServiceClient, ShardStore, serve
+from repro.service.client import ServiceClient
+from repro.service.planner import PlannerService
+from repro.service.server import serve
+from repro.service.shard import ShardStore
 
 # The `repro-serve` entry point enables instrumentation itself; an embedded
 # service needs it on explicitly for the /metrics counters to count.

@@ -16,160 +16,104 @@ Quickstart::
     strategy = BruteForce(m_grid=500, n_samples=1000, seed=42)
     record = evaluate_strategy(strategy, dist, cost, seed=7)
     print(record.normalized_cost)   # ~1.85 (Table 2, Lognormal row)
+
+The public names are resolved lazily (PEP 562): ``import repro`` loads
+nothing, and ``from repro import X`` imports only the module defining
+``X``.  A process that needs one corner of the package, such as a
+plan-cache shard worker (:mod:`repro.service.shard`), therefore never
+loads scipy or the strategy stack.
 """
 
-from repro.core import (
-    AffineReservationCost,
-    CostModel,
-    PAPER_EXPONENTIAL_S1,
-    QuadraticReservationCost,
-    RecurrenceError,
-    ReservationSequence,
-    SequenceError,
-    TheoremTwoBounds,
-    compute_bounds,
-    expected_cost_convex,
-    expected_cost_direct,
-    expected_cost_series,
-    exponential_optimal_sequence,
-    exponential_s1,
-    generate_convex_sequence,
-    generate_optimal_sequence,
-    next_reservation,
-    normalized_cost,
-    optimal_sequence_from_t1,
-    t1_search_interval,
-    uniform_optimal_sequence,
-)
-from repro.discretization import (
-    discretize,
-    equal_probability,
-    equal_time,
-    truncation_bound,
-)
-from repro.distributions import (
-    Beta,
-    BoundedPareto,
-    DiscreteDistribution,
-    Distribution,
-    Exponential,
-    Gamma,
-    LogNormal,
-    Pareto,
-    TruncatedNormal,
-    Uniform,
-    Weibull,
-    fit_lognormal,
-    lognormal_from_moments,
-    make_distribution,
-    paper_distribution,
-    paper_distributions,
-)
-from repro.platforms import (
-    NeuroHPCPlatform,
-    ReservationOnlyPlatform,
-    WaitTimeModel,
-    generate_trace,
-)
-from repro.simulation import (
-    EvaluationRecord,
-    evaluate_sequence,
-    evaluate_strategy,
-    monte_carlo_expected_cost,
-)
-from repro.strategies import (
-    BruteForce,
-    EqualProbabilityDP,
-    EqualTimeDP,
-    MeanByMean,
-    MeanDoubling,
-    MeanStdev,
-    MedianByMedian,
-    Omniscient,
-    Strategy,
-    make_strategy,
-    paper_strategies,
-    solve_discrete_dp,
-)
-from repro.verification import (
-    ConformanceReport,
-    SweepConfig,
-    run_oracle_sweep,
-)
+from __future__ import annotations
+
+import importlib
+from typing import Any, Dict, List, Tuple
 
 __version__ = "1.0.0"
 
-__all__ = [
-    # core
-    "CostModel",
-    "ReservationSequence",
-    "SequenceError",
-    "RecurrenceError",
-    "expected_cost_series",
-    "expected_cost_direct",
-    "normalized_cost",
-    "compute_bounds",
-    "TheoremTwoBounds",
-    "t1_search_interval",
-    "next_reservation",
-    "generate_optimal_sequence",
-    "optimal_sequence_from_t1",
-    "uniform_optimal_sequence",
-    "exponential_optimal_sequence",
-    "exponential_s1",
-    "PAPER_EXPONENTIAL_S1",
-    "AffineReservationCost",
-    "QuadraticReservationCost",
-    "generate_convex_sequence",
-    "expected_cost_convex",
-    # distributions
-    "Distribution",
-    "Exponential",
-    "Weibull",
-    "Gamma",
-    "LogNormal",
-    "lognormal_from_moments",
-    "TruncatedNormal",
-    "Pareto",
-    "Uniform",
-    "Beta",
-    "BoundedPareto",
-    "DiscreteDistribution",
-    "fit_lognormal",
-    "make_distribution",
-    "paper_distribution",
-    "paper_distributions",
-    # discretization
-    "discretize",
-    "equal_time",
-    "equal_probability",
-    "truncation_bound",
-    # strategies
-    "Strategy",
-    "BruteForce",
-    "MeanByMean",
-    "MeanStdev",
-    "MeanDoubling",
-    "MedianByMedian",
-    "EqualTimeDP",
-    "EqualProbabilityDP",
-    "Omniscient",
-    "solve_discrete_dp",
-    "make_strategy",
-    "paper_strategies",
-    # simulation
-    "evaluate_strategy",
-    "evaluate_sequence",
-    "monte_carlo_expected_cost",
-    "EvaluationRecord",
-    # platforms
-    "ReservationOnlyPlatform",
-    "NeuroHPCPlatform",
-    "WaitTimeModel",
-    "generate_trace",
-    # verification
-    "ConformanceReport",
-    "SweepConfig",
-    "run_oracle_sweep",
-    "__version__",
-]
+# Defining module -> the public names ``repro`` re-exports from it.
+_EXPORTS_BY_MODULE: Dict[str, Tuple[str, ...]] = {
+    "repro.core.cost": ("CostModel",),
+    "repro.core.sequence": ("ReservationSequence", "SequenceError"),
+    "repro.core.expectation": (
+        "expected_cost_series",
+        "expected_cost_direct",
+        "normalized_cost",
+    ),
+    "repro.core.bounds": ("compute_bounds", "TheoremTwoBounds", "t1_search_interval"),
+    "repro.core.recurrence": (
+        "RecurrenceError",
+        "next_reservation",
+        "generate_optimal_sequence",
+        "optimal_sequence_from_t1",
+    ),
+    "repro.core.optimal": (
+        "uniform_optimal_sequence",
+        "exponential_optimal_sequence",
+        "exponential_s1",
+        "PAPER_EXPONENTIAL_S1",
+    ),
+    "repro.core.convex": (
+        "AffineReservationCost",
+        "QuadraticReservationCost",
+        "generate_convex_sequence",
+        "expected_cost_convex",
+    ),
+    "repro.distributions.base": ("Distribution",),
+    "repro.distributions.exponential": ("Exponential",),
+    "repro.distributions.weibull": ("Weibull",),
+    "repro.distributions.gamma": ("Gamma",),
+    "repro.distributions.lognormal": ("LogNormal", "lognormal_from_moments"),
+    "repro.distributions.truncated_normal": ("TruncatedNormal",),
+    "repro.distributions.pareto": ("Pareto",),
+    "repro.distributions.uniform": ("Uniform",),
+    "repro.distributions.beta": ("Beta",),
+    "repro.distributions.bounded_pareto": ("BoundedPareto",),
+    "repro.distributions.discrete": ("DiscreteDistribution",),
+    "repro.distributions.fitting": ("fit_lognormal",),
+    "repro.distributions.registry": (
+        "make_distribution",
+        "paper_distribution",
+        "paper_distributions",
+    ),
+    "repro.discretization.schemes": ("discretize", "equal_time", "equal_probability"),
+    "repro.discretization.truncation": ("truncation_bound",),
+    "repro.strategies.base": ("Strategy",),
+    "repro.strategies.brute_force": ("BruteForce",),
+    "repro.strategies.mean_by_mean": ("MeanByMean",),
+    "repro.strategies.mean_stdev": ("MeanStdev",),
+    "repro.strategies.mean_doubling": ("MeanDoubling",),
+    "repro.strategies.median_by_median": ("MedianByMedian",),
+    "repro.strategies.discretized_dp": ("EqualTimeDP", "EqualProbabilityDP"),
+    "repro.strategies.omniscient": ("Omniscient",),
+    "repro.strategies.dynamic_programming": ("solve_discrete_dp",),
+    "repro.strategies.registry": ("make_strategy", "paper_strategies"),
+    "repro.simulation.evaluator": ("evaluate_strategy", "evaluate_sequence"),
+    "repro.simulation.monte_carlo": ("monte_carlo_expected_cost",),
+    "repro.simulation.results": ("EvaluationRecord",),
+    "repro.platforms.reservation_only": ("ReservationOnlyPlatform",),
+    "repro.platforms.neurohpc": ("NeuroHPCPlatform",),
+    "repro.platforms.waittime": ("WaitTimeModel",),
+    "repro.platforms.traces": ("generate_trace",),
+    "repro.verification.report": ("ConformanceReport",),
+    "repro.verification.sweep": ("SweepConfig", "run_oracle_sweep"),
+}
+
+_EXPORTS: Dict[str, str] = {
+    name: module for module, names in _EXPORTS_BY_MODULE.items() for name in names
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value  # later lookups skip __getattr__
+    return value
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(__all__))

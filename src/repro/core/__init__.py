@@ -1,70 +1,9 @@
 """Core contribution of the paper: cost model, sequences, expected-cost
 evaluators, the Theorem 3 recurrence, Theorem 2 bounds, closed-form optima
-and the Appendix C convex extension."""
+and the Appendix C convex extension.
 
-from repro.core.bounds import TheoremTwoBounds, compute_bounds, t1_search_interval
-from repro.core.convex import (
-    AffineReservationCost,
-    ConvexReservationCost,
-    QuadraticReservationCost,
-    brute_force_convex_t1,
-    expected_cost_convex,
-    generate_convex_sequence,
-)
-from repro.core.cost import CostModel
-from repro.core.expectation import (
-    expected_cost_direct,
-    expected_cost_series,
-    normalized_cost,
-)
-from repro.core.quantize import quantization_overhead_bound, quantize_sequence
-from repro.core.optimal import (
-    PAPER_EXPONENTIAL_S1,
-    exponential_optimal_sequence,
-    exponential_reduced_cost,
-    exponential_reduced_sequence,
-    exponential_s1,
-    uniform_optimal_sequence,
-)
-from repro.core.recurrence import (
-    RecurrenceError,
-    generate_optimal_sequence,
-    next_reservation,
-    optimal_sequence_from_t1,
-)
-from repro.core.sequence import (
-    MAX_RESERVATIONS,
-    ReservationSequence,
-    SequenceError,
-)
-
-__all__ = [
-    "CostModel",
-    "ReservationSequence",
-    "SequenceError",
-    "MAX_RESERVATIONS",
-    "expected_cost_series",
-    "expected_cost_direct",
-    "normalized_cost",
-    "quantize_sequence",
-    "quantization_overhead_bound",
-    "TheoremTwoBounds",
-    "compute_bounds",
-    "t1_search_interval",
-    "RecurrenceError",
-    "next_reservation",
-    "generate_optimal_sequence",
-    "optimal_sequence_from_t1",
-    "uniform_optimal_sequence",
-    "exponential_reduced_sequence",
-    "exponential_reduced_cost",
-    "exponential_s1",
-    "exponential_optimal_sequence",
-    "PAPER_EXPONENTIAL_S1",
-    "ConvexReservationCost",
-    "AffineReservationCost",
-    "QuadraticReservationCost",
-    "generate_convex_sequence",
-    "expected_cost_convex",
-    "brute_force_convex_t1",
-]
+The package re-exports nothing: import from its submodules (``cost``,
+``sequence``, ``expectation``, ``bounds``, ``recurrence``, ``optimal``,
+``convex``, ``quantize``), or the public names from :mod:`repro`.  A
+plan-cache shard needs only ``repro.core.cost`` and so loads nothing else.
+"""

@@ -26,75 +26,6 @@ package turns those observations into a long-lived service:
 - :mod:`repro.service.client` — a stdlib client for that server.
 
 Everything is dependency-free beyond the library's existing numpy/scipy.
+The package itself imports nothing: import from the submodules above, so a
+shard worker loads only the cache tier and never the planner's scipy stack.
 """
-
-from repro.service.keys import (
-    KEY_VERSION,
-    canonical_json,
-    cost_model_token,
-    distribution_token,
-    plan_key,
-    strategy_token,
-)
-from repro.service.journal import JournalCorrupt, ShardJournal
-from repro.service.plancache import PlanCache
-from repro.service.planner import PlannerService, ServiceError
-from repro.service.router import HashRing, ShardedPlanCache, ShardFleet
-from repro.service.shard import (
-    ShardClient,
-    ShardError,
-    ShardServer,
-    ShardStore,
-    ShardUnavailable,
-)
-from repro.service.pool import (
-    BACKEND_KINDS,
-    ExecutionBackend,
-    PoolError,
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-    chunk_sizes,
-    get_backend,
-)
-from repro.service.client import ServiceClient, ServiceHTTPError
-from repro.service.server import PlanServer, serve
-
-__all__ = [
-    # keys
-    "KEY_VERSION",
-    "canonical_json",
-    "distribution_token",
-    "cost_model_token",
-    "strategy_token",
-    "plan_key",
-    # cache
-    "PlanCache",
-    # sharded cache tier
-    "JournalCorrupt",
-    "ShardJournal",
-    "ShardStore",
-    "ShardServer",
-    "ShardClient",
-    "ShardError",
-    "ShardUnavailable",
-    "HashRing",
-    "ShardedPlanCache",
-    "ShardFleet",
-    # pool
-    "BACKEND_KINDS",
-    "ExecutionBackend",
-    "PoolError",
-    "SerialBackend",
-    "ThreadBackend",
-    "ProcessBackend",
-    "chunk_sizes",
-    "get_backend",
-    # planner / transport
-    "PlannerService",
-    "ServiceError",
-    "PlanServer",
-    "serve",
-    "ServiceClient",
-    "ServiceHTTPError",
-]

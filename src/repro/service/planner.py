@@ -16,7 +16,9 @@ The response carries the content-hash ``key``, a ``cached`` flag, the
 materialized reservation list and Monte-Carlo statistics.  Identical
 requests hit the plan cache and are answered without re-running the
 strategy (DP / brute-force scan) — the ``plancache.hits`` counter is the
-observable proof.
+observable proof.  A plan is a function of its key alone: a brute-force
+request whose knobs carry no ``seed`` is seeded from the key, so every
+process computes the same plan for it.
 
 Evaluate requests reuse the cached plan artifact: the stored reservation
 list is costed against a fresh Monte-Carlo sample set (optionally through
@@ -52,10 +54,11 @@ from repro.resilience import faults
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.degradation import LadderReport, run_ladder
 from repro.resilience.policies import Deadline
-from repro.service.keys import plan_key
+from repro.service.keys import plan_key, stable_key_hash
 from repro.service.plancache import PlanCache
 from repro.service.pool import ExecutionBackend, SerialBackend, get_backend
 from repro.simulation.monte_carlo import monte_carlo_expected_cost
+from repro.strategies.brute_force import BruteForce
 from repro.strategies.registry import PAPER_STRATEGY_ORDER, make_strategy
 
 __all__ = [
@@ -452,6 +455,12 @@ class PlannerService:
             strategy = make_strategy(strategy_name, **knobs)
         except (TypeError, ValueError) as exc:
             raise ServiceError(f"bad strategy knobs: {exc}") from None
+        if isinstance(strategy, BruteForce) and strategy.seed is None:
+            # Unseeded, the scan draws its samples from OS entropy, so one
+            # key would get a different plan in every process.  Seed it
+            # from the key, never from the request's evaluation seed, which
+            # the key leaves out.
+            strategy.seed = stable_key_hash(key)
         with metrics.timer(names.SERVICE_PLAN_COMPUTE):
             sequence = strategy.sequence(distribution, cost_model)
             sequence.ensure_covers(float(distribution.quantile(coverage)))

@@ -407,12 +407,8 @@ class ShardFleet:
     def _spawn(self, shard_id: int) -> ShardClient:
         cmd = [
             sys.executable,
-            "-c",
-            # Not `-m repro.service.shard`: the package __init__ imports the
-            # module, and runpy warns when it re-executes an already-imported
-            # module.  A plain import + main() is the same entry point.
-            "import sys; from repro.service.shard import main; "
-            "sys.exit(main(sys.argv[1:]))",
+            "-m",
+            "repro.service.shard",
             "--shard-id",
             str(shard_id),
             "--data-dir",

@@ -5,12 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro import observability as obs
+from repro.distributions.registry import PAPER_ORDER, paper_distribution
 from repro.service.plancache import PlanCache
 from repro.service.planner import (
     PAYLOAD_VERSION,
     PlannerService,
     ServiceError,
 )
+from repro.strategies.registry import PAPER_STRATEGY_ORDER
 
 REQUEST = {
     "distribution": {"law": "lognormal", "params": {"mu": 3.0, "sigma": 0.5}},
@@ -81,6 +83,25 @@ class TestPlan:
         )
         assert resp["plan"]["strategy"] == "mean_by_mean"
         assert resp["plan"]["coverage"] == pytest.approx(0.999)
+
+
+@pytest.mark.parametrize("law", PAPER_ORDER)
+@pytest.mark.parametrize("strategy", PAPER_STRATEGY_ORDER)
+def test_plan_without_seed_knob_is_a_function_of_its_key(strategy, law):
+    """Two fresh planners (say, two shards, or one before and after a
+    restart) return one plan per key, whatever evaluation seed is asked."""
+    knobs = {"m_grid": 1000} if strategy == "brute_force" else {}
+    request = {
+        "distribution": {"law": law, "params": paper_distribution(law).params()},
+        "strategy": {"name": strategy, "knobs": knobs},
+        "n_samples": 200,
+    }
+    first, second = [
+        PlannerService(cache=PlanCache(maxsize=1)).plan(dict(request, seed=seed))
+        for seed in (0, 1)
+    ]
+    assert first["key"] == second["key"]
+    assert first["plan"] == second["plan"]
 
 
 class TestValidation:
