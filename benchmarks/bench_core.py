@@ -12,6 +12,8 @@ comparable trajectory of the core numbers.
 
 import json
 import os
+import platform
+import subprocess
 import time
 
 import pytest
@@ -19,6 +21,7 @@ import pytest
 import numpy as np
 
 from repro import (
+    BruteForce,
     CostModel,
     Exponential,
     LogNormal,
@@ -30,6 +33,7 @@ from repro import (
 from repro.core.sequence import constant_extender
 from repro.discretization import equal_probability
 from repro.simulation.batch import ReservationBatch, batch_expected_costs
+from repro.distributions.registry import paper_distribution
 from repro.simulation.monte_carlo import costs_for_times, kernel_costs_and_indices
 
 _TIMINGS = {}
@@ -178,6 +182,69 @@ def test_mc_batch_grid():
     }
     assert speedup >= 10.0, (
         f"batched grid costing only {speedup:.1f}x over the python loop"
+    )
+
+
+def _host():
+    """Where a timing was taken: CPUs, interpreter and numpy versions."""
+    return {
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+
+
+def _git_sha():
+    """Commit of the timed code (``-dirty`` if the checkout had edits)."""
+    try:
+        out = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
+            cwd=os.path.dirname(os.path.abspath(__file__)),
+            capture_output=True, text=True, check=True,
+        )
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+    return out.stdout.strip()
+
+
+def test_brute_force_paper_default():
+    """Screened winner search vs the full-matrix scan at the paper's defaults.
+
+    ``BruteForce.sequence`` screens the M=5000 Eq. (11) grid with the
+    moments kernel and re-costs only the near-ties; the full route builds
+    the 5000 x 1000 cost matrix (``scan``) and materializes its winner.
+    Same samples, same winner, and the screen must keep a >=10x win — the
+    guard CI re-reads from ``BENCH_core.json``.
+    """
+    d = paper_distribution("lognormal")
+    cm = CostModel.reservation_only()
+    bf = BruteForce(seed=0)
+    samples = d.rvs(bf.n_samples, seed=0)
+
+    def full():
+        return bf.sequence_from_scan(bf.scan(d, cm, samples=samples), d, cm)
+
+    def screened():
+        return bf.sequence(d, cm, samples=samples)
+
+    best_t1 = full().values[0]
+    assert screened().values[0] == best_t1
+
+    full_s = _median_time(full, repeats=5)
+    screened_s = _median_time(screened, repeats=15)
+    speedup = full_s / screened_s if screened_s > 0 else float("inf")
+    _TIMINGS["brute_force_paper_default"] = {
+        "m_grid": bf.m_grid,
+        "n_samples": bf.n_samples,
+        "best_t1": float(best_t1),
+        "full_scan_median_s": full_s,
+        "screened_median_s": screened_s,
+        "speedup": speedup,
+        "host": _host(),
+        "git_sha": _git_sha(),
+    }
+    assert speedup >= 10.0, (
+        f"screened brute-force search only {speedup:.1f}x over the full scan"
     )
 
 

@@ -43,6 +43,7 @@ MC_BATCH_KERNEL = "mc.batch.kernel"
 MC_BATCH_MATRIX_KERNEL = "mc.batch.matrix_kernel"
 MC_BATCH_TASKS = "mc.batch.tasks"
 MC_BATCH_SHM_BYTES = "mc.batch.shm_bytes"
+MC_BATCH_SCREEN_SURVIVORS = "mc.batch.screen_survivors"
 #: Static prefix of the per-kind backend-selection counters (a
 #: DYNAMIC_PREFIXES family), one per backend decision of the Monte-Carlo
 #: estimate and the batched kernels.  Full names are built as

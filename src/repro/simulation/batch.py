@@ -18,6 +18,8 @@ over the whole grid:
   matrix, optionally sharded over a process pool with the sorted sample
   block published once through ``multiprocessing.shared_memory`` (workers
   attach; only row blocks are pickled per task);
+* :func:`batch_best_row` — the exact (matrix-kernel) argmin row found by
+  screening with the moments kernel and re-costing only the near-ties;
 * :func:`monte_carlo_many` — a batch of independent Eq. (13) *estimates*
   (one per sequence, each with its own spawned sample stream), the
   coarse-grained unit that actually scales on a process pool because each
@@ -67,6 +69,8 @@ __all__ = [
     "BatchCostSummary",
     "batch_cost_matrix",
     "batch_expected_costs",
+    "batch_best_row",
+    "screen_margin",
     "monte_carlo_many",
     "AUTO_PROCESS_MIN_ELEMENTS",
     "MATRIX_KERNEL_MAX_ELEMENTS",
@@ -285,42 +289,57 @@ def batch_cost_matrix(
 
 
 def _moments_kernel(
-    matrix: np.ndarray,
-    ts: np.ndarray,
-    csum: np.ndarray,
-    ts_sq: float,
-    cost_model: CostModel,
+    matrix: np.ndarray, ts: np.ndarray, cost_model: CostModel
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-row ``(sum, sum_sq, max_index)`` without the cost matrix.
+    """Per-row ``(sum, std, max_index)`` without the cost matrix.
 
     For row ``s`` with per-reservation counts ``c_l`` and base cost
     ``a_l = prefix_l + alpha * v_l + gamma`` (everything except the
     ``beta * t`` term, constant within a count bucket):
 
-    ``sum   = sum_l c_l a_l + beta * sum(ts)``
-    ``sumsq = sum_l c_l a_l^2 + 2 beta sum_l a_l seg_l + beta^2 sum(ts^2)``
+    ``sum = sum_l c_l a_l + beta * sum(ts)``
 
-    where ``seg_l`` is the sum of the samples in bucket ``l`` (a difference
-    of the sorted-sample prefix sums ``csum`` at the bucket's rank
-    boundaries).  ``O(S*L)`` after the shared ``O(N log N)`` sort.
+    The sample standard deviation is taken about the row mean ``m`` and in
+    units of the row's largest possible cost ``s = max_l a_l + beta *
+    max(ts)`` (every per-sample cost, hence every ``|x - m|``, is at most
+    ``s``).  With ``d_l = (a_l - m) / s``, ``b = beta * max(ts) / s`` and
+    the samples scaled to ``u = t / max(ts)``, bucket ``l`` contributes
+
+    ``c_l d_l^2 + 2 b d_l sum_l(u) + b^2 sum_l(u^2)``
+
+    where the bucket sums are differences of sorted-sample prefix sums at
+    the bucket's rank boundaries.  Every term is O(1): nothing can overflow
+    (rows whose costs pass 1e154 keep a finite standard error), and the
+    variance is never a difference of two large raw moments.  ``O(S*L)``
+    after the shared ``O(N log N)`` sort.
     """
+    n = ts.size
     ranks, counts = _rank_counts(matrix, ts)
     prefix = _failure_prefix(matrix, cost_model)
+    top = float(ts[-1]) if ts[-1] > 0 else 1.0
+    unit = ts / top
+    csum_u = np.concatenate([[0.0], np.cumsum(unit)])
+    csum_uu = np.concatenate([[0.0], np.cumsum(unit * unit)])
+    beta = cost_model.beta
     with np.errstate(over="ignore", invalid="ignore"):
         base = prefix + cost_model.alpha * matrix + cost_model.gamma
         # Padding columns are inf with zero counts; 0 * inf would be nan.
         base = np.where(counts > 0, base, 0.0)
-        seg = np.diff(csum[ranks], axis=1, prepend=0.0)
-        beta = cost_model.beta
-        sums = (counts * base).sum(axis=1) + beta * csum[-1]
-        sums_sq = (
-            (counts * base * base).sum(axis=1)
-            + 2.0 * beta * (base * seg).sum(axis=1)
-            + beta * beta * ts_sq
-        )
+        sums = (counts * base).sum(axis=1) + beta * np.cumsum(ts)[-1]
+        if n > 1:
+            scale = base.max(axis=1) + beta * top
+            scale = np.where(scale > 0.0, scale, 1.0)[:, None]
+            d = (base - (sums / n)[:, None]) / scale
+            b = beta * top / scale
+            seg = np.diff(csum_u[ranks], axis=1, prepend=0.0)
+            seg_sq = np.diff(csum_uu[ranks], axis=1, prepend=0.0)
+            ss = (counts * d * d + 2.0 * b * d * seg + b * b * seg_sq).sum(axis=1)
+            std = scale[:, 0] * np.sqrt(np.maximum(ss, 0.0) / (n - 1))
+        else:
+            std = np.zeros(matrix.shape[0])
     hit = counts > 0
     max_index = hit.shape[1] - 1 - np.argmax(hit[:, ::-1], axis=1)
-    return sums, sums_sq, max_index
+    return sums, std, max_index
 
 
 def _moments_block_task(args):
@@ -338,15 +357,10 @@ def _moments_block_task(args):
         shm = shared_memory.SharedMemory(name=name)
         try:
             ts = np.ndarray((n,), dtype=np.float64, buffer=shm.buf)
-            csum = np.concatenate([[0.0], np.cumsum(ts)])
-            ts_sq = float(np.dot(ts, ts))
-            return _moments_kernel(np.asarray(block), ts, csum, ts_sq, cost_model)
+            return _moments_kernel(np.asarray(block), ts, cost_model)
         finally:
             shm.close()
-    ts = np.asarray(samples)
-    csum = np.concatenate([[0.0], np.cumsum(ts)])
-    ts_sq = float(np.dot(ts, ts))
-    return _moments_kernel(np.asarray(block), ts, csum, ts_sq, cost_model)
+    return _moments_kernel(np.asarray(block), np.asarray(samples), cost_model)
 
 
 def _check_coverage(batch: ReservationBatch, horizon: float) -> None:
@@ -414,17 +428,15 @@ def batch_expected_costs(
 
     try:
         if feasible_rows.size == 0:
-            sums = sums_sq = np.empty(0)
+            sums = std = np.empty(0)
             max_index = np.empty(0, dtype=int)
         elif pool is None:
             with metrics.timer("mc.batch.kernel"):
-                csum = np.concatenate([[0.0], np.cumsum(ts)])
-                ts_sq = float(np.dot(ts, ts))
-                sums, sums_sq, max_index = _moments_kernel(
-                    batch.matrix[feasible_rows], ts, csum, ts_sq, cost_model
+                sums, std, max_index = _moments_kernel(
+                    batch.matrix[feasible_rows], ts, cost_model
                 )
         else:
-            sums, sums_sq, max_index = _sharded_moments(
+            sums, std, max_index = _sharded_moments(
                 batch.matrix[feasible_rows], ts, cost_model, pool,
                 task_timeout, task_retries,
             )
@@ -437,11 +449,7 @@ def batch_expected_costs(
     max_idx = np.full(S, -1, dtype=int)
     if feasible_rows.size:
         mean[feasible_rows] = sums / N
-        if N > 1:
-            var = np.maximum(sums_sq - N * (sums / N) ** 2, 0.0) / (N - 1)
-            std_error[feasible_rows] = np.sqrt(var / N)
-        else:
-            std_error[feasible_rows] = 0.0
+        std_error[feasible_rows] = std / np.sqrt(N)
         max_idx[feasible_rows] = max_index
     return BatchCostSummary(
         mean_cost=mean,
@@ -495,9 +503,87 @@ def _sharded_moments(
             shm.close()
             shm.unlink()
     sums = np.concatenate([p[0] for p in parts])
-    sums_sq = np.concatenate([p[1] for p in parts])
+    std = np.concatenate([p[1] for p in parts])
     max_index = np.concatenate([p[2] for p in parts])
-    return sums, sums_sq, max_index
+    return sums, std, max_index
+
+
+def screen_margin(n_samples: int, width: int) -> float:
+    """Relative margin of the moments screen in :func:`batch_best_row`.
+
+    Both kernels average the same ``N`` nonnegative per-sample costs (the
+    cost model enforces ``alpha > 0``, ``beta, gamma >= 0``; samples and
+    reservations are ``>= 0``).  A floating-point sum of nonnegative terms,
+    each already carrying a relative error of at most ``gamma_a``, in any
+    summation order, is within ``gamma_{a+k-1}`` of the exact sum of its
+    ``k`` terms (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    Lemma 3.1 and Sec. 4.2; ``gamma_n = n u / (1 - n u)``, ``u = 2^-53``).
+    Counting the roundings, for rows of width ``L``:
+
+    * matrix kernel: failure prefix ``gamma_{L+1}``, the per-sample cost
+      expression ``gamma_{L+4}``, the sum over ``N`` samples and the
+      division ``gamma_{N+L+4}``;
+    * moments kernel: base costs ``gamma_{L+3}``, times the integer counts
+      and summed over ``L`` buckets ``gamma_{2L+3}``; ``beta * cumsum(ts)``
+      ``gamma_N``; the final add and division ``gamma_{max(2L,N)+5}``.
+
+    So with ``e = gamma_n``, ``n = N + 2L + 5``, both means lie within a
+    factor ``1 +- e`` of the exact mean ``mu``.  If row ``s`` holds the
+    exact argmin ``m_s <= m_w`` of the matrix means and ``w`` the screened
+    argmin, then ``screened_s <= (1+e) mu_s <= (1+e)/(1-e) m_s <= ...
+    <= ((1+e)/(1-e))^2 screened_w``: the returned relative margin is
+    ``((1+e)/(1-e))^2 - 1 = 4e / (1-e)^2``.  It is at least ``32 u``, so
+    the caller doubles it to cover the two roundings of forming the
+    threshold.  (The bound assumes no overflow or underflow on finite rows.)
+    """
+    n = n_samples + 2 * width + 5
+    unit = np.finfo(float).eps / 2.0
+    e = n * unit / (1.0 - n * unit)
+    return 4.0 * e / (1.0 - e) ** 2
+
+
+def batch_best_row(
+    batch: ReservationBatch,
+    times: np.ndarray,
+    cost_model: CostModel,
+    backend=None,
+) -> tuple[int, float]:
+    """First feasible row with the lowest exact mean cost, and that mean.
+
+    The answer is the one (every bit, first index on ties) of the argmin of
+    ``batch_cost_matrix(batch, times, cost_model).mean(axis=1)`` over the
+    feasible rows, without building the ``(S, N)`` matrix: the moments
+    kernel (:func:`batch_expected_costs`, ``backend`` forwarded) screens
+    every row, only the rows whose screened mean is within
+    :func:`screen_margin` of the screened minimum are re-costed with the
+    matrix kernel, and the first argmin among them wins.  Exact ties
+    survive the screen, and so do rows whose screened mean is not finite;
+    if the screened minimum itself is not finite every feasible row is
+    re-costed.  Survivors are counted under ``mc.batch.screen_survivors``.
+    """
+    times = np.asarray(times, dtype=float)
+    screened = batch_expected_costs(batch, times, cost_model, backend=backend)
+    if not batch.feasible.any():
+        raise ValueError("no feasible rows to choose from")
+    means = screened.mean_cost
+    keep = batch.feasible.copy()
+    lowest = float(np.min(means[keep]))
+    if np.isfinite(lowest):
+        margin = screen_margin(times.size, batch.matrix.shape[1])
+        threshold = lowest * (1.0 + 2.0 * margin)
+        keep &= (means <= threshold) | ~np.isfinite(means)
+    rows = np.nonzero(keep)[0]
+    metrics.inc("mc.batch.screen_survivors", rows.size)
+    survivors = ReservationBatch(
+        matrix=batch.matrix[rows],
+        lengths=batch.lengths[rows],
+        feasible=np.ones(rows.size, dtype=bool),
+    )
+    with np.errstate(over="ignore"):
+        # A surviving row with an infinite screened mean overflows here too.
+        exact = batch_cost_matrix(survivors, times, cost_model).mean(axis=1)
+    best = int(np.argmin(exact))
+    return int(rows[best]), float(exact[best])
 
 
 # ----------------------------------------------------------------------

@@ -9,8 +9,10 @@ skipped — these are the gaps of Fig. 3.
 
 Scoring follows the paper's Monte-Carlo process (Eq. 13) with ``N`` samples;
 the same sample set is reused across candidates (common random numbers), so
-the scan is a fair comparison and the complexity is O(M N).  An exact
-variant scores with the Theorem 1 series instead.
+the scan is a fair comparison and the complexity is O(M N).  Finding only
+the winner (:meth:`BruteForce.sequence`) screens the grid in O(M L + N log N)
+and re-costs just the near-ties.  An exact variant scores with the
+Theorem 1 series instead.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from repro.observability import metrics, tracing
 from repro.simulation.batch import (
     MATRIX_KERNEL_MAX_ELEMENTS,
     ReservationBatch,
+    batch_best_row,
     batch_cost_matrix,
     batch_expected_costs,
 )
@@ -79,6 +82,21 @@ class BruteForceScan:
 class BruteForce(Strategy):
     """Grid search over ``t_1`` + Eq. (11) completion (paper Section 4.1).
 
+    In Monte-Carlo mode the Eq. (11) recurrence runs for the whole grid in
+    lockstep.  :meth:`scan` costs every (candidate, sample) pair with the
+    bit-identical matrix kernel, because Table 3 and Fig. 3 print every
+    point.  :meth:`sequence` needs only the winner: it screens the grid with
+    the ``O(M L + N log N)`` moments kernel and re-costs with the matrix
+    kernel only the candidates whose screened mean is within a relative
+    margin of the screened minimum
+    (:func:`~repro.simulation.batch.batch_best_row`).  Both kernels average
+    the same ``N`` nonnegative per-sample costs, so by Higham's bound for
+    such sums each mean is within a factor ``1 +- gamma_n`` of the exact
+    one (``n = N + 2L + 5`` for sequences of ``L`` reservations), and the
+    margin ``((1 + gamma_n) / (1 - gamma_n))^2 - 1``
+    (:func:`~repro.simulation.batch.screen_margin`) cannot drop the matrix
+    argmin: winner and cost are the scan's, every bit, first index on ties.
+
     Parameters
     ----------
     m_grid:
@@ -87,21 +105,14 @@ class BruteForce(Strategy):
         Monte-Carlo samples per candidate (paper: 1000).
     evaluation:
         ``"monte_carlo"`` (paper's method) or ``"series"`` (exact Theorem 1
-        series; deterministic, slightly slower per candidate).
+        series, one candidate at a time; deterministic, slower).
     seed:
         RNG seed for the shared Monte-Carlo sample set.
-    batch:
-        Monte-Carlo mode only: score the whole candidate grid through the
-        batched kernels (:mod:`repro.simulation.batch`) — the Eq. (11)
-        recurrence runs for all candidates in lockstep and one vectorized
-        pass costs every (candidate, sample) pair.  Scan results (points,
-        feasibility, winner) are identical to the per-candidate loop; set
-        ``batch=False`` to force the historical loop.
     backend:
-        Forwarded to :func:`repro.simulation.batch.batch_expected_costs`
-        when a batched scan is too large for the exact matrix kernel
-        (``m_grid * n_samples > MATRIX_KERNEL_MAX_ELEMENTS``) and falls
-        back to the sharded moments kernel.
+        Forwarded to :func:`repro.simulation.batch.batch_expected_costs` by
+        the moments screen of :meth:`sequence`, and by :meth:`scan` when the
+        grid is too large for the exact matrix kernel
+        (``m_grid * n_samples > MATRIX_KERNEL_MAX_ELEMENTS``).
     """
 
     name = "brute_force"
@@ -112,7 +123,6 @@ class BruteForce(Strategy):
         n_samples: int = 1000,
         evaluation: Literal["monte_carlo", "series"] = "monte_carlo",
         seed: SeedLike = None,
-        batch: bool = True,
         backend=None,
     ):
         if m_grid < 1:
@@ -125,7 +135,6 @@ class BruteForce(Strategy):
         self.n_samples = n_samples
         self.evaluation = evaluation
         self.seed = seed
-        self.batch = batch
         self.backend = backend
 
     # ------------------------------------------------------------------
@@ -150,6 +159,38 @@ class BruteForce(Strategy):
         except (RecurrenceError, SequenceError):
             return None
 
+    def _monte_carlo_grid(
+        self, distribution, cost_model: CostModel, samples: Optional[np.ndarray]
+    ) -> tuple[np.ndarray, np.ndarray, ReservationBatch, tuple[float, float]]:
+        """``(samples, t1s, grid, interval)`` of a Monte-Carlo scan.
+
+        Draws the shared sample set unless the caller passed one, runs the
+        Eq. (11) recurrence for every candidate in lockstep up to the
+        largest sample, and counts the candidates.
+        """
+        lo, hi = t1_search_interval(distribution, cost_model)
+        if samples is None:
+            samples = distribution.rvs(self.n_samples, seed=as_generator(self.seed))
+        else:
+            samples = np.asarray(samples, dtype=float)
+        # Paper's grid: t1 = a + m (b-a)/M for m = 1..M (skips the
+        # degenerate left endpoint, includes the right one); the same float
+        # expression as the series loop.
+        m = np.arange(1, self.m_grid + 1, dtype=float)
+        t1s = lo + m * (hi - lo) / self.m_grid
+        grid = ReservationBatch.from_grid(
+            t1s, distribution, cost_model, float(samples.max())
+        )
+        n_feasible = int(grid.feasible.sum())
+        metrics.inc("brute_force.candidates", t1s.size)
+        metrics.inc("brute_force.feasible_candidates", n_feasible)
+        if n_feasible == 0:
+            raise SequenceError(
+                f"BRUTE-FORCE found no feasible t1 in [{lo}, {hi}] for "
+                f"{distribution.describe()}"
+            )
+        return samples, t1s, grid, (lo, hi)
+
     def scan(
         self,
         distribution,
@@ -162,29 +203,20 @@ class BruteForce(Strategy):
         shared sample set — common random numbers across strategies, as in
         the Table 2 / Fig. 4 comparisons.
         """
-        lo, hi = t1_search_interval(distribution, cost_model)
         if self.evaluation == "monte_carlo":
-            if samples is None:
-                rng = as_generator(self.seed)
-                samples = distribution.rvs(self.n_samples, seed=rng)
-            else:
-                samples = np.asarray(samples, dtype=float)
-        elif samples is not None:
+            return self._monte_carlo_scan(distribution, cost_model, samples)
+        if samples is not None:
             raise ValueError("samples are only meaningful in monte_carlo mode")
 
-        if self.evaluation == "monte_carlo" and self.batch:
-            return self._batched_scan(distribution, cost_model, samples, lo, hi)
-
+        lo, hi = t1_search_interval(distribution, cost_model)
         points: List[ScanPoint] = []
         best_t1, best_cost = math.nan, math.inf
         with tracing.span(
             "strategy.brute_force.scan", m_grid=self.m_grid, lo=lo, hi=hi
         ) as sp:
-            # Paper's grid: t1 = a + m (b-a)/M for m = 1..M (skips the
-            # degenerate left endpoint, includes the right one).
             for m in range(1, self.m_grid + 1):
                 t1 = lo + m * (hi - lo) / self.m_grid
-                cost = self.candidate_cost(t1, distribution, cost_model, samples)
+                cost = self.candidate_cost(t1, distribution, cost_model)
                 points.append(ScanPoint(t1=t1, expected_cost=cost))
                 if cost is not None and cost < best_cost:
                     best_t1, best_cost = t1, cost
@@ -203,31 +235,24 @@ class BruteForce(Strategy):
             points=points, best_t1=best_t1, best_cost=best_cost, interval=(lo, hi)
         )
 
-    def _batched_scan(
-        self,
-        distribution,
-        cost_model: CostModel,
-        samples: np.ndarray,
-        lo: float,
-        hi: float,
+    def _monte_carlo_scan(
+        self, distribution, cost_model: CostModel, samples: Optional[np.ndarray]
     ) -> BruteForceScan:
         """Vectorized scan: lockstep Eq. (11) grid + one batched costing pass.
 
         Uses the bit-identical matrix kernel (so winner and per-point costs
-        match the per-candidate loop exactly, ties included) while the grid
-        fits in :data:`repro.simulation.batch.MATRIX_KERNEL_MAX_ELEMENTS`;
-        larger grids fall back to the O(S*L) moments kernel, whose means
-        agree to ~1 ulp.
+        match a per-candidate :meth:`candidate_cost` loop exactly, ties
+        included) while the grid fits in
+        :data:`repro.simulation.batch.MATRIX_KERNEL_MAX_ELEMENTS`; larger
+        grids fall back to the O(S*L) moments kernel, whose means agree to
+        ~1 ulp.
         """
         with tracing.span(
-            "strategy.brute_force.scan", m_grid=self.m_grid, lo=lo, hi=hi,
-            batch=True,
+            "strategy.brute_force.scan", m_grid=self.m_grid, batch=True
         ) as sp:
-            # Same float expression as the scalar loop: lo + m*(hi-lo)/M.
-            m = np.arange(1, self.m_grid + 1, dtype=float)
-            t1s = lo + m * (hi - lo) / self.m_grid
-            cover = float(samples.max())
-            grid = ReservationBatch.from_grid(t1s, distribution, cost_model, cover)
+            samples, t1s, grid, interval = self._monte_carlo_grid(
+                distribution, cost_model, samples
+            )
             if grid.n_sequences * samples.size <= MATRIX_KERNEL_MAX_ELEMENTS:
                 means = batch_cost_matrix(grid, samples, cost_model).mean(axis=1)
             else:
@@ -241,27 +266,46 @@ class BruteForce(Strategy):
                 )
                 for i in range(t1s.size)
             ]
-            n_feasible = int(grid.feasible.sum())
-            metrics.inc("brute_force.candidates", len(points))
-            metrics.inc("brute_force.feasible_candidates", n_feasible)
-            if n_feasible == 0:
-                raise SequenceError(
-                    f"BRUTE-FORCE found no feasible t1 in [{lo}, {hi}] for "
-                    f"{distribution.describe()}"
-                )
-            # argmin picks the first minimal index — the same winner as the
+            # argmin picks the first minimal index — the same winner as a
             # scalar loop's strict-improvement update.
-            masked = np.where(grid.feasible, means, np.inf)
-            best = int(np.argmin(masked))
+            best = int(np.argmin(np.where(grid.feasible, means, np.inf)))
             if sp is not None:
-                sp.set("feasible", n_feasible)
+                sp.set("feasible", int(grid.feasible.sum()))
                 sp.set("best_t1", float(t1s[best]))
         return BruteForceScan(
             points=points,
             best_t1=float(t1s[best]),
             best_cost=float(means[best]),
-            interval=(lo, hi),
+            interval=interval,
         )
+
+    def best_candidate(
+        self,
+        distribution,
+        cost_model: CostModel,
+        samples: Optional[np.ndarray] = None,
+    ) -> tuple[float, float]:
+        """The winning ``(t_1, expected cost)``, equal to :meth:`scan`'s.
+
+        Monte-Carlo mode finds it with the moments screen (see the class
+        docstring) instead of the full matrix; series mode runs the scan.
+        """
+        if self.evaluation != "monte_carlo":
+            scan = self.scan(distribution, cost_model, samples=samples)
+            return scan.best_t1, scan.best_cost
+        with tracing.span(
+            "strategy.brute_force.search", m_grid=self.m_grid
+        ) as sp:
+            samples, t1s, grid, _ = self._monte_carlo_grid(
+                distribution, cost_model, samples
+            )
+            best, best_cost = batch_best_row(
+                grid, samples, cost_model, backend=self.backend
+            )
+            if sp is not None:
+                sp.set("feasible", int(grid.feasible.sum()))
+                sp.set("best_t1", float(t1s[best]))
+        return float(t1s[best]), best_cost
 
     def sequence(
         self,
@@ -269,14 +313,21 @@ class BruteForce(Strategy):
         cost_model: CostModel,
         samples: Optional[np.ndarray] = None,
     ) -> ReservationSequence:
-        scan = self.scan(distribution, cost_model, samples=samples)
-        return self.sequence_from_scan(scan, distribution, cost_model)
+        best_t1, _ = self.best_candidate(distribution, cost_model, samples=samples)
+        return self._sequence_from_t1(best_t1, distribution, cost_model)
 
     def sequence_from_scan(
         self, scan: BruteForceScan, distribution, cost_model: CostModel
     ) -> ReservationSequence:
         """Materialize the winning sequence of an existing scan."""
-        inner = optimal_sequence_from_t1(scan.best_t1, distribution, cost_model)
+        return self._sequence_from_t1(scan.best_t1, distribution, cost_model)
+
+    def _sequence_from_t1(
+        self, t1: float, distribution, cost_model: CostModel
+    ) -> ReservationSequence:
+        """The Eq. (11) sequence from a winning ``t1``, extensible past the
+        range the scan validated."""
+        inner = optimal_sequence_from_t1(t1, distribution, cost_model)
         hi = distribution.upper
 
         def extend(current: np.ndarray) -> float:

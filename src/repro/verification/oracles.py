@@ -41,6 +41,7 @@ from repro.simulation.batch import (
     batch_expected_costs,
 )
 from repro.simulation.monte_carlo import costs_for_times, monte_carlo_expected_cost
+from repro.strategies.brute_force import BruteForce
 from repro.strategies.mean_doubling import MeanDoubling
 from repro.utils.rng import SeedLike
 from repro.verification.comparisons import (
@@ -497,6 +498,47 @@ def batch_vs_serial_kernel(ctx: OracleContext) -> List[CheckRecord]:
             "batch_expected_costs.mean",
             "looped means",
             agree_close(mean_err, 0.0, Tolerance(rtol=0.0, atol=1e-10 * max(scale_ref, 1.0))),
+            t0,
+        )
+    )
+    return records
+
+
+# ----------------------------------------------------------------------
+# Screened BRUTE-FORCE winner vs the full scan
+# ----------------------------------------------------------------------
+#: Grid size of the screen oracle: large enough for near-ties, small enough
+#: that the full-matrix scan it compares against stays cheap.
+SCREEN_ORACLE_M_GRID = 1000
+
+
+@register_oracle("brute_force_screen")
+def brute_force_screen(ctx: OracleContext) -> List[CheckRecord]:
+    """``BruteForce.sequence`` (moments screen + matrix re-cost of the
+    near-ties) against ``BruteForce.scan`` (the full cost matrix) on one
+    shared sample set: the winning ``t_1`` and its cost must agree exactly
+    (zero tolerance — the screen's margin is derived so that it can never
+    drop the full argmin)."""
+    d, cm = ctx.distribution, ctx.cost_model
+    bf = BruteForce(m_grid=SCREEN_ORACLE_M_GRID, n_samples=1000, seed=ctx.seed)
+    samples = d.rvs(bf.n_samples, seed=ctx.seed)
+    exact = Tolerance(rtol=0.0, atol=0.0)
+
+    t0 = time.perf_counter()
+    scan = bf.scan(d, cm, samples=samples)
+    screened_t1 = bf.sequence(d, cm, samples=samples).values[0]
+    records = [
+        _record(
+            ctx, "brute_force_screen", "pair", "sequence().t1", "scan().best_t1",
+            agree_close(screened_t1, scan.best_t1, exact), t0,
+        )
+    ]
+    t0 = time.perf_counter()
+    _, screened_cost = bf.best_candidate(d, cm, samples=samples)
+    records.append(
+        _record(
+            ctx, "brute_force_screen", "pair", "best_candidate().cost",
+            "scan().best_cost", agree_close(screened_cost, scan.best_cost, exact),
             t0,
         )
     )

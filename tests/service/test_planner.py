@@ -122,6 +122,12 @@ class TestValidation:
             (dict(REQUEST, coverage=1.5), "coverage"),
             (dict(REQUEST, n_samples=0), "n_samples"),
             (dict(REQUEST, n_samples=10**9), "n_samples"),
+            # The brute-force `batch` knob is gone: the scan is always batched.
+            (
+                dict(REQUEST, strategy={"name": "brute_force",
+                                        "knobs": {"batch": False}}),
+                "bad strategy knobs",
+            ),
         ],
     )
     def test_bad_requests_raise_service_error(self, service, request_, match):
