@@ -42,14 +42,12 @@ MC_BATCH_SAMPLES = "mc.batch.samples"
 MC_BATCH_KERNEL = "mc.batch.kernel"
 MC_BATCH_MATRIX_KERNEL = "mc.batch.matrix_kernel"
 MC_BATCH_TASKS = "mc.batch.tasks"
-MC_BATCH_SHM_BYTES = "mc.batch.shm_bytes"
 MC_BATCH_SCREEN_SURVIVORS = "mc.batch.screen_survivors"
 #: Static prefix of the per-kind backend-selection counters (a
 #: DYNAMIC_PREFIXES family), one per backend decision of the Monte-Carlo
-#: estimate and the batched kernels.  Full names are built as
+#: estimate and ``monte_carlo_many``.  Full names are built as
 #: f"{MC_BATCH_BACKEND_PREFIX}{kind}" for the resolved pool's kind: serial,
-#: thread, process, or a custom backend's kind.  "auto" is never a kind
-#: here; it counts the serial or process choice it made.
+#: thread, process, or a custom backend's kind.
 MC_BATCH_BACKEND_PREFIX = "mc.batch.backend."
 
 # -- spot-market platform (repro.platforms.spot) --------------------------
@@ -64,7 +62,7 @@ SPOT_PLANS = "spot.plans"
 #: Static prefix of the spot evaluator's per-kind backend-selection
 #: counters (a DYNAMIC_PREFIXES family): f"{SPOT_BACKEND_PREFIX}{kind}",
 #: counted like MC_BATCH_BACKEND_PREFIX (serial, thread, process or a custom
-#: backend's kind; "auto" counts the choice it made).
+#: backend's kind).
 SPOT_BACKEND_PREFIX = "spot.backend."
 
 # -- Eq. (11) grid recurrence ---------------------------------------------

@@ -24,7 +24,6 @@ is the ``spot-market`` experiment.  See ``docs/SPOT.md``.
 """
 
 from repro.platforms.spot.evaluator import (
-    SPOT_AUTO_PROCESS_MIN_PATHS,
     SpotCostResult,
     SpotScenario,
     expected_spot_busy_time,
@@ -66,5 +65,4 @@ __all__ = [
     "expected_spot_time_checkpointed",
     "optimal_checkpoint_interval",
     "simulate_spot_run",
-    "SPOT_AUTO_PROCESS_MIN_PATHS",
 ]

@@ -7,9 +7,9 @@ Two evaluation paths, built to agree in their common regime:
   interruptions from the (possibly price-dependent) hazard, and bills the
   busy time against the *realized* price path.  Chunked per
   ``simulation.batch`` conventions and backend-invariant: for a fixed
-  ``(seed, jobs)`` the result is bit-identical on serial, thread, process,
-  and auto backends, because every backend runs the same module-level task
-  on the same ``SeedSequence``-spawned streams.
+  ``(seed, jobs)`` the result is bit-identical on serial, thread, process
+  and caller-supplied backends, because every backend runs the same
+  module-level task on the same ``SeedSequence``-spawned streams.
 
 * :func:`expected_spot_busy_time` / :func:`expected_spot_cost` — the
   closed-form/quadrature path for the memoryless constant-price case,
@@ -64,12 +64,7 @@ __all__ = [
     "expected_spot_time_checkpointed",
     "optimal_checkpoint_interval",
     "simulate_spot_run",
-    "SPOT_AUTO_PROCESS_MIN_PATHS",
 ]
-
-#: ``backend="auto"`` goes to the process pool at this many paths; below it
-#: the per-path stepping loop is too small to amortize pool dispatch.
-SPOT_AUTO_PROCESS_MIN_PATHS = 10_000
 
 #: Survival mass below which the segment series / window sweep terminates.
 _SERIES_TAIL = 1e-12
@@ -305,9 +300,7 @@ def spot_monte_carlo_cost(
     ]
     metrics.inc("spot.tasks", len(tasks))
 
-    pool, owned = resolve_backend(
-        backend, jobs, n_paths, SPOT_AUTO_PROCESS_MIN_PATHS
-    )
+    pool, owned = resolve_backend(backend, jobs)
     metrics.inc(f"spot.backend.{pool.kind if pool is not None else 'serial'}")
     with metrics.timer("spot.eval"):
         try:

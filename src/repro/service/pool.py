@@ -15,7 +15,8 @@ Design choices:
   every ``jobs <= 1`` request resolves to, preserving the library's
   bit-identical seeded behavior.  The Monte-Carlo kernels normalize their
   ``backend=``/``jobs=`` arguments through :func:`resolve_backend`, which
-  maps "serial" to no pool at all.
+  maps "serial" to no pool at all.  There is no size-based choice: a
+  kernel runs serially or on the pool its caller names.
 * ``map`` preserves input order and is strict: a task that still fails
   after its retry budget raises :class:`PoolError` (partial results are
   never silently dropped).  Retries are governed by a
@@ -47,7 +48,6 @@ from __future__ import annotations
 import abc
 import concurrent.futures
 import os
-import threading
 from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.observability import metrics
@@ -61,7 +61,6 @@ __all__ = [
     "SerialBackend",
     "ThreadBackend",
     "ProcessBackend",
-    "AutoBackend",
     "get_backend",
     "resolve_backend",
     "effective_cpu_count",
@@ -72,7 +71,7 @@ __all__ = [
 T = TypeVar("T")
 R = TypeVar("R")
 
-BACKEND_KINDS = ("serial", "thread", "process", "auto")
+BACKEND_KINDS = ("serial", "thread", "process")
 
 
 def effective_cpu_count() -> int:
@@ -260,62 +259,6 @@ class ProcessBackend(_ExecutorBackend):
         super().__init__(concurrent.futures.ProcessPoolExecutor(max_workers=jobs), jobs)
 
 
-class AutoBackend(ExecutionBackend):
-    """Problem-size-aware backend selection (``kind="auto"``).
-
-    ``AutoBackend`` is a *policy holder*, not a pool: size-aware callers
-    (the Monte-Carlo evaluator and the batched kernels in
-    :mod:`repro.simulation.batch`) call :meth:`select` with their sample
-    count and, when it answers ``"process"``, fetch the lazily-created
-    shared :class:`ProcessBackend` via :meth:`process_backend`.  The pool is
-    created once, under a lock, and reused across calls — process-pool
-    startup (~100s of ms) would otherwise swamp the kernels it accelerates.
-
-    The generic :meth:`map` contract is satisfied by inline serial
-    execution: callers that cannot describe their problem size get the
-    deterministic default rather than a guess.
-    """
-
-    kind = "auto"
-
-    def __init__(self, jobs: int = 0):
-        self.jobs = _resolve_jobs(jobs)
-        self._lock = threading.Lock()
-        self._process: Optional[ProcessBackend] = None
-        self._serial = SerialBackend()
-
-    def select(self, n_samples: int, min_samples: int) -> str:
-        """``"process"`` when the kernel is big enough to amortize dispatch
-        and at least two CPUs are available; ``"serial"`` otherwise."""
-        if (
-            n_samples >= min_samples
-            and self.jobs > 1
-            and effective_cpu_count() >= 2
-        ):
-            return "process"
-        return "serial"
-
-    def process_backend(self) -> ProcessBackend:
-        """The shared process pool, created on first use."""
-        with self._lock:
-            if self._process is None:
-                self._process = ProcessBackend(self.jobs)
-            return self._process
-
-    def map(self, fn, items, timeout=None, retries=0, retry_policy=None,
-            deadline=None):
-        return self._serial.map(
-            fn, items, timeout=timeout, retries=retries,
-            retry_policy=retry_policy, deadline=deadline,
-        )
-
-    def close(self) -> None:
-        with self._lock:
-            process, self._process = self._process, None
-        if process is not None:
-            process.close()
-
-
 def _resolve_jobs(jobs: int) -> int:
     if jobs < 0:
         raise ValueError(f"jobs must be >= 0 (0 = one per CPU), got {jobs}")
@@ -326,14 +269,10 @@ def get_backend(kind: Optional[str] = "serial", jobs: int = 1) -> ExecutionBacke
     """Instantiate a backend by name.
 
     ``jobs <= 1`` (or ``kind in (None, "serial")``) always yields the
-    serial backend — except for ``"auto"``, whose whole point is to make
-    that call from the problem size at evaluation time, so it is returned
-    as-is and sizes its pool from the CPU count when ``jobs <= 1``.
+    serial backend.
     """
     if kind is not None and kind not in BACKEND_KINDS:
         raise KeyError(f"unknown backend {kind!r}; known: {BACKEND_KINDS}")
-    if kind == "auto":
-        return AutoBackend(jobs if jobs > 1 else 0)
     if kind in (None, "serial") or jobs <= 1:
         return SerialBackend()
     if kind == "thread":
@@ -342,7 +281,7 @@ def get_backend(kind: Optional[str] = "serial", jobs: int = 1) -> ExecutionBacke
 
 
 def resolve_backend(
-    backend, jobs: int, work: int, auto_min: int
+    backend, jobs: int
 ) -> Tuple[Optional[ExecutionBackend], bool]:
     """Normalize a kernel's ``backend=``/``jobs=`` arguments to a pool.
 
@@ -351,19 +290,13 @@ def resolve_backend(
     (from a name), so the kernel must close it afterwards — pass a backend
     *object* to reuse a pool across calls.  ``backend`` is None (serial),
     a :data:`BACKEND_KINDS` name (``jobs <= 1`` sizes the pool from
-    :func:`effective_cpu_count`), or an :class:`ExecutionBackend`.  An
-    :class:`AutoBackend` picks serial or its shared process pool from
-    ``work`` against the kernel's ``auto_min`` threshold; a caller-supplied
-    one keeps ownership of that pool.  The decision is the returned pool's
-    ``kind`` (``"serial"`` when None).
+    :func:`effective_cpu_count`), or an :class:`ExecutionBackend`, which
+    stays the caller's.  The decision is the returned pool's ``kind``
+    (``"serial"`` when None).
     """
     owned = isinstance(backend, str)
     if owned:
         backend = get_backend(backend, jobs if jobs > 1 else effective_cpu_count())
-    if isinstance(backend, AutoBackend):
-        if backend.select(work, auto_min) == "serial":
-            return None, False
-        return backend.process_backend(), owned
     if backend is None or isinstance(backend, SerialBackend):
         return None, False
     return backend, owned

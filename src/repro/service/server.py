@@ -278,19 +278,17 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--backend",
-        choices=("serial", "thread", "process", "auto"),
+        choices=("serial", "thread", "process"),
         default="thread",
         help="execution backend for Monte-Carlo evaluation (default: thread, "
-        "which evaluates serially unless --jobs >= 2; 'auto' picks serial or "
-        "process per request by problem size)",
+        "which evaluates serially unless --jobs >= 2)",
     )
     parser.add_argument(
         "--jobs",
         type=int,
         default=0,
         help="pool size for --backend thread/process: 0 or 1 evaluates "
-        "Monte-Carlo serially, N >= 2 starts a pool of N workers (auto "
-        "sizes its pool from the CPU count when below 2)",
+        "Monte-Carlo serially, N >= 2 starts a pool of N workers",
     )
     parser.add_argument(
         "--max-inflight",

@@ -15,9 +15,8 @@ over the whole grid:
   looping ``costs_for_times`` over the same rows;
 * :func:`batch_expected_costs` — the **moments** kernel: per-row mean and
   standard error in ``O(S*L + N log N)`` without materializing the cost
-  matrix, optionally sharded over a process pool with the sorted sample
-  block published once through ``multiprocessing.shared_memory`` (workers
-  attach; only row blocks are pickled per task);
+  matrix (serial: after the one sort there is too little work left for a
+  pool to pay for its dispatch; see ``docs/PERFORMANCE.md``);
 * :func:`batch_best_row` — the exact (matrix-kernel) argmin row found by
   screening with the moments kernel and re-costing only the near-ties;
 * :func:`monte_carlo_many` — a batch of independent Eq. (13) *estimates*
@@ -33,19 +32,16 @@ arithmetic that could perturb bit-identity.  Differences along the row give
 which either the explicit index matrix (matrix kernel) or per-row cost
 moments (moments kernel) follow.
 
-Backends: ``None`` (serial), a name (``"serial"``, ``"thread"``,
-``"process"``, ``"auto"``) or any :class:`repro.service.pool.ExecutionBackend`,
-normalized by :func:`repro.service.pool.resolve_backend`.  ``"auto"``
-engages the process pool only above the documented element-count
-thresholds and on ≥ 2 CPUs.  Only a :class:`~repro.service.pool.ProcessBackend`
-gets the shared-memory sample block; every other pool is a plain ``map``.
-Every decision is counted under ``mc.batch.backend.<kind>``.
+``monte_carlo_many`` is the one pooled kernel here: ``backend`` is None
+(serial), a name (``"serial"``, ``"thread"``, ``"process"``) or any
+:class:`repro.service.pool.ExecutionBackend`, normalized by
+:func:`repro.service.pool.resolve_backend` and counted under
+``mc.batch.backend.<kind>``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from multiprocessing import shared_memory
 from typing import List, Optional, Sequence as SequenceType
 
 import numpy as np
@@ -54,7 +50,6 @@ from repro.core.cost import CostModel
 from repro.core.recurrence import generate_sequence_grid
 from repro.core.sequence import ReservationSequence
 from repro.observability import metrics
-from repro.resilience import faults
 from repro.simulation.monte_carlo import (
     MonteCarloResult,
     _coverage_horizon,
@@ -72,15 +67,8 @@ __all__ = [
     "batch_best_row",
     "screen_margin",
     "monte_carlo_many",
-    "AUTO_PROCESS_MIN_ELEMENTS",
     "MATRIX_KERNEL_MAX_ELEMENTS",
 ]
-
-#: ``backend="auto"`` in :func:`batch_expected_costs` /
-#: :func:`monte_carlo_many` engages the process pool only when the total
-#: work (sequences x samples) reaches this many elements; below it, pool
-#: dispatch plus pickling costs more than the vectorized serial kernel.
-AUTO_PROCESS_MIN_ELEMENTS = 8_000_000
 
 #: Soft cap on ``S * N`` for the matrix kernel (it materializes an
 #: ``(S, N)`` float64 matrix — 8 bytes per element).  Callers that only
@@ -342,27 +330,6 @@ def _moments_kernel(
     return sums, std, max_index
 
 
-def _moments_block_task(args):
-    """Moments kernel over one row block (pool task, ``mc.chunk`` site).
-
-    ``samples`` is either the sorted sample array itself (any in-process
-    pool — shared address space) or a ``(shm_name, n)`` tuple naming the shared
-    memory block the driver published (process workers attach instead of
-    unpickling N floats per task).
-    """
-    faults.fire("mc.chunk")
-    samples, block, cost_model = args
-    if isinstance(samples, tuple):
-        name, n = samples
-        shm = shared_memory.SharedMemory(name=name)
-        try:
-            ts = np.ndarray((n,), dtype=np.float64, buffer=shm.buf)
-            return _moments_kernel(np.asarray(block), ts, cost_model)
-        finally:
-            shm.close()
-    return _moments_kernel(np.asarray(block), np.asarray(samples), cost_model)
-
-
 def _check_coverage(batch: ReservationBatch, horizon: float) -> None:
     uncovered = batch.feasible & ~batch.covers(horizon)
     if uncovered.any():
@@ -374,25 +341,10 @@ def _check_coverage(batch: ReservationBatch, horizon: float) -> None:
         )
 
 
-def _resolve_batch_backend(backend, jobs: int, n_elements: int):
-    """``(pool, owned)`` for the batched kernels, counted per decision."""
-    from repro.service.pool import resolve_backend
-
-    pool, owned = resolve_backend(
-        backend, jobs, n_elements, AUTO_PROCESS_MIN_ELEMENTS
-    )
-    metrics.inc(f"mc.batch.backend.{pool.kind if pool is not None else 'serial'}")
-    return pool, owned
-
-
 def batch_expected_costs(
     batch: ReservationBatch,
     times: np.ndarray,
     cost_model: CostModel,
-    backend=None,
-    jobs: int = 0,
-    task_timeout: Optional[float] = None,
-    task_retries: int = 0,
 ) -> BatchCostSummary:
     """Eq. (13) mean and standard error for every row against shared samples.
 
@@ -402,11 +354,6 @@ def batch_expected_costs(
     regrouped by count bucket); tests comparing against looped serial calls
     should use :func:`batch_cost_matrix` for exact equality and this
     function with a tolerance.
-
-    ``backend="process"`` shards the rows across workers; the sorted sample
-    block is published once via shared memory (``mc.batch.shm_bytes``) and
-    each task pickles only its row block.  ``backend="auto"`` picks serial
-    or process from ``S * N`` (:data:`AUTO_PROCESS_MIN_ELEMENTS`).
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -420,29 +367,17 @@ def batch_expected_costs(
     metrics.inc("mc.batch.sequences", S)
     metrics.inc("mc.batch.samples", S * N)
 
-    pool, owned = _resolve_batch_backend(backend, jobs, S * N)
     feasible_rows = np.nonzero(batch.feasible)[0]
-
     order = np.argsort(times, kind="stable")
     ts = times[order]
-
-    try:
-        if feasible_rows.size == 0:
-            sums = std = np.empty(0)
-            max_index = np.empty(0, dtype=int)
-        elif pool is None:
-            with metrics.timer("mc.batch.kernel"):
-                sums, std, max_index = _moments_kernel(
-                    batch.matrix[feasible_rows], ts, cost_model
-                )
-        else:
-            sums, std, max_index = _sharded_moments(
-                batch.matrix[feasible_rows], ts, cost_model, pool,
-                task_timeout, task_retries,
+    if feasible_rows.size == 0:
+        sums = std = np.empty(0)
+        max_index = np.empty(0, dtype=int)
+    else:
+        with metrics.timer("mc.batch.kernel"):
+            sums, std, max_index = _moments_kernel(
+                batch.matrix[feasible_rows], ts, cost_model
             )
-    finally:
-        if owned:
-            pool.close()
 
     mean = np.full(S, np.nan)
     std_error = np.full(S, np.nan)
@@ -458,54 +393,6 @@ def batch_expected_costs(
         feasible=batch.feasible.copy(),
         n_samples=N,
     )
-
-
-def _sharded_moments(
-    matrix: np.ndarray,
-    ts: np.ndarray,
-    cost_model: CostModel,
-    pool,
-    task_timeout,
-    task_retries,
-):
-    """Fan the moments kernel over row blocks on a pool (shared memory for
-    a process pool, the sample array itself for any other)."""
-    from repro.service.pool import ProcessBackend, chunk_sizes
-
-    workers = max(int(getattr(pool, "jobs", 1)), 1)
-    sizes = chunk_sizes(matrix.shape[0], workers)
-    blocks: List[np.ndarray] = []
-    start = 0
-    for size in sizes:
-        blocks.append(matrix[start : start + size])
-        start += size
-    metrics.inc("mc.batch.tasks", len(blocks))
-
-    shm = None
-    try:
-        if isinstance(pool, ProcessBackend):
-            shm = shared_memory.SharedMemory(create=True, size=ts.nbytes)
-            shm_view = np.ndarray(ts.shape, dtype=np.float64, buffer=shm.buf)
-            shm_view[:] = ts
-            metrics.inc("mc.batch.shm_bytes", ts.nbytes)
-            samples = (shm.name, ts.size)
-        else:
-            samples = ts
-        with metrics.timer("mc.batch.kernel"):
-            parts = pool.map(
-                _moments_block_task,
-                [(samples, block, cost_model) for block in blocks],
-                timeout=task_timeout,
-                retries=task_retries,
-            )
-    finally:
-        if shm is not None:
-            shm.close()
-            shm.unlink()
-    sums = np.concatenate([p[0] for p in parts])
-    std = np.concatenate([p[1] for p in parts])
-    max_index = np.concatenate([p[2] for p in parts])
-    return sums, std, max_index
 
 
 def screen_margin(n_samples: int, width: int) -> float:
@@ -546,14 +433,13 @@ def batch_best_row(
     batch: ReservationBatch,
     times: np.ndarray,
     cost_model: CostModel,
-    backend=None,
 ) -> tuple[int, float]:
     """First feasible row with the lowest exact mean cost, and that mean.
 
     The answer is the one (every bit, first index on ties) of the argmin of
     ``batch_cost_matrix(batch, times, cost_model).mean(axis=1)`` over the
     feasible rows, without building the ``(S, N)`` matrix: the moments
-    kernel (:func:`batch_expected_costs`, ``backend`` forwarded) screens
+    kernel (:func:`batch_expected_costs`) screens
     every row, only the rows whose screened mean is within
     :func:`screen_margin` of the screened minimum are re-costed with the
     matrix kernel, and the first argmin among them wins.  Exact ties
@@ -562,7 +448,7 @@ def batch_best_row(
     re-costed.  Survivors are counted under ``mc.batch.screen_survivors``.
     """
     times = np.asarray(times, dtype=float)
-    screened = batch_expected_costs(batch, times, cost_model, backend=backend)
+    screened = batch_expected_costs(batch, times, cost_model)
     if not batch.feasible.any():
         raise ValueError("no feasible rows to choose from")
     means = screened.mean_cost
@@ -610,7 +496,7 @@ def monte_carlo_many(
     dominated by serial sampling; see ``docs/PERFORMANCE.md``).
 
     **Backend-invariant:** results are bit-identical across serial, thread,
-    process, and auto backends for a fixed ``(seed, n_samples)`` — every
+    process and caller-supplied backends for a fixed ``(seed, n_samples)`` — every
     backend runs the same per-sequence task on the same spawned stream; only
     where it runs changes.
     """
@@ -622,9 +508,11 @@ def monte_carlo_many(
     metrics.inc("mc.batch.sequences", len(sequences))
     metrics.inc("mc.batch.samples", len(sequences) * n_samples)
 
-    pool, owned = _resolve_batch_backend(
-        backend, jobs, len(sequences) * n_samples
-    )
+    # Deferred import: repro.service imports this module for the planner.
+    from repro.service.pool import resolve_backend
+
+    pool, owned = resolve_backend(backend, jobs)
+    metrics.inc(f"mc.batch.backend.{pool.kind if pool is not None else 'serial'}")
     children = spawn_seed_sequences(seed, len(sequences))
     horizon = _coverage_horizon(distribution)
     value_arrays: List[np.ndarray] = []

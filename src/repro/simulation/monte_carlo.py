@@ -8,21 +8,16 @@ failure costs accumulates the paid-but-failed reservations — no per-sample
 Python loop (cf. the hpc-parallel guide on vectorizing).
 
 Backends (``backend=`` may be a :class:`repro.service.pool.ExecutionBackend`
-or one of the strings ``"serial"``, ``"thread"``, ``"process"``, ``"auto"``;
+or one of the strings ``"serial"``, ``"thread"``, ``"process"``;
 :func:`repro.service.pool.resolve_backend` normalizes it):
 
 * **serial** — the historical single-pass kernel, bit-identical for a fixed
   seed.  Always used for ``jobs=1`` with no explicit backend.
-* **any pool** (thread, process, the process pool ``"auto"`` selects, or a
-  caller's own backend) — the samples split into one chunk per worker and
-  each worker *draws and costs its own chunk* from a
-  ``SeedSequence``-spawned stream, shipping only a seed and the
-  materialized reservation values — never the sample block.  A fixed
+* **any pool** (thread, process, or a caller's own backend) — the samples
+  split into one chunk per worker and each worker *draws and costs its own
+  chunk* from a ``SeedSequence``-spawned stream, shipping only a seed and
+  the materialized reservation values — never the sample block.  A fixed
   ``(seed, jobs)`` pair therefore gives the same estimate on every pool.
-* **auto** — picks serial or process by problem size (see
-  :data:`AUTO_PROCESS_MIN_SAMPLES`); the thread backend is never
-  auto-selected — per-chunk GIL hand-offs made it *slower* than serial on
-  this kernel (``BENCH_service.json``, ``mc_10k_thread_vs_serial``).
 
 Evaluating a whole *grid* of candidate sequences against one shared sample
 set lives in :mod:`repro.simulation.batch`, which amortizes everything above
@@ -51,14 +46,8 @@ __all__ = [
     "MonteCarloResult",
     "costs_for_times",
     "monte_carlo_expected_cost",
-    "AUTO_PROCESS_MIN_SAMPLES",
     "PROCESS_COVERAGE_TAIL",
 ]
-
-#: ``backend="auto"`` only engages the process backend at or above this many
-#: samples — below it, pool dispatch overhead exceeds the kernel time and the
-#: serial single-pass kernel wins.
-AUTO_PROCESS_MIN_SAMPLES = 200_000
 
 #: Tail mass used to pre-extend a sequence before pool dispatch: workers
 #: cannot run extender closures, so the driver materializes reservations out
@@ -255,9 +244,7 @@ def monte_carlo_expected_cost(
 
     if backend is None and jobs > 1:
         backend = "thread"
-    pool, owned = resolve_backend(
-        backend, jobs, n_samples, AUTO_PROCESS_MIN_SAMPLES
-    )
+    pool, owned = resolve_backend(backend, jobs)
     metrics.inc(f"mc.batch.backend.{pool.kind if pool is not None else 'serial'}")
 
     if pool is None:

@@ -108,11 +108,6 @@ class BruteForce(Strategy):
         series, one candidate at a time; deterministic, slower).
     seed:
         RNG seed for the shared Monte-Carlo sample set.
-    backend:
-        Forwarded to :func:`repro.simulation.batch.batch_expected_costs` by
-        the moments screen of :meth:`sequence`, and by :meth:`scan` when the
-        grid is too large for the exact matrix kernel
-        (``m_grid * n_samples > MATRIX_KERNEL_MAX_ELEMENTS``).
     """
 
     name = "brute_force"
@@ -123,7 +118,6 @@ class BruteForce(Strategy):
         n_samples: int = 1000,
         evaluation: Literal["monte_carlo", "series"] = "monte_carlo",
         seed: SeedLike = None,
-        backend=None,
     ):
         if m_grid < 1:
             raise ValueError(f"m_grid must be >= 1, got {m_grid}")
@@ -135,7 +129,6 @@ class BruteForce(Strategy):
         self.n_samples = n_samples
         self.evaluation = evaluation
         self.seed = seed
-        self.backend = backend
 
     # ------------------------------------------------------------------
     def candidate_cost(
@@ -254,11 +247,13 @@ class BruteForce(Strategy):
                 distribution, cost_model, samples
             )
             if grid.n_sequences * samples.size <= MATRIX_KERNEL_MAX_ELEMENTS:
-                means = batch_cost_matrix(grid, samples, cost_model).mean(axis=1)
+                costs = batch_cost_matrix(grid, samples, cost_model)
+                # A row whose costs overflow is a real but unaffordable
+                # candidate: its inf mean never wins while a finite row exists.
+                with np.errstate(over="ignore"):
+                    means = costs.mean(axis=1)
             else:
-                means = batch_expected_costs(
-                    grid, samples, cost_model, backend=self.backend
-                ).mean_cost
+                means = batch_expected_costs(grid, samples, cost_model).mean_cost
             points = [
                 ScanPoint(
                     t1=float(t1s[i]),
@@ -299,9 +294,7 @@ class BruteForce(Strategy):
             samples, t1s, grid, _ = self._monte_carlo_grid(
                 distribution, cost_model, samples
             )
-            best, best_cost = batch_best_row(
-                grid, samples, cost_model, backend=self.backend
-            )
+            best, best_cost = batch_best_row(grid, samples, cost_model)
             if sp is not None:
                 sp.set("feasible", int(grid.feasible.sum()))
                 sp.set("best_t1", float(t1s[best]))

@@ -191,14 +191,6 @@ class TestBackendInvariance:
         serial = spot_monte_carlo_cost(1.0, _scenario(), backend="serial", **kwargs)
         assert default == serial
 
-    def test_auto_small_runs_serial(self):
-        # Below the path threshold "auto" stays serial — same stream split,
-        # so same numbers as the explicit serial run.
-        kwargs = dict(n_paths=200, seed=9, jobs=2)
-        auto = spot_monte_carlo_cost(1.0, _scenario(), backend="auto", **kwargs)
-        serial = spot_monte_carlo_cost(1.0, _scenario(), backend="serial", **kwargs)
-        assert auto == serial
-
 
 class TestQuadrature:
     def test_restart_exponential_closed_form(self):

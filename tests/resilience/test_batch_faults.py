@@ -71,7 +71,7 @@ def estimate(kind, jobs, seed=11, n_samples=300):
 class TestSeedDeterminismMatrix:
     """Fixed (seed, jobs, backend) must reproduce exactly on every kind."""
 
-    @pytest.mark.parametrize("kind", ["serial", "thread", "process", "auto"])
+    @pytest.mark.parametrize("kind", ["serial", "thread", "process"])
     @pytest.mark.parametrize("jobs", [1, 2, 4])
     def test_repeat_call_is_bit_identical(self, registry, kind, jobs):
         a = estimate(kind, jobs)
@@ -89,15 +89,7 @@ class TestSeedDeterminismMatrix:
         assert t.mean_cost == p.mean_cost
         assert t.std_error == p.std_error
 
-    @pytest.mark.parametrize("jobs", [1, 2, 4])
-    def test_auto_below_threshold_matches_serial(self, registry, jobs):
-        """300 samples is far below AUTO_PROCESS_MIN_SAMPLES: auto == serial."""
-        auto = estimate("auto", jobs)
-        serial = estimate("serial", 1)
-        assert auto.mean_cost == serial.mean_cost
-        assert auto.std_error == serial.std_error
-
-    @pytest.mark.parametrize("kind", ["serial", "thread", "process", "auto"])
+    @pytest.mark.parametrize("kind", ["serial", "thread", "process"])
     def test_monte_carlo_many_matrix(self, registry, kind):
         """The coarse-grained batch API is backend-invariant, so the whole
         matrix collapses onto the serial reference."""

@@ -128,6 +128,12 @@ class TestValidation:
                                         "knobs": {"batch": False}}),
                 "bad strategy knobs",
             ),
+            # No knob may pick a pool: a request must not fork processes.
+            (
+                dict(REQUEST, strategy={"name": "brute_force",
+                                        "knobs": {"backend": "process"}}),
+                "bad strategy knobs",
+            ),
         ],
     )
     def test_bad_requests_raise_service_error(self, service, request_, match):

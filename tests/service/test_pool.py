@@ -11,7 +11,6 @@ import pytest
 from repro import observability as obs
 from repro.service.pool import (
     BACKEND_KINDS,
-    AutoBackend,
     PoolError,
     ProcessBackend,
     SerialBackend,
@@ -80,21 +79,18 @@ class TestGetBackend:
         with pytest.raises(KeyError, match="unknown backend"):
             get_backend("fork-bomb", 2)
 
+    def test_auto_kind_is_rejected(self):
+        # "auto" is not a kind: a pool is named explicitly or there is none.
+        assert "auto" not in BACKEND_KINDS
+        for jobs in (1, 2):
+            with pytest.raises(KeyError, match="unknown backend"):
+                get_backend("auto", jobs)
+
     def test_jobs_leq_one_is_always_serial(self):
-        # "auto" is exempt: its whole job is to make the serial-vs-process
-        # call from the problem size at evaluation time.
         for kind in BACKEND_KINDS:
-            if kind == "auto":
-                continue
             assert isinstance(get_backend(kind, 1), SerialBackend)
         assert isinstance(get_backend(None, 8), SerialBackend)
         assert isinstance(get_backend("serial", 8), SerialBackend)
-
-    def test_auto_kind_returns_auto_backend(self):
-        backend = get_backend("auto", 1)
-        assert isinstance(backend, AutoBackend)
-        assert backend.kind == "auto"
-        assert backend.jobs >= 1
 
     def test_parallel_kinds(self):
         with get_backend("thread", 2) as b:
@@ -112,7 +108,7 @@ class TestGetBackend:
         )
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         assert effective_cpu_count() == 3
-        for cls in (ThreadBackend, ProcessBackend, AutoBackend):
+        for cls in (ThreadBackend, ProcessBackend):
             with cls(0) as backend:
                 assert backend.jobs == 3, cls.__name__
 
@@ -250,42 +246,3 @@ class TestChunkingEdgeCases:
         )
         assert len(results) == 1
         assert results[0].n_samples == 50
-
-
-# ----------------------------------------------------------------------
-class TestAutoBackend:
-    def test_select_small_problem_is_serial(self):
-        b = AutoBackend(4)
-        assert b.select(10_000, 200_000) == "serial"
-
-    def test_select_needs_multiple_cpus_and_jobs(self):
-        b = AutoBackend(4)
-        expected = "process" if effective_cpu_count() >= 2 else "serial"
-        assert b.select(10_000_000, 200_000) == expected
-        # jobs=1 can never win from a process pool.
-        solo = AutoBackend.__new__(AutoBackend)
-        solo.jobs = 1
-        assert AutoBackend.select(solo, 10_000_000, 200_000) == "serial"
-
-    def test_process_pool_is_lazy_and_shared(self):
-        b = AutoBackend(2)
-        assert b._process is None
-        try:
-            first = b.process_backend()
-            assert isinstance(first, ProcessBackend)
-            assert b.process_backend() is first
-        finally:
-            b.close()
-        assert b._process is None
-
-    def test_map_contract_is_serial(self, registry):
-        b = AutoBackend(2)
-        try:
-            assert b.map(square, [1, 2, 3]) == [1, 4, 9]
-        finally:
-            b.close()
-
-    def test_close_is_idempotent(self):
-        b = AutoBackend(2)
-        b.close()
-        b.close()

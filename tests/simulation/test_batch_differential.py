@@ -169,24 +169,6 @@ class TestMomentsKernel:
         assert np.isfinite(summary.mean_cost[0])
         assert summary.best_row() == 0
 
-    def test_thread_and_process_backends_match_serial(self, cost_model):
-        times = np.random.default_rng(7).gamma(2.5, 2.0, size=2000)
-        rows = _ladder_rows(float(times.max()), 10, np.random.default_rng(5))
-        batch = ReservationBatch.from_rows(rows)
-        serial = batch_expected_costs(batch, times, cost_model)
-        threaded = batch_expected_costs(
-            batch, times, cost_model, backend="thread", jobs=3
-        )
-        process = batch_expected_costs(
-            batch, times, cost_model, backend="process", jobs=2
-        )
-        # Same kernel over row shards: identical moments regardless of
-        # where each shard ran.
-        np.testing.assert_array_equal(serial.mean_cost, threaded.mean_cost)
-        np.testing.assert_array_equal(serial.mean_cost, process.mean_cost)
-        np.testing.assert_array_equal(serial.std_error, process.std_error)
-        np.testing.assert_array_equal(serial.max_index, process.max_index)
-
 
 # ----------------------------------------------------------------------
 # (b) jobs=1 bit-identical to the historical serial path
@@ -283,27 +265,12 @@ class TestBackendAgreement:
         for kwargs in (
             {"jobs": 2},
             {"jobs": 2, "backend": "process"},
-            {"backend": "auto"},
         ):
             other = monte_carlo_expected_cost(
                 seq, d, cost_model, n_samples=n, seed=1, **kwargs
             )
             tolerance = 4.0 * np.hypot(serial.std_error, other.std_error)
             assert abs(other.mean_cost - serial.mean_cost) <= tolerance, kwargs
-
-    def test_auto_small_problem_is_serial_bit_identical(self, cost_model):
-        from repro.distributions.gamma import Gamma
-
-        d = Gamma(2.0, 2.0)
-        seq = ReservationSequence(
-            [float(d.quantile(0.5))], extend=lambda cur: float(cur[-1]) * 2.0
-        )
-        auto = monte_carlo_expected_cost(
-            seq, d, cost_model, n_samples=500, seed=3, backend="auto"
-        )
-        serial = monte_carlo_expected_cost(seq, d, cost_model, n_samples=500, seed=3)
-        assert auto.mean_cost == serial.mean_cost
-        assert auto.std_error == serial.std_error
 
 
 # ----------------------------------------------------------------------
@@ -325,7 +292,7 @@ class TestMonteCarloMany:
             self._sequences(d), d, cost_model, n_samples=400, seed=5,
             backend="serial",
         )
-        for backend, jobs in (("thread", 2), ("process", 2), ("auto", 0)):
+        for backend, jobs in (("thread", 2), ("process", 2), ("process", 0)):
             other = monte_carlo_many(
                 self._sequences(d), d, cost_model, n_samples=400, seed=5,
                 backend=backend, jobs=jobs,

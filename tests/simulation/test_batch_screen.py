@@ -29,6 +29,7 @@ from repro.simulation.batch import (
     batch_expected_costs,
     screen_margin,
 )
+from repro.strategies.brute_force import BruteForce
 
 
 @st.composite
@@ -115,16 +116,21 @@ def test_no_feasible_row_raises():
 def test_std_error_finite_wherever_the_mean_is(scale):
     """Paper-settings Fig. 4 grid (M=5000, N=1000): rows that reach past
     1e154 used to square to inf in the raw second moment and come back
-    with a nan standard error and overflow warnings."""
+    with a nan standard error and overflow warnings.  The full scan of the
+    same grid is silent too (a row whose costs pass 1e305 is a feasible
+    point with an inf cost) and agrees with the screened winner."""
     cm = NeuroHPCPlatform().cost_model()
     d = scaled_workload(*scale)
     samples = d.rvs(1000, seed=1)
     lo, hi = t1_search_interval(d, cm)
     t1s = lo + np.arange(1, 5001) * (hi - lo) / 5000
     grid = ReservationBatch.from_grid(t1s, d, cm, float(samples.max()))
+    bf = BruteForce(m_grid=5000, n_samples=1000)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         summary = batch_expected_costs(grid, samples, cm)
+        scan = bf.scan(d, cm, samples=samples)
+    assert (scan.best_t1, scan.best_cost) == bf.best_candidate(d, cm, samples=samples)
     with np.errstate(over="ignore", invalid="ignore"):
         costs = batch_cost_matrix(grid, samples, cm)
         means = costs.mean(axis=1)

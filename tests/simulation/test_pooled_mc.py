@@ -1,7 +1,7 @@
 """One pooled Monte-Carlo path behind one backend resolver.
 
-Every pool — thread, process, the process pool ``"auto"`` selects, or a
-caller's own :class:`ExecutionBackend` — runs the same worker-draw chunk
+Every pool — thread, process, or a caller's own
+:class:`ExecutionBackend` — runs the same worker-draw chunk
 task on the same ``SeedSequence``-spawned streams, and every kernel
 normalizes ``backend=``/``jobs=`` through
 :func:`repro.service.pool.resolve_backend`.  So:
@@ -9,7 +9,7 @@ normalizes ``backend=``/``jobs=`` through
 * the pooled single-sequence estimate is bit-identical on every pool for a
   fixed ``(seed, jobs)``, for every paper law x strategy the planner serves
   (including bounded laws whose extenders only converge toward the bound);
-* the batched kernels and the spot evaluator are bit-identical on every
+* ``monte_carlo_many`` and the spot evaluator are bit-identical on every
   backend form, and pools a kernel creates from a name are closed on exit.
 """
 
@@ -30,22 +30,13 @@ from repro.platforms.spot import (
     SpotScenario,
     spot_monte_carlo_cost,
 )
-from repro.platforms.spot import evaluator as spot_evaluator
 from repro.service.pool import (
-    AutoBackend,
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
     ThreadBackend,
-    effective_cpu_count,
 )
-from repro.simulation import batch as batch_module
-from repro.simulation import monte_carlo as mc_module
-from repro.simulation.batch import (
-    ReservationBatch,
-    batch_expected_costs,
-    monte_carlo_many,
-)
+from repro.simulation.batch import monte_carlo_many
 from repro.simulation.monte_carlo import monte_carlo_expected_cost
 from repro.strategies.registry import PAPER_STRATEGY_ORDER, make_strategy
 
@@ -102,7 +93,7 @@ def test_thread_process_and_many_agree_bit_for_bit(law, strategy, pools):
 
 
 # ----------------------------------------------------------------------
-# Three kernels x every backend form
+# Three pooled kernels x every backend form
 # ----------------------------------------------------------------------
 class _InlineBackend(ExecutionBackend):
     """A minimal caller-defined backend: inline ``map``, no pool at all."""
@@ -123,11 +114,9 @@ FORMS = {
     "serial": "serial",
     "thread": "thread",
     "process": "process",
-    "auto": "auto",
     "SerialBackend": lambda: SerialBackend(),
     "ThreadBackend": lambda: ThreadBackend(JOBS),
     "ProcessBackend": lambda: ProcessBackend(JOBS),
-    "AutoBackend": lambda: AutoBackend(JOBS),
     "custom": lambda: _InlineBackend(),
 }
 
@@ -151,15 +140,6 @@ def _mc_serial():
     return monte_carlo_expected_cost(seq, LAW, CM, n_samples=3000, seed=11)
 
 
-def _moments(backend):
-    times = LAW.rvs(2000, seed=3)
-    grid = ReservationBatch.from_sequences(_sequences(), cover=float(times.max()))
-    out = batch_expected_costs(grid, times, CM, backend=backend, jobs=JOBS)
-    return (
-        out.mean_cost.tolist(), out.std_error.tolist(), out.max_index.tolist()
-    )
-
-
 def _many(backend):
     return monte_carlo_many(
         _sequences(), LAW, CM, n_samples=400, seed=5, backend=backend,
@@ -178,15 +158,7 @@ def _spot(backend):
     )
 
 
-KERNELS = {"mc": _mc, "moments": _moments, "many": _many, "spot": _spot}
-
-
-def _mc_runs_serial(form: str) -> bool:
-    """Forms that resolve to no pool, where the MC estimate is the serial
-    kernel (a different sample set from the pooled chunks)."""
-    if form in ("serial", "SerialBackend"):
-        return True
-    return form in ("auto", "AutoBackend") and effective_cpu_count() < 2
+KERNELS = {"mc": _mc, "many": _many, "spot": _spot}
 
 
 def _live_workers():
@@ -199,16 +171,13 @@ def _live_workers():
 
 @pytest.mark.parametrize("form", list(FORMS))
 @pytest.mark.parametrize("kernel", list(KERNELS))
-def test_every_backend_form_matches_the_reference(kernel, form, monkeypatch):
-    # Let "auto" engage the process pool at these small sizes.
-    monkeypatch.setattr(mc_module, "AUTO_PROCESS_MIN_SAMPLES", 1)
-    monkeypatch.setattr(batch_module, "AUTO_PROCESS_MIN_ELEMENTS", 1)
-    monkeypatch.setattr(spot_evaluator, "SPOT_AUTO_PROCESS_MIN_PATHS", 1)
+def test_every_backend_form_matches_the_reference(kernel, form):
     run = KERNELS[kernel]
     if kernel == "mc":
         # jobs=2 with no backend means threads, so both MC references are
-        # explicit: the serial kernel, or the chunks mapped inline.
-        serial = _mc_runs_serial(form)
+        # explicit: the serial kernel (for the forms that resolve to no
+        # pool), or the chunks mapped inline.
+        serial = form in ("serial", "SerialBackend")
         reference = _mc_serial() if serial else run(_InlineBackend())
     else:
         reference = run(None)
