@@ -36,8 +36,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
         description=(
-            "AST-based reproducibility lint: per-file rules RS102, RS103, "
-            "RS105 and RS106 plus call-graph dataflow rules RS201-RS204."
+            "AST-based reproducibility lint: per-file rule RS102, "
+            "whole-project rule RS106, and call-graph dataflow rules "
+            "RS201-RS204."
         ),
     )
     parser.add_argument(
@@ -155,6 +156,7 @@ def run(argv: Optional[List[str]] = None) -> int:
     ignored = set(_split_ids(args.ignore) or ())
     try:
         rules = all_rules(selected)
+        all_rules(sorted(ignored))  # an unknown --ignore id fails the same way
     except KeyError as exc:
         print(f"repro-lint: {exc.args[0]}", file=sys.stderr)
         return 2

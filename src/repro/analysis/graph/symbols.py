@@ -80,9 +80,11 @@ class Guard:
     """One ``except`` handler lexically enclosing a site (or in a function).
 
     ``types`` holds the dotted source text of each caught type (empty for a
-    bare ``except:``).  ``terminal`` means a propagating exception *stops*
-    here: the handler is broad, does not re-raise, and demonstrably uses
-    the error (so it is not an RS105-style swallow).
+    bare ``except:``).  ``swallows`` means the handler is broad (bare,
+    ``Exception`` or ``BaseException``, alone or in a tuple), does not
+    re-raise, and never uses the error it binds: RS203 reports every such
+    handler.  ``terminal`` means a propagating exception *stops* here: the
+    handler is broad, does not re-raise, and demonstrably uses the error.
     """
 
     lineno: int
@@ -536,6 +538,8 @@ class _FunctionCollector(ast.NodeVisitor):
         for stmt in node.finalbody:
             self.visit(stmt)
 
+    visit_TryStar = visit_Try  # type: ignore[assignment]
+
     def visit_Global(self, node: ast.Global) -> None:
         if self.summary.has_global_write is None:
             self.summary.has_global_write = node.lineno
@@ -599,14 +603,16 @@ class _FunctionCollector(ast.NodeVisitor):
     visit_AsyncFunctionDef = visit_FunctionDef  # type: ignore[assignment]
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        # Classes nested in functions are rare and out of analysis scope;
-        # still record their methods as nested functions for completeness.
+        # A nested class's methods become nested functions; the rest of its
+        # body runs where the class statement stands, so it counts here.
         locks = _class_locks(node, self.module_summary.imports)
         for item in node.body:
             if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self.nested_sink.append(
                     (item, self.summary.qname, node.name, locks)
                 )
+            else:
+                self.visit(item)
 
     def visit_header(self, node: Union[_Def, ast.ClassDef]) -> None:
         """What a ``def``/``class`` statement evaluates where it stands:

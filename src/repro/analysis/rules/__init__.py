@@ -18,8 +18,6 @@ _REGISTRY: Dict[str, Type[Rule]] = {}
 
 _BUILTIN_MODULES = (
     "repro.analysis.rules.rs102_float_eq",
-    "repro.analysis.rules.rs103_protocol",
-    "repro.analysis.rules.rs105_except",
     "repro.analysis.rules.rs106_metric_names",
     "repro.analysis.rules.rs201_seed_taint",
     "repro.analysis.rules.rs202_lock_order",

@@ -4,8 +4,8 @@ Two rule kinds:
 
 * :class:`Rule` — runs once per file against its AST (most rules);
 * :class:`ProjectRule` — runs once against *all* parsed files, for
-  cross-module checks (RS103 protocol conformance against the distribution
-  registry, RS106 metric names against the canonical names module).
+  cross-module checks (RS106 metric names against the canonical names
+  module; :class:`GraphRule`, the call-graph rules, builds on it).
 
 Both yield :class:`~repro.analysis.finding.Finding` objects; the engine
 owns suppression and baseline handling, so rules stay pure functions of
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import abc
 import ast
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.analysis.finding import Finding, SourceFile
 
@@ -26,8 +26,6 @@ __all__ = [
     "GraphRule",
     "dotted_name",
     "ImportMap",
-    "walk_classes",
-    "method_defs",
 ]
 
 
@@ -140,32 +138,6 @@ class ImportMap:
         head, _, rest = dotted.partition(".")
         canonical_head = self.aliases.get(head, head)
         return f"{canonical_head}.{rest}" if rest else canonical_head
-
-
-def walk_classes(tree: ast.AST) -> Iterator[ast.ClassDef]:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef):
-            yield node
-
-
-def method_defs(cls: ast.ClassDef) -> Dict[str, ast.FunctionDef]:
-    """Directly defined (non-nested) methods of a class, by name."""
-    return {
-        item.name: item
-        for item in cls.body
-        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-    }
-
-
-def positional_arity(fn: ast.FunctionDef) -> Tuple[int, int]:
-    """(required, total) positional parameter counts, excluding ``self``."""
-    args = fn.args
-    positional = list(args.posonlyargs) + list(args.args)
-    if positional and positional[0].arg in ("self", "cls"):
-        positional = positional[1:]
-    total = len(positional)
-    required = total - len(args.defaults)
-    return max(0, required), total
 
 
 def contains_parts(parts: Iterable[str], wanted: Iterable[str]) -> bool:

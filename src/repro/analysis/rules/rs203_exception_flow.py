@@ -1,4 +1,5 @@
-"""RS203 — every injected fault must reach a real handler.
+"""RS203 — every injected fault must reach a real handler, and no broad
+handler may drop the error it catches.
 
 PR 5's contract is that chaos runs degrade gracefully: an
 :class:`~repro.resilience.faults.InjectedFault` raised at any of the
@@ -16,12 +17,18 @@ This rule walks the *reverse* call graph from each fault-injection site:
 * a guard that catches but **re-raises** (``RetryPolicy`` exhausting its
   attempts, the journal compactor's ``BaseException``+``raise`` cleanup) is
   a waypoint, not a stop — ascent continues through its callers;
-* a broad guard that catches and **ignores** the error is reported as an
-  RS105-style swallow *on a fault path* — worse than a crash, because
-  chaos CI can no longer see the fault at all;
+* a broad guard that catches and **ignores** the error is a swallow — worse
+  than a crash, because chaos CI can no longer see the fault at all;
 * reaching a function with **no callers** without ever meeting a
   terminal guard means the fault escapes uncaught — reported with the
   escape roots.
+
+Swallows are reported for every handler in the tree — function bodies and
+module-level code alike — once each.  The reverse walk only decides the
+message: a swallow on a fault path names the fault site it hides; any
+other asks for the handler to narrow, re-raise, or record the error.  An
+intentionally broad guard keeps an inline
+``# repro-lint: disable=RS203 -- reason``.
 
 Callback edges count as real calls (``backend.map`` really invokes the
 chunk task), with the *caller's* handlers applied conservatively since
@@ -55,14 +62,23 @@ def _same_subpackage(a: str, b: str) -> bool:
 class ExceptionFlowRule(GraphRule):
     rule_id = "RS203"
     summary = (
-        "fault-injection site not dominated by a terminal handler "
-        "(escapes uncaught or dies in a swallow)"
+        "fault-injection site not dominated by a terminal handler, or a "
+        "bare/over-broad except that drops the error"
     )
 
     def check_graph(self, graph: CallGraph) -> Iterator[Finding]:
+        # (path, guard line) -> the first fault site found dying there.
+        hidden: Dict[Tuple[str, int], Tuple[FunctionSummary, FaultSite]] = {}
         for fn in graph.functions.values():
             for fault in fn.fault_sites:
-                yield from self._trace(graph, fn, fault)
+                yield from self._trace(graph, fn, fault, hidden)
+        bodies = [m.body for m in graph.modules.values() if m.body is not None]
+        for where in [*graph.functions.values(), *bodies]:
+            for guard in where.guards:
+                if guard.swallows:
+                    yield self._swallow_finding(
+                        where, guard, hidden.get((where.path, guard.lineno))
+                    )
 
     # -- guard evaluation ------------------------------------------------
     def _apply_guards(
@@ -83,19 +99,23 @@ class ExceptionFlowRule(GraphRule):
 
     # -- the reverse walk ------------------------------------------------
     def _trace(
-        self, graph: CallGraph, fn: FunctionSummary, fault: FaultSite
+        self,
+        graph: CallGraph,
+        fn: FunctionSummary,
+        fault: FaultSite,
+        hidden: Dict[Tuple[str, int], Tuple[FunctionSummary, FaultSite]],
     ) -> Iterator[Finding]:
+        """Walk callers from ``fault``; record the swallows it dies in
+        (into ``hidden``) and yield a finding if it escapes uncaught."""
         outcome, guard = self._apply_guards(fault.guards)
         if outcome == "stopped":
             return
         if outcome == "swallowed":
             assert guard is not None
-            yield self._swallow_finding(fn, fault, fn, guard)
+            hidden.setdefault((fn.path, guard.lineno), (fn, fault))
             return
 
         escape_roots: List[str] = []
-        swallows: List[Tuple[FunctionSummary, Guard]] = []
-        swallow_seen: Set[Tuple[str, int]] = set()
         visited: Set[str] = {fn.qname}
         frontier: List[str] = [fn.qname]
         while frontier:
@@ -125,17 +145,12 @@ class ExceptionFlowRule(GraphRule):
                     continue
                 if outcome == "swallowed":
                     assert guard is not None
-                    key = (caller.qname, guard.lineno)
-                    if key not in swallow_seen:
-                        swallow_seen.add(key)
-                        swallows.append((caller, guard))
+                    hidden.setdefault((caller.path, guard.lineno), (fn, fault))
                     continue
                 if caller.qname not in visited:
                     visited.add(caller.qname)
                     frontier.append(caller.qname)
 
-        for where, guard in swallows:
-            yield self._swallow_finding(fn, fault, where, guard)
         if escape_roots:
             roots = ", ".join(f"`{r}`" for r in sorted(escape_roots)[:3])
             yield self.graph_finding(
@@ -149,16 +164,24 @@ class ExceptionFlowRule(GraphRule):
 
     def _swallow_finding(
         self,
-        origin: FunctionSummary,
-        fault: FaultSite,
         where: FunctionSummary,
         guard: Guard,
+        hides: Optional[Tuple[FunctionSummary, FaultSite]],
     ) -> Finding:
-        return self.graph_finding(
-            where.path,
-            guard.lineno,
-            1,
-            f"broad handler silently swallows fault site '{fault.site}' "
-            f"(injected in `{origin.qname}`); chaos runs cannot observe "
-            "the fault — record, re-raise, or degrade explicitly",
-        )
+        if hides is not None:
+            origin, fault = hides
+            message = (
+                f"broad handler silently swallows fault site '{fault.site}' "
+                f"(injected in `{origin.qname}`); chaos runs cannot observe "
+                "the fault — record, re-raise, or degrade explicitly"
+            )
+        else:
+            caught = ", ".join(guard.types)
+            if len(guard.types) > 1:
+                caught = f"({caught})"
+            what = f"`except {caught}`" if guard.types else "bare `except:`"
+            message = (
+                f"{what} drops the error; narrow the exception types, "
+                "re-raise, or record the error"
+            )
+        return self.graph_finding(where.path, guard.lineno, 1, message)

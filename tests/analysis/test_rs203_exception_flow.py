@@ -1,4 +1,9 @@
-"""RS203: injected faults must be dominated by a terminal handler."""
+"""RS203: injected faults must be dominated by a terminal handler, and no
+broad handler may drop the error it catches."""
+
+import textwrap
+
+import pytest
 
 from tests.analysis.conftest import rule_ids
 
@@ -219,6 +224,121 @@ def test_inline_suppression_lands_in_suppressed(lint):
                     faults.fire("db.write")  # repro-lint: disable=RS203 -- raising is this API's contract
             """,
         },
+        rule="RS203",
+    )
+    assert result.findings == []
+    assert [f.rule for f in result.suppressed] == ["RS203"]
+
+
+def test_guard_swallowing_two_fault_sites_is_reported_once(lint):
+    result = lint(
+        {
+            "resilience/worker.py": """\
+                from resilience import faults
+
+                def read():
+                    faults.fire("db.read")
+
+                def write():
+                    faults.fire("db.write")
+
+                def main():
+                    try:
+                        read()
+                        write()
+                    except Exception:
+                        pass
+            """,
+        },
+        rule="RS203",
+    )
+    assert rule_ids(result) == ["RS203"]
+    assert result.findings[0].line == 13
+    assert "swallows fault site 'db.read'" in result.findings[0].message
+
+
+# -- swallows off any fault path ---------------------------------------------
+#
+# Every broad handler that drops its error is reported, whether or not a
+# fault site reaches it; only the message differs.
+
+#: fixture name -> (how the message names the handler, source)
+_SWALLOWS = {
+    "bare_except_pass": ("bare `except:`", """\
+        def f():
+            try:
+                risky()
+            except:
+                pass
+    """),
+    "unused_binding": ("`except Exception`", """\
+        def f():
+            try:
+                risky()
+            except Exception as exc:
+                return None
+    """),
+    "broad_in_tuple": ("`except (ValueError, Exception)`", """\
+        def f():
+            try:
+                risky()
+            except (ValueError, Exception):
+                return 0
+    """),
+    "module_level": ("bare `except:`", """\
+        import sys
+
+        try:
+            import yaml
+        except:
+            pass
+    """),
+    "nested_class_body": ("`except Exception`", """\
+        def f():
+            class Inner:
+                try:
+                    x = compute()
+                except Exception:
+                    x = None
+            return Inner
+    """),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SWALLOWS))
+def test_swallow_fires(lint, name):
+    what, source = _SWALLOWS[name]
+    source = textwrap.dedent(source)
+    result = lint({"mod.py": source}, rule="RS203")
+    assert rule_ids(result) == ["RS203"]
+    finding = result.findings[0]
+    assert source.splitlines()[finding.line - 1].lstrip().startswith("except")
+    assert finding.message.startswith(f"{what} drops the error; narrow")
+
+
+@pytest.mark.parametrize(
+    "handler",
+    [
+        "except (ValueError, ArithmeticError):\n        return 0",
+        'except Exception as exc:\n        raise RuntimeError("boom") from exc',
+        'except Exception as exc:\n        log.warning("failed: %s", exc)',
+    ],
+    ids=["narrow", "reraise", "uses_error"],
+)
+def test_kept_error_passes(lint, handler):
+    source = f"def f(log):\n    try:\n        risky()\n    {handler}\n"
+    assert lint({"mod.py": source}, rule="RS203").findings == []
+
+
+def test_swallow_suppression_lands_in_suppressed(lint):
+    result = lint(
+        {"mod.py": """\
+            def f():
+                try:
+                    risky()
+                except Exception:  # repro-lint: disable=RS203 -- best-effort cleanup
+                    pass
+        """},
         rule="RS203",
     )
     assert result.findings == []

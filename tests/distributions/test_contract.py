@@ -3,16 +3,57 @@
 These validate the closed forms of Table 5 / Appendix B against generic
 numerics: CDF/quantile inversion, moment identities via survival-function
 integration, conditional expectations versus quadrature, and sampling
-consistency.
+consistency.  ``TestProtocol`` checks, class by class, that every
+registered law implements the protocol the planner, the plan-cache key and
+the Monte-Carlo kernel call, with base-compatible signatures.
 """
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from repro.distributions.base import SupportError
+from repro.distributions.base import Distribution, SupportError
+from repro.distributions.exponential import Exponential
+from repro.distributions.registry import DISTRIBUTION_FACTORIES
+
+#: method -> positional arguments (after ``self``) it must accept.  Extra
+#: parameters are allowed when they have defaults (``rvs``'s ``seed``).
+PROTOCOL = {
+    "support": 0,
+    "pdf": 1,
+    "cdf": 1,
+    "sf": 1,
+    "quantile": 1,
+    "mean": 0,
+    "var": 0,
+    "rvs": 1,
+    "params": 0,
+}
+
+
+def protocol_violations(cls):
+    """Why ``cls`` breaks the distribution protocol (empty if it does not).
+
+    ``getattr`` alone would find an abstract base method and pass, so a
+    missing method shows up in ``__abstractmethods__`` instead.
+    """
+    problems = [
+        f"`{name}` is abstract"
+        for name in sorted(getattr(cls, "__abstractmethods__", ()))
+    ]
+    for name, n_args in PROTOCOL.items():
+        method = getattr(cls, name, None)
+        if method is None:
+            problems.append(f"`{name}` is missing")
+            continue
+        try:
+            inspect.signature(method).bind(*range(n_args + 1))
+        except TypeError:
+            problems.append(f"`{name}` cannot take {n_args} positional args")
+    return problems
 
 
 def _probe_points(dist, n=7):
@@ -217,3 +258,38 @@ class TestDescribe:
 
     def test_repr_contains_class(self, any_distribution):
         assert type(any_distribution).__name__ in repr(any_distribution)
+
+
+class TestProtocol:
+    @pytest.mark.parametrize("name", sorted(DISTRIBUTION_FACTORIES))
+    def test_registered_law_implements_protocol(self, name):
+        assert protocol_violations(DISTRIBUTION_FACTORIES[name]) == []
+
+    def test_missing_method_is_reported(self):
+        class NoQuantile(Distribution):
+            def support(self):
+                return 0.0, 1.0
+
+            def pdf(self, t):
+                return 1.0
+
+            def cdf(self, t):
+                return t
+
+        assert protocol_violations(NoQuantile) == ["`quantile` is abstract"]
+
+    def test_narrowed_signature_is_reported(self):
+        class Narrow(Exponential):
+            def pdf(self, t, extra):
+                return super().pdf(t)
+
+        assert protocol_violations(Narrow) == [
+            "`pdf` cannot take 1 positional args"
+        ]
+
+    def test_extra_defaulted_parameters_are_allowed(self):
+        class Wide(Exponential):
+            def quantile(self, q, method="exact"):
+                return super().quantile(q)
+
+        assert protocol_violations(Wide) == []
