@@ -21,12 +21,11 @@ RS204    impure calls reachable from plan-key hashing
 Distribution protocol conformance is a runtime contract test over the
 registry (``tests/distributions/test_contract.py``), not a lint rule.
 
-See ``docs/ANALYSIS.md`` for the full rule catalogue, the suppression
-syntax (``# repro-lint: disable=RS102 -- reason``), and the baseline
-ratchet workflow.
+See ``docs/ANALYSIS.md`` for the full rule catalogue and the suppression
+syntax (``# repro-lint: disable=RS102 -- reason``), the one way to
+tolerate a finding.
 """
 
-from repro.analysis.baseline import Baseline, DEFAULT_BASELINE_NAME
 from repro.analysis.engine import AnalysisResult, analyze_paths, collect_files
 from repro.analysis.finding import Finding, SourceFile
 from repro.analysis.reporters import Report, render_json, render_text
@@ -34,8 +33,6 @@ from repro.analysis.rules import all_rules, rule_classes
 
 __all__ = [
     "AnalysisResult",
-    "Baseline",
-    "DEFAULT_BASELINE_NAME",
     "Finding",
     "Report",
     "SourceFile",

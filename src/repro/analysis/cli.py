@@ -2,15 +2,18 @@
 
 Exit codes:
 
-* ``0`` — no new findings (baselined/suppressed findings may exist);
-* ``1`` — new findings (or parse errors, which are always new);
-* ``2`` — usage error (bad path, unknown rule, corrupt baseline).
+* ``0`` — no findings (inline-suppressed findings may exist);
+* ``1`` — findings, or files that do not parse;
+* ``2`` — usage error (bad path, unknown rule id, unknown option).
+
+A finding is either fixed or carries a reasoned inline
+``# repro-lint: disable=RSxxx -- reason``; there is no other way to
+tolerate one.
 
 Typical invocations::
 
     repro-lint src/                        # gate: human output, exit code
     repro-lint src/ --format json -o r.json  # CI artifact
-    repro-lint src/ --write-baseline       # adopt current findings as debt
     repro-lint --list-rules
 """
 
@@ -21,7 +24,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.analysis.baseline import Baseline, DEFAULT_BASELINE_NAME
 from repro.analysis.engine import analyze_paths
 from repro.analysis.reporters import Report, render_json, render_text
 from repro.analysis.rules import all_rules, rule_classes
@@ -59,22 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         default=None,
         help="write the report to FILE instead of stdout",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=None,
-        help=f"baseline file (default: ./{DEFAULT_BASELINE_NAME} if present)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file; every finding is new",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="record current findings as the new baseline and exit 0",
     )
     parser.add_argument(
         "--select",
@@ -116,24 +102,12 @@ def _split_ids(spec: Optional[str]) -> Optional[List[str]]:
     return [part.strip() for part in spec.split(",") if part.strip()]
 
 
-def _resolve_baseline_path(args) -> Optional[str]:
-    if args.no_baseline:
-        return None
-    if args.baseline is not None:
-        return args.baseline
-    default = Path(DEFAULT_BASELINE_NAME)
-    return str(default) if default.exists() or args.write_baseline else None
-
-
-def _write_graph(path: str, graph, new, baselined) -> None:
+def _write_graph(path: str, graph, findings) -> None:
     """The ``--graph`` artifact: call graph + findings, one JSON file."""
     import json
 
     doc = graph.to_json()
-    doc["findings"] = {
-        "new": [f.to_dict() for f in new],
-        "baselined": [f.to_dict() for f in baselined],
-    }
+    doc["findings"] = [f.to_dict() for f in findings]
     Path(path).write_text(
         json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
@@ -179,34 +153,14 @@ def run(argv: Optional[List[str]] = None) -> int:
             f"({s.resolution_rate:.1%} intra-project resolution)"
         )
 
-    fingerprinted = result.fingerprinted()
-    baseline_path = _resolve_baseline_path(args)
-
-    if args.write_baseline:
-        path = baseline_path or DEFAULT_BASELINE_NAME
-        n = Baseline().save(path, fingerprinted)
-        print(f"repro-lint: wrote baseline with {n} entr(y/ies) to {path}")
-        # Parse errors still fail the run: they cannot be baselined.
-        return 1 if result.parse_errors else 0
-
-    try:
-        baseline = Baseline.load(baseline_path) if baseline_path else Baseline()
-    except (ValueError, OSError) as exc:
-        print(f"repro-lint: bad baseline: {exc}", file=sys.stderr)
-        return 2
-
-    new, baselined, stale = baseline.partition(fingerprinted)
     report = Report(
         n_files=result.n_files,
-        new=new,
-        baselined=baselined,
+        findings=result.findings,
         suppressed=result.suppressed,
-        stale_fingerprints=stale,
-        baseline=baseline,
     )
 
     if args.graph is not None and result.graph is not None:
-        _write_graph(args.graph, result.graph, new, baselined)
+        _write_graph(args.graph, result.graph, report.findings)
 
     rendered = (
         render_json(report) if args.format == "json" else render_text(report)
@@ -219,7 +173,7 @@ def run(argv: Optional[List[str]] = None) -> int:
         # Keep the terminal verdict one line so CI logs stay scannable.
         print(
             f"repro-lint: report written to {args.output} "
-            f"({len(report.new)} new finding(s))"
+            f"({len(report.findings)} finding(s))"
         )
     else:
         print(rendered)

@@ -1,9 +1,18 @@
 """The ``repro-lint`` engine: file collection, parsing, rule dispatch.
 
 The engine owns everything the rules should not care about — walking
-directories, parsing source, honoring inline suppressions, pairing each
-finding with the fingerprint the baseline matches on — so rules stay pure
-AST-to-findings functions.
+directories, parsing source, naming each module, honoring inline
+suppressions — so rules stay pure AST-to-findings functions.
+
+Module naming
+    A file's dotted module name is derived from the longest chain of
+    parent directories that each contain an ``__init__.py`` *within the
+    scanned set* (``src/repro/service/planner.py`` → ``repro.service
+    .planner`` when ``src/`` itself has no ``__init__.py``).  Bare fixture
+    trees without ``__init__.py`` fall back to the full path-derived name.
+    The name is computed once, here, and carried on
+    :attr:`SourceFile.module`; the import resolver and the call graph both
+    read it.
 
 Dependency-free by design (``ast`` + ``tokenize`` only): the linter has to
 run in CI images and pre-commit hooks that install nothing beyond the
@@ -16,7 +25,7 @@ import ast
 import os
 from dataclasses import dataclass, field
 from pathlib import Path, PurePosixPath
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.finding import PARSE_ERROR_RULE, Finding, SourceFile
 from repro.analysis.graph import CallGraph, build_graph
@@ -24,7 +33,14 @@ from repro.analysis.rules import ProjectRule, Rule, all_rules
 from repro.analysis.rules.base import GraphRule
 from repro.analysis.suppress import parse_suppressions
 
-__all__ = ["AnalysisResult", "analyze_paths", "collect_files", "load_source"]
+__all__ = [
+    "AnalysisResult",
+    "analyze_paths",
+    "collect_files",
+    "load_source",
+    "load_sources",
+    "module_name_for",
+]
 
 _SKIP_DIRS = {
     ".git",
@@ -40,7 +56,7 @@ _SKIP_DIRS = {
 
 @dataclass
 class AnalysisResult:
-    """Everything one run produced, before baseline policy is applied."""
+    """Everything one run produced: sources, findings, suppressed findings."""
 
     sources: List[SourceFile] = field(default_factory=list)
     findings: List[Finding] = field(default_factory=list)
@@ -55,16 +71,6 @@ class AnalysisResult:
     @property
     def parse_errors(self) -> List[Finding]:
         return [f for f in self.findings if f.rule == PARSE_ERROR_RULE]
-
-    def fingerprinted(self) -> List[Tuple[Finding, str]]:
-        """Findings paired with their baseline fingerprints."""
-        by_path: Dict[str, SourceFile] = {s.path: s for s in self.sources}
-        out = []
-        for finding in self.findings:
-            source = by_path.get(finding.path)
-            line_text = source.line_text(finding.line) if source else ""
-            out.append((finding, finding.fingerprint(line_text)))
-        return out
 
 
 def _display_path(path: Path) -> str:
@@ -96,7 +102,11 @@ def collect_files(paths: Sequence[str]) -> List[Path]:
 
 
 def load_source(path: Path) -> SourceFile:
-    """Read + parse one file; a syntax error becomes a parse-error source."""
+    """Read + parse one file; a syntax error becomes a parse-error source.
+
+    The module name is left empty: :func:`load_sources` names a whole file
+    set, which is what relative imports and the call graph need.
+    """
     display = _display_path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -118,6 +128,40 @@ def load_source(path: Path) -> SourceFile:
     )
 
 
+def module_name_for(path: str, packages: Set[Tuple[str, ...]]) -> str:
+    """Dotted module name for ``path`` given the scanned package dirs."""
+    parts = PurePosixPath(path).parts
+    dirs, name = parts[:-1], parts[-1]
+    stem = name[:-3] if name.endswith(".py") else name
+    # Longest chain of trailing dirs that are all packages.
+    start = len(dirs)
+    for i in range(len(dirs)):
+        if all(dirs[:j] in packages for j in range(i + 1, len(dirs) + 1)):
+            start = i
+            break
+    pkg_parts = dirs[start:]
+    if not pkg_parts and not packages:
+        # Bare tree (e.g. test fixtures): fall back to the path-derived name
+        # so relative imports still have a package to resolve against.
+        pkg_parts = dirs
+    if stem == "__init__":
+        return ".".join(pkg_parts) if pkg_parts else stem
+    return ".".join((*pkg_parts, stem))
+
+
+def load_sources(paths: Sequence[str]) -> List[SourceFile]:
+    """Load every ``.py`` file under ``paths``, each named by its module."""
+    sources = [load_source(path) for path in collect_files(paths)]
+    packages = {
+        PurePosixPath(s.path).parts[:-1]
+        for s in sources
+        if PurePosixPath(s.path).name == "__init__.py"
+    }
+    for source in sources:
+        source.module = module_name_for(source.path, packages)
+    return sources
+
+
 def analyze_paths(
     paths: Sequence[str],
     rules: Optional[Iterable[Rule]] = None,
@@ -127,7 +171,7 @@ def analyze_paths(
 
     Inline suppressions are applied here: suppressed findings land in
     ``result.suppressed``.  Parse errors are reported as rule ``E001`` and
-    can be neither suppressed nor baselined.
+    cannot be suppressed.
 
     The call graph is built at most once per run — shared by every
     :class:`GraphRule` and kept on ``result.graph``.  ``with_graph=True``
@@ -135,9 +179,7 @@ def analyze_paths(
     ``--graph``/``--stats`` artifacts need it).
     """
     rule_list = list(rules) if rules is not None else all_rules()
-    result = AnalysisResult()
-    for path in collect_files(paths):
-        result.sources.append(load_source(path))
+    result = AnalysisResult(sources=load_sources(paths))
 
     for source in result.sources:
         if source.parse_error is not None:

@@ -1,26 +1,21 @@
 """Finding and source-file primitives shared by the ``repro.analysis`` engine.
 
 A :class:`Finding` is one rule violation at one source location.  Findings
-are value objects: the engine produces them, the baseline fingerprints them,
-and the reporters render them — none of those layers mutates them.
-
-Fingerprints deliberately ignore the line *number* and hash the line
-*content* instead, so a committed baseline survives unrelated edits above a
-legacy finding (the ratchet only trips when new violations appear).
+are value objects: the engine produces them and the reporters render them —
+neither mutates them.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 from dataclasses import dataclass, field
 from pathlib import PurePosixPath
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 __all__ = ["Finding", "SourceFile", "PARSE_ERROR_RULE"]
 
 #: Pseudo-rule id attached to files the engine cannot parse.  Parse errors
-#: can never be baselined or suppressed — broken syntax blocks everything.
+#: can never be suppressed — broken syntax blocks everything.
 PARSE_ERROR_RULE = "E001"
 
 
@@ -33,11 +28,6 @@ class Finding:
     line: int
     col: int
     message: str
-
-    def fingerprint(self, line_text: str = "") -> str:
-        """Stable identity for baseline matching (line-number independent)."""
-        basis = "\x1f".join((self.rule, self.path, line_text.strip()))
-        return hashlib.sha256(basis.encode("utf-8")).hexdigest()[:20]
 
     def sort_key(self) -> Tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.rule)
@@ -54,12 +44,16 @@ class Finding:
 
 @dataclass
 class SourceFile:
-    """One parsed module: path, text, AST, and per-line suppressions.
+    """One parsed module: path, dotted module name, text, AST, and per-line
+    suppressions.
 
     ``parts`` are the posix path segments relative to the analysis root —
     rules use them for scoping (e.g. RS102 only looks at files under a
     ``core/``, ``strategies/`` or ``distributions/`` directory), which keeps
     the rules testable against fixture trees laid out the same way.
+    ``module`` is the dotted name the engine gives the file
+    (:func:`repro.analysis.engine.load_sources`); relative imports resolve
+    against it.
     """
 
     path: str
@@ -68,18 +62,11 @@ class SourceFile:
     #: line -> set of rule ids disabled on that line ("all" disables every rule)
     suppressions: Dict[int, set] = field(default_factory=dict)
     parse_error: Optional[str] = None
+    module: str = ""
 
     @property
     def parts(self) -> Tuple[str, ...]:
         return PurePosixPath(self.path).parts
-
-    @property
-    def lines(self) -> List[str]:
-        return self.text.splitlines()
-
-    def line_text(self, lineno: int) -> str:
-        lines = self.text.splitlines()
-        return lines[lineno - 1] if 1 <= lineno <= len(lines) else ""
 
     def is_suppressed(self, rule: str, line: int) -> bool:
         disabled = self.suppressions.get(line)

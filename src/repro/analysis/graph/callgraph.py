@@ -1,19 +1,14 @@
-"""Module naming, symbol table, and call-site resolution.
+"""Symbol table, call-site resolution, and reachability.
 
 :func:`build_graph` turns the engine's parsed :class:`SourceFile` set into
 a :class:`CallGraph`: every function summarized (:mod:`.symbols`), every
 call site classified, and an edge list the RS2xx rules traverse.
 
-Module naming
-    A file's dotted module name is derived from the longest chain of
-    parent directories that each contain an ``__init__.py`` *within the
-    scanned set* (``src/repro/service/planner.py`` → ``repro.service
-    .planner`` when ``src/`` itself has no ``__init__.py``).  Bare fixture
-    trees without ``__init__.py`` fall back to the full path-derived name,
-    and a dotted-*suffix* index bridges the difference when imports in the
-    fixture say ``pkg.helpers`` but the derived name is ``tmp.pkg
-    .helpers`` — an exact match wins, a unique suffix match is accepted,
-    an ambiguous suffix stays unresolved.
+Modules are keyed by :attr:`SourceFile.module`, the dotted name the
+engine gives each file.  A dotted-*suffix* index bridges fixture trees
+whose imports say ``pkg.helpers`` while the path-derived name is ``tmp
+.pkg.helpers``: an exact match wins, a unique suffix match is accepted,
+an ambiguous suffix stays unresolved.
 
 Call-site classification (the ``--stats`` buckets)
     * ``resolved`` — at least one project function identified, via local /
@@ -43,9 +38,9 @@ Edges
 from __future__ import annotations
 
 import builtins
+from collections import deque
 from dataclasses import dataclass, field
-from pathlib import PurePosixPath
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.finding import SourceFile
 from repro.analysis.graph.symbols import (
@@ -53,12 +48,13 @@ from repro.analysis.graph.symbols import (
     ClassSummary,
     FunctionSummary,
     ModuleSummary,
+    resolve,
     summarize_module,
 )
 
-__all__ = ["Edge", "GraphStats", "CallGraph", "build_graph", "module_name_for"]
+__all__ = ["Edge", "GraphStats", "CallGraph", "build_graph"]
 
-GRAPH_SCHEMA_VERSION = 1
+GRAPH_SCHEMA_VERSION = 2
 
 _BUILTIN_NAMES = frozenset(dir(builtins))
 
@@ -164,53 +160,33 @@ class CallGraph:
     def canonical(self, module: str, dotted: str) -> str:
         """Map a dotted source name through the module's import aliases."""
         summary = self.modules.get(module)
-        if summary is None:
-            return dotted
-        head, _, rest = dotted.partition(".")
-        canonical_head = summary.imports.get(head, head)
-        return f"{canonical_head}.{rest}" if rest else canonical_head
+        return dotted if summary is None else resolve(summary.imports, dotted)
 
     # -- traversal -------------------------------------------------------
-    def callees_of(self, qname: str, kinds: Optional[Iterable[str]] = None) -> List[Edge]:
-        edges = self.out_edges.get(qname, [])
-        if kinds is None:
-            return list(edges)
-        wanted = set(kinds)
-        return [e for e in edges if e.kind in wanted]
+    def root_of(
+        self, roots: Iterable[str], skip_common_cha: bool = False
+    ) -> Dict[str, str]:
+        """Function qname -> the first of ``roots`` that reaches it.
 
-    def callers_of(self, qname: str, kinds: Optional[Iterable[str]] = None) -> List[Edge]:
-        edges = self.in_edges.get(qname, [])
-        if kinds is None:
-            return list(edges)
-        wanted = set(kinds)
-        return [e for e in edges if e.kind in wanted]
-
-    def reachable_from(
-        self,
-        roots: Iterable[str],
-        kinds: Optional[Iterable[str]] = None,
-        skip_common_cha: bool = False,
-    ) -> Set[str]:
-        """Forward closure over the edge list (roots included)."""
-        wanted = set(kinds) if kinds is not None else None
-        seen: Set[str] = set()
-        frontier = [q for q in roots if q in self.functions]
-        seen.update(frontier)
+        Breadth-first over every edge kind, roots in the order given (each
+        root maps to itself).  ``skip_common_cha`` drops CHA edges through
+        :data:`COMMON_METHOD_NAMES`, for rules that need precision.
+        """
+        via = {root: root for root in roots}
+        frontier = deque(via)
         while frontier:
-            current = frontier.pop()
+            current = frontier.popleft()
             for edge in self.out_edges.get(current, ()):
-                if wanted is not None and edge.kind not in wanted:
-                    continue
                 if (
                     skip_common_cha
                     and edge.kind == "cha"
                     and edge.callee.rsplit(".", 1)[-1] in COMMON_METHOD_NAMES
                 ):
                     continue
-                if edge.callee not in seen:
-                    seen.add(edge.callee)
+                if edge.callee not in via:
+                    via[edge.callee] = via[current]
                     frontier.append(edge.callee)
-        return seen
+        return via
 
     # -- serialization ---------------------------------------------------
     def to_json(self) -> Dict[str, object]:
@@ -240,40 +216,6 @@ class CallGraph:
                 )
             ],
         }
-
-
-# ---------------------------------------------------------------------------
-# Module naming
-# ---------------------------------------------------------------------------
-
-
-def _package_dirs(paths: Sequence[str]) -> Set[Tuple[str, ...]]:
-    return {
-        PurePosixPath(p).parts[:-1]
-        for p in paths
-        if PurePosixPath(p).name == "__init__.py"
-    }
-
-
-def module_name_for(path: str, packages: Set[Tuple[str, ...]]) -> str:
-    """Dotted module name for ``path`` given the scanned package dirs."""
-    parts = PurePosixPath(path).parts
-    dirs, name = parts[:-1], parts[-1]
-    stem = name[:-3] if name.endswith(".py") else name
-    # Longest chain of trailing dirs that are all packages.
-    start = len(dirs)
-    for i in range(len(dirs)):
-        if all(dirs[:j] in packages for j in range(i + 1, len(dirs) + 1)):
-            start = i
-            break
-    pkg_parts = dirs[start:]
-    if not pkg_parts and not packages:
-        # Bare tree (e.g. test fixtures): fall back to the path-derived name
-        # so relative imports still have a package to resolve against.
-        pkg_parts = dirs
-    if stem == "__init__":
-        return ".".join(pkg_parts) if pkg_parts else stem
-    return ".".join((*pkg_parts, stem))
 
 
 # ---------------------------------------------------------------------------
@@ -524,12 +466,10 @@ class _Resolver:
 def build_graph(sources: Sequence[SourceFile]) -> CallGraph:
     """Summarize + resolve every parsed source into a :class:`CallGraph`."""
     graph = CallGraph()
-    packages = _package_dirs([s.path for s in sources])
-
     for source in sources:
         if source.tree is None:
             continue
-        module = module_name_for(source.path, packages)
+        module = source.module
         summary = summarize_module(source, module)
         graph.modules[module] = summary
         for fs in summary.all_functions():

@@ -20,9 +20,8 @@ RS2xx analyses consume:
   or ``RLock()``; ``self._lock`` also counts where a base class builds it;
 * **attribute stores** (``self.<attr> = …``, augmented, annotated,
   ``del``) with the locks held at each, for the lock-discipline check;
-* **fault-injection sites** (``faults.fire("…")`` calls,
-  ``@faults.injection_point`` decorators, ``with faults.fault_point``),
-  for the exception-flow analysis;
+* **fault-injection sites** (``faults.fire("…")`` calls), for the
+  exception-flow analysis;
 * **guards**: every ``except`` handler in the function, classified as
   broad/narrow, swallowing, re-raising — the exception-flow analysis
   decides whether a propagating fault is *terminated* here.
@@ -56,6 +55,8 @@ __all__ = [
     "FunctionSummary",
     "ClassSummary",
     "ModuleSummary",
+    "collect_imports",
+    "resolve",
     "summarize_module",
 ]
 
@@ -193,7 +194,7 @@ class AttrStore:
 
 @dataclass(frozen=True)
 class FaultSite:
-    """One fault-injection point (``faults.fire``/decorator/context)."""
+    """One fault-injection point: a ``faults.fire("site")`` call."""
 
     site: str
     lineno: int
@@ -321,7 +322,7 @@ def _guard_from_handler(handler: ast.ExceptHandler) -> Guard:
 
 
 # ---------------------------------------------------------------------------
-# Import collection (absolute + relative)
+# Import collection (absolute + relative) and name resolution
 # ---------------------------------------------------------------------------
 
 
@@ -359,6 +360,15 @@ def collect_imports(tree: ast.AST, module: str) -> Dict[str, str]:
     return aliases
 
 
+def resolve(imports: Dict[str, str], dotted: str) -> str:
+    """Canonical form of a dotted source name through ``imports``
+    (:func:`collect_imports`): ``np.random.rand`` under ``import numpy as
+    np`` is ``numpy.random.rand``; an unimported head stays as written."""
+    head, _, rest = dotted.partition(".")
+    canonical_head = imports.get(head, head)
+    return f"{canonical_head}.{rest}" if rest else canonical_head
+
+
 # ---------------------------------------------------------------------------
 # The summarizing visitor
 # ---------------------------------------------------------------------------
@@ -378,9 +388,7 @@ def _lock_factory(value: Optional[ast.AST], imports: Dict[str, str]) -> Optional
     dotted = dotted_name(value.func)
     if dotted is None:
         return None
-    head, _, rest = dotted.partition(".")
-    canonical = imports.get(head, head) + (f".{rest}" if rest else "")
-    return _LOCK_FACTORIES.get(canonical)
+    return _LOCK_FACTORIES.get(resolve(imports, dotted))
 
 
 def _self_attr(node: ast.AST) -> Optional[str]:
@@ -510,8 +518,6 @@ class _FunctionCollector(ast.NodeVisitor):
                 )
                 acquired.append(lock)
             else:
-                # Non-lock context managers (including `faults.fault_point`,
-                # which visit_Call records as a fault site) are plain calls.
                 self.visit(item.context_expr)
         self.lock_stack.extend(acquired)
         for stmt in node.body:
@@ -631,10 +637,7 @@ class _FunctionCollector(ast.NodeVisitor):
         dotted = dotted_name(node.func)
         if dotted is None:
             return
-        tail = dotted.rsplit(".", 1)[-1]
-        if tail not in ("fire", "fault_point", "injection_point"):
-            return
-        if not ("faults" in dotted or tail in ("fault_point", "injection_point")):
+        if dotted.rsplit(".", 1)[-1] != "fire" or "faults" not in dotted:
             return
         if node.args and isinstance(node.args[0], ast.Constant) and isinstance(
             node.args[0].value, str
@@ -788,23 +791,6 @@ def _summarize_function(
         param_defaults_none=defaults_none,
         decorators=decorators,
     )
-    # Decorator-declared fault sites: @faults.injection_point("site")
-    for dec in node.decorator_list:
-        if isinstance(dec, ast.Call):
-            dotted = dotted_name(dec.func)
-            if dotted and dotted.rsplit(".", 1)[-1] == "injection_point":
-                if dec.args and isinstance(dec.args[0], ast.Constant) and isinstance(
-                    dec.args[0].value, str
-                ):
-                    summary.fault_sites.append(
-                        FaultSite(
-                            site=dec.args[0].value,
-                            lineno=dec.lineno,
-                            col=dec.col_offset + 1,
-                            guards=(),
-                        )
-                    )
-
     collector = _FunctionCollector(summary, module_summary, class_name, class_locks)
     for stmt in node.body:
         collector.visit(stmt)

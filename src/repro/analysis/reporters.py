@@ -9,9 +9,8 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import List
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.finding import Finding
 
 __all__ = ["Report", "render_text", "render_json"]
@@ -19,71 +18,45 @@ __all__ = ["Report", "render_text", "render_json"]
 
 @dataclass
 class Report:
-    """One lint run, after suppression and baseline policy."""
+    """One lint run, after inline suppressions."""
 
     n_files: int
-    new: List[Finding] = field(default_factory=list)
-    baselined: List[Finding] = field(default_factory=list)
+    findings: List[Finding] = field(default_factory=list)
     suppressed: List[Finding] = field(default_factory=list)
-    stale_fingerprints: List[str] = field(default_factory=list)
-    baseline: Baseline = field(default_factory=Baseline)
 
     @property
     def exit_code(self) -> int:
-        return 1 if self.new else 0
-
-    def by_rule(self, findings: Sequence[Finding]) -> Dict[str, int]:
-        return dict(sorted(Counter(f.rule for f in findings).items()))
+        return 1 if self.findings else 0
 
 
 def render_text(report: Report) -> str:
-    lines: List[str] = []
-    for finding in report.new:
-        lines.append(
-            f"{finding.path}:{finding.line}:{finding.col}: "
-            f"{finding.rule} {finding.message}"
-        )
-    if report.baselined:
-        lines.append("")
-        lines.append(f"baselined (not failing, {len(report.baselined)}):")
-        for finding in report.baselined:
-            lines.append(
-                f"  {finding.path}:{finding.line}: {finding.rule} "
-                f"{finding.message}"
-            )
-    if report.stale_fingerprints:
-        lines.append("")
-        lines.append(
-            f"stale baseline entries ({len(report.stale_fingerprints)}) — "
-            "the debt shrank; rewrite with --write-baseline:"
-        )
-        for fp in report.stale_fingerprints:
-            lines.append(f"  {fp} ({report.baseline.describe(fp)})")
+    lines: List[str] = [
+        f"{finding.path}:{finding.line}:{finding.col}: "
+        f"{finding.rule} {finding.message}"
+        for finding in report.findings
+    ]
     lines.append("")
-    verdict = "FAIL" if report.new else "ok"
+    verdict = "FAIL" if report.findings else "ok"
     lines.append(
-        f"repro-lint: {report.n_files} file(s), {len(report.new)} new "
-        f"finding(s), {len(report.baselined)} baselined, "
-        f"{len(report.suppressed)} suppressed — {verdict}"
+        f"repro-lint: {report.n_files} file(s), {len(report.findings)} "
+        f"finding(s), {len(report.suppressed)} suppressed — {verdict}"
     )
     return "\n".join(lines).lstrip("\n")
 
 
 def render_json(report: Report) -> str:
     doc = {
-        "version": 1,
+        "version": 2,
         "summary": {
             "files": report.n_files,
-            "new": len(report.new),
-            "baselined": len(report.baselined),
+            "findings": len(report.findings),
             "suppressed": len(report.suppressed),
-            "stale_baseline_entries": len(report.stale_fingerprints),
-            "by_rule": report.by_rule(report.new),
+            "by_rule": dict(
+                sorted(Counter(f.rule for f in report.findings).items())
+            ),
             "exit_code": report.exit_code,
         },
-        "findings": [f.to_dict() for f in report.new],
-        "baselined": [f.to_dict() for f in report.baselined],
+        "findings": [f.to_dict() for f in report.findings],
         "suppressed": [f.to_dict() for f in report.suppressed],
-        "stale_fingerprints": list(report.stale_fingerprints),
     }
     return json.dumps(doc, indent=2) + "\n"

@@ -8,15 +8,18 @@ Two rule kinds:
   module; :class:`GraphRule`, the call-graph rules, builds on it).
 
 Both yield :class:`~repro.analysis.finding.Finding` objects; the engine
-owns suppression and baseline handling, so rules stay pure functions of
-the AST.
+owns suppression handling, so rules stay pure functions of the AST.
+Rules that need a name's canonical form read the module's imports with
+:func:`repro.analysis.graph.symbols.collect_imports` and map names through
+:func:`~repro.analysis.graph.symbols.resolve`, the resolver the call
+graph uses.
 """
 
 from __future__ import annotations
 
 import abc
 import ast
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 from repro.analysis.finding import Finding, SourceFile
 
@@ -25,7 +28,6 @@ __all__ = [
     "ProjectRule",
     "GraphRule",
     "dotted_name",
-    "ImportMap",
 ]
 
 
@@ -103,41 +105,6 @@ def dotted_name(node: ast.AST) -> Optional[str]:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
-
-
-class ImportMap:
-    """Local alias -> canonical dotted module/object name for one module.
-
-    ``import numpy as np`` maps ``np -> numpy``; ``from numpy.random import
-    default_rng as rng`` maps ``rng -> numpy.random.default_rng``.  Rules
-    resolve attribute chains through this map so aliasing cannot hide a
-    flagged call.
-    """
-
-    def __init__(self, tree: ast.AST):
-        self.aliases: Dict[str, str] = {}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    local = alias.asname or alias.name.split(".", 1)[0]
-                    # `import a.b` binds local name `a` to package `a`.
-                    target = alias.name if alias.asname else local
-                    self.aliases[local] = target
-            elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
-                for alias in node.names:
-                    if alias.name == "*":
-                        continue
-                    local = alias.asname or alias.name
-                    self.aliases[local] = f"{node.module}.{alias.name}"
-
-    def resolve(self, node: ast.AST) -> Optional[str]:
-        """Canonical dotted name of an expression, through import aliases."""
-        dotted = dotted_name(node)
-        if dotted is None:
-            return None
-        head, _, rest = dotted.partition(".")
-        canonical_head = self.aliases.get(head, head)
-        return f"{canonical_head}.{rest}" if rest else canonical_head
 
 
 def contains_parts(parts: Iterable[str], wanted: Iterable[str]) -> bool:

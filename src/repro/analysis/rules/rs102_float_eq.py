@@ -17,11 +17,12 @@ carry an inline ``# repro-lint: disable=RS102 -- reason``.
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from typing import Dict, Iterator
 
 from repro.analysis.finding import Finding, SourceFile
+from repro.analysis.graph.symbols import collect_imports, resolve
 from repro.analysis.rules import register
-from repro.analysis.rules.base import ImportMap, Rule, contains_parts
+from repro.analysis.rules.base import Rule, contains_parts, dotted_name
 
 __all__ = ["FloatEqualityRule"]
 
@@ -38,7 +39,7 @@ _FLOAT_CONST_ATTRS = {
 }
 
 
-def _is_float_like(node: ast.AST, imports: ImportMap) -> bool:
+def _is_float_like(node: ast.AST, imports: Dict[str, str]) -> bool:
     if isinstance(node, ast.Constant):
         return isinstance(node.value, float)
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
@@ -50,7 +51,8 @@ def _is_float_like(node: ast.AST, imports: ImportMap) -> bool:
             and len(node.args) == 1
         )
     if isinstance(node, ast.Attribute):
-        return imports.resolve(node) in _FLOAT_CONST_ATTRS
+        dotted = dotted_name(node)
+        return dotted is not None and resolve(imports, dotted) in _FLOAT_CONST_ATTRS
     return False
 
 
@@ -65,7 +67,7 @@ class FloatEqualityRule(Rule):
         return contains_parts(source.parts, self.SCOPE)
 
     def check(self, source: SourceFile) -> Iterator[Finding]:
-        imports = ImportMap(source.tree)
+        imports = collect_imports(source.tree, source.module)
         for node in ast.walk(source.tree):
             if not isinstance(node, ast.Compare):
                 continue

@@ -26,11 +26,12 @@ there is nothing to check against.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.finding import Finding, SourceFile
+from repro.analysis.graph.symbols import collect_imports, resolve
 from repro.analysis.rules import register
-from repro.analysis.rules.base import ImportMap, ProjectRule, dotted_name
+from repro.analysis.rules.base import ProjectRule, dotted_name
 
 __all__ = ["MetricNameRule"]
 
@@ -81,15 +82,14 @@ def _constant_names(source: SourceFile) -> Set[str]:
     return out
 
 
-def _is_metrics_receiver(func: ast.AST, imports: ImportMap) -> bool:
+def _is_metrics_receiver(func: ast.AST, imports: Dict[str, str]) -> bool:
     if not isinstance(func, ast.Attribute) or func.attr not in _METRIC_APIS:
         return False
     receiver = dotted_name(func.value)
     if receiver is None:
         return False
-    resolved = imports.resolve(func.value)
-    return receiver == "metrics" or (
-        resolved is not None and resolved.endswith("observability.metrics")
+    return receiver == "metrics" or resolve(imports, receiver).endswith(
+        "observability.metrics"
     )
 
 
@@ -126,7 +126,7 @@ class MetricNameRule(ProjectRule):
         prefixes: List[str],
         constants: Set[str],
     ) -> Iterator[Finding]:
-        imports = ImportMap(source.tree)
+        imports = collect_imports(source.tree, source.module)
         for node in ast.walk(source.tree):
             if not isinstance(node, ast.Call) or not node.args:
                 continue
@@ -150,7 +150,7 @@ class MetricNameRule(ProjectRule):
     def _judge(
         self,
         arg: ast.AST,
-        imports: ImportMap,
+        imports: Dict[str, str],
         canonical: Set[str],
         prefixes: List[str],
         constants: Set[str],
@@ -189,8 +189,9 @@ class MetricNameRule(ProjectRule):
                 f"'{static}') matches no DYNAMIC_PREFIXES entry in "
                 "repro/observability/names.py"
             )
-        resolved = imports.resolve(arg)
-        if resolved is not None:
+        dotted = dotted_name(arg)
+        if dotted is not None:
+            resolved = resolve(imports, dotted)
             if resolved.startswith(_NAMES_MODULE + "."):
                 constant = resolved[len(_NAMES_MODULE) + 1:]
                 if constant in constants:

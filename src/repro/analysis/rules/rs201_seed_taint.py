@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import fnmatch
 from pathlib import PurePosixPath
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Iterator, Set, Tuple
 
 from repro.analysis.finding import Finding
 from repro.analysis.graph.callgraph import CallGraph
@@ -86,23 +86,6 @@ def _is_rng_module(fn: FunctionSummary) -> bool:
     return PurePosixPath(fn.path).parts[-2:] == ("utils", "rng.py")
 
 
-def _entry_of(graph: CallGraph) -> Dict[str, str]:
-    """Function qname -> the seeded entry point that first reaches it (BFS)."""
-    via: Dict[str, str] = {}
-    frontier: List[str] = []
-    for fn in graph.functions.values():
-        if _is_entry(fn) and fn.qname not in via:
-            via[fn.qname] = fn.qname
-            frontier.append(fn.qname)
-    while frontier:
-        current = frontier.pop(0)
-        for edge in graph.out_edges.get(current, ()):
-            if edge.callee not in via:
-                via[edge.callee] = via[current]
-                frontier.append(edge.callee)
-    return via
-
-
 @register
 class SeedTaintRule(GraphRule):
     rule_id = "RS201"
@@ -112,7 +95,9 @@ class SeedTaintRule(GraphRule):
     )
 
     def check_graph(self, graph: CallGraph) -> Iterator[Finding]:
-        via = _entry_of(graph)
+        via = graph.root_of(
+            fn.qname for fn in graph.functions.values() if _is_entry(fn)
+        )
         code = list(graph.functions.values())
         code += [m.body for m in graph.modules.values() if m.body is not None]
         seen: Set[Tuple[str, int, str]] = set()

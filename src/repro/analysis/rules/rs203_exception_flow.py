@@ -34,7 +34,7 @@ Callback edges count as real calls (``backend.map`` really invokes the
 chunk task), with the *caller's* handlers applied conservatively since
 the exact invocation point is unknown.  CHA edges are followed only
 between modules of the same subpackage — a textual method-name match
-across subsystems (``Baseline.save`` vs an unrelated ``save``) must not
+across subsystems (``FaultPlan.stats`` vs an unrelated ``stats``) must not
 fabricate an escape path.
 """
 

@@ -21,10 +21,10 @@ nondeterminism source, plus any ``global`` mutation.
 from __future__ import annotations
 
 from pathlib import PurePosixPath
-from typing import Dict, Iterator, List, Optional
+from typing import Iterator, Optional
 
 from repro.analysis.finding import Finding
-from repro.analysis.graph.callgraph import COMMON_METHOD_NAMES, CallGraph
+from repro.analysis.graph.callgraph import CallGraph
 from repro.analysis.graph.symbols import FunctionSummary
 from repro.analysis.rules import register
 from repro.analysis.rules.base import GraphRule
@@ -80,32 +80,9 @@ class PlanKeyPurityRule(GraphRule):
 
     def check_graph(self, graph: CallGraph) -> Iterator[Finding]:
         roots = [
-            fn
-            for fn in graph.functions.values()
-            if _is_keys_module(fn.path)
+            fn.qname for fn in graph.functions.values() if _is_keys_module(fn.path)
         ]
-        if not roots:
-            return
-
-        # BFS recording which root reaches each function, skipping CHA
-        # edges through container-style method names (see module doc).
-        via: Dict[str, str] = {}
-        frontier: List[str] = []
-        for root in roots:
-            via[root.qname] = root.qname
-            frontier.append(root.qname)
-        while frontier:
-            current = frontier.pop(0)
-            for edge in graph.out_edges.get(current, ()):
-                if (
-                    edge.kind == "cha"
-                    and edge.callee.rsplit(".", 1)[-1] in COMMON_METHOD_NAMES
-                ):
-                    continue
-                if edge.callee not in via:
-                    via[edge.callee] = via[current]
-                    frontier.append(edge.callee)
-
+        via = graph.root_of(roots, skip_common_cha=True)
         for qname, root in sorted(via.items()):
             fn = graph.functions.get(qname)
             if fn is None:

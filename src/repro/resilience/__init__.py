@@ -6,7 +6,7 @@ HTTP requests can all fail; this package supplies the machinery that keeps
 it answering anyway:
 
 * :mod:`repro.resilience.faults` — deterministic, seedable fault-injection
-  harness (``REPRO_FAULTS`` env spec, decorators/context managers);
+  harness (``REPRO_FAULTS`` env spec, ``faults.fire`` sites);
 * :mod:`repro.resilience.policies` — :class:`RetryPolicy` (exponential
   backoff, full jitter, retry budgets), :class:`Deadline` (propagated
   wall-clock budget);
@@ -34,9 +34,7 @@ from repro.resilience.faults import (
     FaultPlan,
     FaultRule,
     InjectedFault,
-    fault_point,
     fire,
-    injection_point,
     install,
     installed,
     uninstall,
@@ -68,9 +66,7 @@ __all__ = [
     "Supervisor",
     "SupervisorPolicy",
     "Ward",
-    "fault_point",
     "fire",
-    "injection_point",
     "install",
     "installed",
     "run_ladder",

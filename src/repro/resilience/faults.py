@@ -10,11 +10,9 @@ deadline, or return late, without touching the call site's logic:
 
     faults.fire("pool.worker")          # no-op unless a plan is installed
 
-    @faults.injection_point("mc.chunk")  # decorator form
-    def chunk_task(args): ...
-
-    with faults.fault_point("shard.compact"):    # context-manager form
-        publish_base()
+A site is marked one way only, by a ``faults.fire("<site>")`` call, and
+every site is listed in :func:`known_sites`; a plan naming any other site
+is rejected.
 
 A :class:`FaultPlan` is a list of :class:`FaultRule`\\ s, each matching one
 site (or a ``prefix.*`` family) with a trigger probability, an optional
@@ -47,13 +45,12 @@ check per call site.
 from __future__ import annotations
 
 import contextlib
-import functools
 import json
 import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 from repro.observability import metrics
 from repro.observability import names
@@ -65,11 +62,8 @@ __all__ = [
     "InjectedFault",
     "FaultRule",
     "FaultPlan",
-    "register_site",
     "known_sites",
     "fire",
-    "injection_point",
-    "fault_point",
     "install",
     "uninstall",
     "installed",
@@ -105,32 +99,20 @@ class InjectedFault(RuntimeError):
 # ----------------------------------------------------------------------
 # Site registry (documentation + typo guard for plan specs)
 # ----------------------------------------------------------------------
-_SITES: Dict[str, str] = {}
-_SITES_LOCK = threading.Lock()
-
-
-def register_site(name: str, description: str = "") -> str:
-    """Register (idempotently) a known injection-point name; returns it."""
-    with _SITES_LOCK:
-        _SITES.setdefault(name, description)
-    return name
+#: Every ``faults.fire`` site in the library -> what it guards.
+_SITES: Dict[str, str] = {
+    "pool.worker": "every task attempt on an execution backend",
+    "mc.chunk": "one parallel Monte-Carlo chunk costing task",
+    "server.request": "admitted POST request handling",
+    "shard.journal.append": "one shard journal record write (pre-write)",
+    "shard.compact": "shard journal compaction (pre-publish of the base)",
+    "shard.rpc": "one router -> shard RPC attempt (client side)",
+}
 
 
 def known_sites() -> Dict[str, str]:
-    """Snapshot of every registered ``site -> description``."""
-    with _SITES_LOCK:
-        return dict(_SITES)
-
-
-# The sites the library tags out of the box.  Modules also re-register at
-# their call sites (registration is idempotent), but declaring them here
-# means a plan referencing them validates even before those modules load.
-register_site("pool.worker", "every task attempt on an execution backend")
-register_site("mc.chunk", "one parallel Monte-Carlo chunk costing task")
-register_site("server.request", "admitted POST request handling")
-register_site("shard.journal.append", "one shard journal record write (pre-write)")
-register_site("shard.compact", "shard journal compaction (pre-publish of the base)")
-register_site("shard.rpc", "one router -> shard RPC attempt (client side)")
+    """Copy of every known ``site -> description``."""
+    return dict(_SITES)
 
 
 # ----------------------------------------------------------------------
@@ -193,20 +175,17 @@ class FaultPlan:
         rules: Sequence[FaultRule],
         seed: int = 0,
         sleep: Callable[[float], None] = time.sleep,
-        strict_sites: bool = True,
     ) -> None:
         rules = list(rules)
-        if strict_sites:
-            known = known_sites()
-            for rule in rules:
-                base = rule.site[:-2] if rule.site.endswith(".*") else rule.site
-                if rule.site not in known and not any(
-                    s == base or s.startswith(base + ".") for s in known
-                ):
-                    raise ValueError(
-                        f"fault rule targets unknown site {rule.site!r}; "
-                        f"known sites: {sorted(known)}"
-                    )
+        for rule in rules:
+            base = rule.site[:-2] if rule.site.endswith(".*") else rule.site
+            if rule.site not in _SITES and not any(
+                s == base or s.startswith(base + ".") for s in _SITES
+            ):
+                raise ValueError(
+                    f"fault rule targets unknown site {rule.site!r}; "
+                    f"known sites: {sorted(_SITES)}"
+                )
         self.seed = int(seed)
         self._rules = rules
         self._sleep = sleep
@@ -419,27 +398,3 @@ def fire(site: str) -> None:
     plan = _PLAN if _ENV_LOADED else get_plan()
     if plan is not None:
         plan.fire(site)
-
-
-def injection_point(site: str, description: str = "") -> Callable:
-    """Decorator tagging a function as an injection point named ``site``."""
-    register_site(site, description)
-
-    def decorate(fn: Callable) -> Callable:
-        @functools.wraps(fn)
-        def wrapper(*args: Any, **kwargs: Any) -> Any:
-            fire(site)
-            return fn(*args, **kwargs)
-
-        wrapper.__fault_site__ = site  # type: ignore[attr-defined]
-        return wrapper
-
-    return decorate
-
-
-@contextlib.contextmanager
-def fault_point(site: str, description: str = "") -> Iterator[None]:
-    """Context-manager injection point (fires on entry)."""
-    register_site(site, description)
-    fire(site)
-    yield

@@ -36,8 +36,13 @@ Design choices:
 * The process backend requires picklable functions and arguments
   (module-level functions; reservation sequences holding extender closures
   are *not* picklable — sample/extend first, then ship arrays).
-* ``jobs=0`` sizes a pool from :func:`effective_cpu_count`, so a restricted
-  CPU affinity (taskset, cpusets) is honored.
+* ``jobs=0`` means two things, depending on the entry point.
+  ``ThreadBackend(0)`` and ``ProcessBackend(0)`` size the pool from
+  :func:`effective_cpu_count`, so a restricted CPU affinity (taskset,
+  cpusets) is honored; so does :func:`resolve_backend` for a backend
+  *name* with ``jobs <= 1``.  :func:`get_backend` with ``jobs=0`` returns
+  :class:`SerialBackend`, like any ``jobs <= 1``: that is what
+  ``repro-serve``'s default ``--jobs 0`` gets.
 
 Metrics (``pool.*``): tasks, retries, timeouts, failures, and a ``pool.map``
 timer, all no-ops unless observability is enabled.
@@ -269,7 +274,9 @@ def get_backend(kind: Optional[str] = "serial", jobs: int = 1) -> ExecutionBacke
     """Instantiate a backend by name.
 
     ``jobs <= 1`` (or ``kind in (None, "serial")``) always yields the
-    serial backend.
+    serial backend — ``jobs=0`` included: unlike ``ThreadBackend(0)`` and
+    ``ProcessBackend(0)``, this never sizes a pool from
+    :func:`effective_cpu_count`.
     """
     if kind is not None and kind not in BACKEND_KINDS:
         raise KeyError(f"unknown backend {kind!r}; known: {BACKEND_KINDS}")

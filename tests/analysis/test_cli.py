@@ -1,7 +1,9 @@
-"""CLI behaviour: exit codes, formats, baseline workflow, rule selection."""
+"""CLI behaviour: exit codes, formats, rule selection, graph artifact."""
 
 import json
 import textwrap
+
+import pytest
 
 from repro.analysis.cli import run
 
@@ -26,14 +28,14 @@ def _write(tmp_path, rel, source):
 def test_clean_tree_exits_zero(tmp_path, capsys):
     _write(tmp_path, "mod.py", _CLEAN)
     assert run([str(tmp_path)]) == 0
-    assert "0 new finding(s)" in capsys.readouterr().out
+    assert "0 finding(s)" in capsys.readouterr().out
 
 
 def test_new_finding_exits_one(tmp_path, capsys):
     _write(tmp_path, "mod.py", _OFFENDER)
     assert run([str(tmp_path)]) == 1
     out = capsys.readouterr().out
-    assert "RS201" in out and "1 new finding(s)" in out
+    assert "RS201" in out and "1 finding(s)" in out
 
 
 def test_missing_path_exits_two(tmp_path, capsys):
@@ -55,49 +57,31 @@ def test_json_format_and_output_file(tmp_path, capsys):
     )
     assert code == 1
     doc = json.loads(report_path.read_text())
-    assert doc["summary"]["new"] == 1
+    assert doc["version"] == 2
+    assert set(doc) == {"version", "summary", "findings", "suppressed"}
+    assert doc["summary"]["findings"] == 1
     assert doc["summary"]["exit_code"] == 1
     assert doc["findings"][0]["rule"] == "RS201"
     # Terminal output stays a one-line verdict when writing to a file.
     assert "report written to" in capsys.readouterr().out
 
 
-def test_write_baseline_then_gate_passes(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "flags",
+    [["--baseline", "b.json"], ["--no-baseline"], ["--write-baseline"]],
+    ids=["baseline", "no-baseline", "write-baseline"],
+)
+def test_removed_baseline_options_exit_two(
+    tmp_path, capsys, monkeypatch, flags
+):
+    """The fingerprint baseline is gone: a finding is fixed or carries an
+    inline disable, and the old options are usage errors."""
     monkeypatch.chdir(tmp_path)
     _write(tmp_path, "pkg/mod.py", _OFFENDER)
-    assert run(["pkg", "--write-baseline"]) == 0
-    assert (tmp_path / ".repro-lint-baseline.json").exists()
-    # The ratchet: same debt is baselined (exit 0), fresh debt is new.
-    assert run(["pkg"]) == 0
-    out = capsys.readouterr().out
-    assert "1 baselined" in out
-    _write(tmp_path, "pkg/fresh.py", _OFFENDER)
-    assert run(["pkg"]) == 1
-
-
-def test_stale_baseline_entries_are_reported(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    _write(tmp_path, "pkg/mod.py", _OFFENDER)
-    assert run(["pkg", "--write-baseline"]) == 0
-    _write(tmp_path, "pkg/mod.py", _CLEAN)  # debt paid down
-    capsys.readouterr()
-    assert run(["pkg"]) == 0
-    assert "stale" in capsys.readouterr().out
-
-
-def test_no_baseline_flag_ignores_baseline(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    _write(tmp_path, "pkg/mod.py", _OFFENDER)
-    assert run(["pkg", "--write-baseline"]) == 0
-    assert run(["pkg", "--no-baseline"]) == 1
-
-
-def test_corrupt_baseline_exits_two(tmp_path, capsys):
-    _write(tmp_path, "mod.py", _CLEAN)
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"version": 42}')
-    assert run([str(tmp_path), "--baseline", str(bad)]) == 2
-    assert "bad baseline" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run(["pkg", *flags])
+    assert exc.value.code == 2
+    assert flags[0] in capsys.readouterr().err
 
 
 def test_select_and_ignore(tmp_path, capsys):
@@ -117,11 +101,10 @@ def test_select_and_ignore(tmp_path, capsys):
     assert "RS105" in capsys.readouterr().err
 
 
-def test_parse_error_fails_even_with_write_baseline(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
+def test_parse_error_exits_one(tmp_path, capsys):
     _write(tmp_path, "pkg/broken.py", "def f(:\n")
-    assert run(["pkg", "--write-baseline"]) == 1
-    assert run(["pkg"]) == 1
+    assert run([str(tmp_path)]) == 1
+    assert "E001" in capsys.readouterr().out
 
 
 def test_list_rules(capsys):
@@ -149,10 +132,10 @@ def test_graph_artifact_schema(tmp_path, capsys):
     code = run([str(tmp_path), "--graph", str(graph_path)])
     assert code == 1  # the RS202 finding still gates
     doc = json.loads(graph_path.read_text())
-    assert doc["version"] == 1
+    assert doc["version"] == 2
     assert set(doc) >= {"version", "stats", "functions", "edges", "findings"}
-    assert set(doc["findings"]) == {"new", "baselined"}
-    assert any(f["rule"] == "RS202" for f in doc["findings"]["new"])
+    assert isinstance(doc["findings"], list)
+    assert any(f["rule"] == "RS202" for f in doc["findings"])
     assert doc["stats"]["functions"] >= 1
     assert 0.0 <= doc["stats"]["resolution_rate"] <= 1.0
     assert "call graph written to" in capsys.readouterr().out
@@ -176,15 +159,8 @@ def test_stats_prints_resolution_line(tmp_path, capsys):
     assert "intra-project resolution" in out
 
 
-def test_graph_rule_findings_ride_the_baseline_ratchet(
-    tmp_path, capsys, monkeypatch
-):
-    """RS2xx debt participates in the same ratchet as per-file rules:
-    baselined once, gating again the moment fresh debt appears."""
-    monkeypatch.chdir(tmp_path)
+def test_graph_rule_finding_exits_one(tmp_path, capsys):
+    """An RS2xx finding gates exactly like a per-file one."""
     _write(tmp_path, "service/mod.py", _LOCKED_SLEEP)
-    assert run(["service", "--select", "RS202", "--write-baseline"]) == 0
-    assert run(["service", "--select", "RS202"]) == 0
-    assert "1 baselined" in capsys.readouterr().out
-    _write(tmp_path, "service/fresh.py", _LOCKED_SLEEP)
-    assert run(["service", "--select", "RS202"]) == 1
+    assert run([str(tmp_path / "service"), "--select", "RS202"]) == 1
+    assert "RS202" in capsys.readouterr().out

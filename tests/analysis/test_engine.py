@@ -71,22 +71,6 @@ def test_suppressions_only_match_comments_not_strings():
     assert parse_suppressions(text) == {}
 
 
-def test_fingerprints_survive_line_moves(tmp_path):
-    source = """\
-        import numpy as np
-        x = np.random.rand(3)
-        """
-    _write(tmp_path, "mod.py", source)
-    before = dict(analyze_paths([str(tmp_path)]).fingerprinted())
-    # Prepend a comment block: line numbers shift, fingerprints must not.
-    _write(tmp_path, "mod.py", "# moved\n# down\n" + textwrap.dedent(source))
-    after = analyze_paths([str(tmp_path)]).fingerprinted()
-    assert [fp for _, fp in after] == [
-        fp for fp in before.values()
-    ]
-    assert [f.line for f, _ in after] == [4]
-
-
 def test_findings_are_sorted_by_path_then_line(tmp_path):
     _write(
         tmp_path,

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import ast
 import textwrap
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.engine import collect_files, load_source
+from repro.analysis.engine import load_sources, module_name_for
 from repro.analysis.graph import build_graph
-from repro.analysis.graph.callgraph import module_name_for
+from repro.analysis.graph.symbols import collect_imports, resolve
+from repro.resilience import faults
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -21,7 +23,7 @@ def graph_of(tmp_path):
             path = tmp_path / rel
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(textwrap.dedent(source), encoding="utf-8")
-        sources = [load_source(p) for p in collect_files([str(tmp_path)])]
+        sources = load_sources([str(tmp_path)])
         return build_graph([s for s in sources if s.tree is not None])
 
     return build
@@ -162,11 +164,134 @@ class TestResolution:
         ]
 
 
+class TestImportResolver:
+    def test_relative_imports_resolve_against_the_package(self):
+        tree = ast.parse(
+            "from ..observability import names\nfrom .keys import plan_key\n"
+        )
+        assert collect_imports(tree, "repro.service.planner") == {
+            "names": "repro.observability.names",
+            "plan_key": "repro.service.keys.plan_key",
+        }
+
+    def test_absolute_imports_and_aliases(self):
+        tree = ast.parse(
+            "import numpy as np\n"
+            "import os.path\n"
+            "from numpy.random import default_rng as rng\n"
+        )
+        assert collect_imports(tree, "pkg.mod") == {
+            "np": "numpy",
+            "os": "os",
+            "rng": "numpy.random.default_rng",
+        }
+
+    def test_resolve_maps_the_head_through_imports(self):
+        imports = {"np": "numpy", "rng": "numpy.random.default_rng"}
+        assert resolve(imports, "np.random.rand") == "numpy.random.rand"
+        assert resolve(imports, "np") == "numpy"
+        assert resolve(imports, "rng") == "numpy.random.default_rng"
+
+    def test_resolve_leaves_an_unimported_head_as_written(self):
+        assert resolve({"np": "numpy"}, "metrics.inc") == "metrics.inc"
+        assert resolve({}, "helper") == "helper"
+
+    def test_canonical_follows_relative_imports(self, graph_of):
+        g = graph_of(
+            {
+                "pkg/__init__.py": "",
+                "pkg/names.py": "PLAN_HITS = 'plan_hits'\n",
+                "pkg/sub/__init__.py": "",
+                "pkg/sub/a.py": """
+                from .. import names
+
+                def f():
+                    return names.PLAN_HITS
+                """,
+            }
+        )
+        assert g.canonical("pkg.sub.a", "names.PLAN_HITS") == "pkg.names.PLAN_HITS"
+
+
+class TestRootOf:
+    CHAIN = {
+        "pkg/r.py": """
+        def first():
+            shared()
+
+        def second():
+            shared()
+            near()
+
+        def shared():
+            deep()
+
+        def deep():
+            far()
+
+        def near():
+            far()
+
+        def far():
+            pass
+
+        def orphan():
+            pass
+        """,
+    }
+
+    def test_roots_map_to_themselves_and_unreached_are_absent(self, graph_of):
+        g = graph_of(self.CHAIN)
+        first, orphan = _qname(g, ".r.first"), _qname(g, ".r.orphan")
+        via = g.root_of([first])
+        assert via[first] == first
+        assert via[_qname(g, ".r.deep")] == first
+        assert orphan not in via
+        assert _qname(g, ".r.near") not in via
+
+    def test_first_root_in_order_wins_a_tie(self, graph_of):
+        g = graph_of(self.CHAIN)
+        first, second = _qname(g, ".r.first"), _qname(g, ".r.second")
+        shared = _qname(g, ".r.shared")
+        assert g.root_of([first, second])[shared] == first
+        assert g.root_of([second, first])[shared] == second
+
+    def test_nearest_root_wins_breadth_first(self, graph_of):
+        g = graph_of(self.CHAIN)
+        first, second = _qname(g, ".r.first"), _qname(g, ".r.second")
+        # first reaches far in 3 hops (shared, deep, far); second in 2 (near, far).
+        assert g.root_of([first, second])[_qname(g, ".r.far")] == second
+
+    def test_skip_common_cha_drops_common_method_edges(self, graph_of):
+        g = graph_of(
+            {
+                "pkg/c.py": """
+                class Store:
+                    def get(self, key):
+                        pass
+
+                    def fetch(self, key):
+                        pass
+
+                def use(thing):
+                    thing.get(1)
+                    thing.fetch(2)
+                """,
+            }
+        )
+        use = _qname(g, ".c.use")
+        get, fetch = _qname(g, "Store.get"), _qname(g, "Store.fetch")
+        assert {get, fetch} <= set(g.root_of([use]))
+        precise = g.root_of([use], skip_common_cha=True)
+        assert fetch in precise
+        assert get not in precise
+
+
 class TestGraphJson:
     def test_schema(self, graph_of):
         g = graph_of({"pkg/g.py": "def f():\n    pass\n"})
         doc = g.to_json()
-        assert doc["version"] == 1
+        assert doc["version"] == 2
         assert set(doc["stats"]) >= {
             "modules",
             "functions",
@@ -184,18 +309,14 @@ class TestSelfResolution:
     def test_repo_resolution_rate_at_least_90_percent(self):
         """Acceptance: >= 90% of intra-project call sites resolve on this
         repository itself (measured, not assumed)."""
-        sources = [
-            load_source(p) for p in collect_files([str(REPO_ROOT / "src")])
-        ]
+        sources = load_sources([str(REPO_ROOT / "src")])
         g = build_graph([s for s in sources if s.tree is not None])
         assert g.stats.n_call_sites > 4000
         assert g.stats.resolution_rate >= 0.90
 
     def test_repo_key_edges_exist(self):
         """Spot-check load-bearing edges the RS2xx rules depend on."""
-        sources = [
-            load_source(p) for p in collect_files([str(REPO_ROOT / "src")])
-        ]
+        sources = load_sources([str(REPO_ROOT / "src")])
         g = build_graph([s for s in sources if s.tree is not None])
         # backend.map -> MC chunk task (callback edge used by RS201/RS203).
         chunk = "repro.simulation.monte_carlo._sample_and_cost_chunk"
@@ -209,3 +330,31 @@ class TestSelfResolution:
             e.kind == "ref" and ".<locals>." in e.callee
             for e in g.out_edges.get(ladder, ())
         )
+
+    def test_repo_fault_sites_are_all_known(self):
+        """Every ``faults.fire`` site in ``src/`` is in the site table, so a
+        plan can target it."""
+        sources = load_sources([str(REPO_ROOT / "src")])
+        g = build_graph([s for s in sources if s.tree is not None])
+        sites = {
+            site.site for fs in g.functions.values() for site in fs.fault_sites
+        }
+        assert sites == set(faults.known_sites())
+
+
+def test_only_faults_fire_calls_are_fault_sites(graph_of):
+    g = graph_of(
+        {
+            "pkg/f.py": """
+            from repro.resilience import faults
+
+            def f(pool):
+                faults.fire("pool.worker")
+                pool.fire("not.a.site")
+                faults.check("mc.chunk")
+            """,
+        }
+    )
+    assert [s.site for s in g.functions[_qname(g, ".f.f")].fault_sites] == [
+        "pool.worker"
+    ]

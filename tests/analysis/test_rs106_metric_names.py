@@ -1,5 +1,7 @@
 """RS106: metric-name drift against the canonical names module."""
 
+import pytest
+
 from tests.analysis.conftest import rule_ids
 
 _NAMES = """\
@@ -107,6 +109,33 @@ def test_nonexistent_constant_fires(lint):
     )
     assert rule_ids(result) == ["RS106"]
     assert "PLANCACHE_EVICTIONS" in result.findings[0].message
+
+
+@pytest.mark.parametrize(
+    "constant, fires",
+    [("PLANCACHE_MISSES", False), ("PLANCACHE_EVICTIONS", True)],
+)
+def test_relative_import_of_names_resolves(lint, constant, fires):
+    """`from ..observability import names` is the same module as its
+    absolute twin: a declared constant passes, an undeclared one fires."""
+    result = lint(
+        {
+            "repro/__init__.py": "",
+            "repro/observability/__init__.py": "",
+            "repro/observability/names.py": _NAMES,
+            "repro/service/__init__.py": "",
+            "repro/service/mod.py": f"""\
+                from ..observability import metrics, names
+
+                def miss():
+                    metrics.inc(names.{constant})
+            """,
+        },
+        rule="RS106",
+    )
+    assert rule_ids(result) == (["RS106"] if fires else [])
+    if fires:
+        assert f"constant '{constant}' does not exist" in result.findings[0].message
 
 
 def test_runtime_built_name_fires(lint):

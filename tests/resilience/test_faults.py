@@ -190,27 +190,12 @@ class TestActivation:
 
 
 class TestCallSiteHelpers:
-    def test_injection_point_decorator(self):
-        @faults.injection_point("tests.decorated")
-        def work(x):
-            return x + 1
-
-        assert work.__fault_site__ == "tests.decorated"
-        assert work(1) == 2
-        with faults.installed(FaultPlan([error_rule("tests.decorated")])):
-            with pytest.raises(InjectedFault):
-                work(1)
-
-    def test_fault_point_context_manager(self):
-        with faults.fault_point("tests.block"):
-            pass
-        with faults.installed(FaultPlan([error_rule("tests.block")])):
-            with pytest.raises(InjectedFault):
-                with faults.fault_point("tests.block"):
-                    pass
-
     def test_registry_documents_builtin_sites(self):
         sites = faults.known_sites()
         for site in ("pool.worker", "mc.chunk", "server.request",
                      "shard.journal.append", "shard.compact", "shard.rpc"):
             assert site in sites
+
+    def test_registry_is_a_copy(self):
+        faults.known_sites().clear()
+        assert "pool.worker" in faults.known_sites()
