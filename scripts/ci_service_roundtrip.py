@@ -14,7 +14,10 @@ plan from its journal and serves it ``cached: true``.
 the circuit breaker, a steady 35% pool-worker failure rate, and one hung
 Monte-Carlo chunk — and asserts the resilience contract: every request is
 still answered, degraded answers are marked as such, and the breaker's
-open → half-open arc is visible in ``/metrics``.  It then runs the
+open → half-open arc is visible in ``/metrics``.  It then keeps probing
+after each recovery window until the hung chunk has timed out and been
+resubmitted (``pool.timeouts``, ``pool.retries``) and a full-fidelity
+``mc`` answer arrives.  It then runs the
 **shard-kill drill**: a second server with ``--workers 3`` (sharded plan
 cache, per-shard journals), one shard worker SIGKILLed mid-load, and the
 contract that zero requests fail, the failover is visible in
@@ -40,6 +43,9 @@ PARAMS = {"mu": 3.0, "sigma": 0.5}
 CHAOS_PLAN = os.path.join(os.path.dirname(__file__), "chaos_plan.json")
 
 BREAKER_RECOVERY_S = 2.0
+
+#: Half-open probes the chaos drill may spend before an mc answer is due.
+MAX_RECOVERY_PROBES = 8
 
 
 def boot(extra_args, env=None):
@@ -175,6 +181,48 @@ def chaos(extra_args):
         print(
             f"breaker half-opened {counters['resilience.breaker.half_opens']}x "
             "after recovery"
+        )
+
+        # Keep probing after each recovery window until the MC rung answers
+        # again.  The burst rule runs dry after 20 worker attempts; past it,
+        # the first chunk to reach its kernel hangs beyond --mc-task-timeout
+        # (a pool timeout, then a resubmit) while 35% of worker attempts
+        # still fail.  Each failed probe re-opens the breaker.
+        recovered = None
+        saw_timeout_resubmit = False
+        for probe in range(MAX_RECOVERY_PROBES):
+            before = counters
+            time.sleep(BREAKER_RECOVERY_S + 0.5)
+            resp = client.plan(
+                "lognormal", {"mu": 2.5, "sigma": 0.6 + 0.05 * probe},
+                n_samples=2000,
+            )
+            counters = client.metrics()["metrics"]["counters"]
+            timeouts = counters.get("pool.timeouts", 0)
+            if timeouts > before.get("pool.timeouts", 0):
+                # The timed-out chunk was resubmitted, not given up on.
+                assert counters.get("pool.retries", 0) > before.get(
+                    "pool.retries", 0
+                ), counters
+                saw_timeout_resubmit = True
+            print(
+                f"  probe[{probe}] evaluator={resp['evaluator']:<18} "
+                f"degraded={resp['degraded']} pool.timeouts={timeouts} "
+                f"pool.retries={counters.get('pool.retries', 0)}"
+            )
+            if resp["evaluator"] == "mc":
+                recovered = resp
+                break
+        assert recovered is not None, (
+            f"no full-fidelity mc answer after {MAX_RECOVERY_PROBES} probes"
+        )
+        assert recovered["degraded"] is False
+        assert counters.get("pool.timeouts", 0) >= 1, counters
+        assert saw_timeout_resubmit, counters
+        print(
+            f"full fidelity restored: pool.timeouts={counters['pool.timeouts']}, "
+            f"pool.retries={counters['pool.retries']}, breaker closed "
+            f"{counters.get('resilience.breaker.closes', 0)}x"
         )
 
         health = client.healthz()

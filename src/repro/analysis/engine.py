@@ -9,7 +9,9 @@ Module naming
     parent directories that each contain an ``__init__.py`` *within the
     scanned set* (``src/repro/service/planner.py`` → ``repro.service
     .planner`` when ``src/`` itself has no ``__init__.py``).  Bare fixture
-    trees without ``__init__.py`` fall back to the full path-derived name.
+    trees without ``__init__.py`` fall back to the path below the scanned
+    root (``/tmp/abc`` scanned → ``/tmp/abc/service/mod.py`` is
+    ``service.mod``), wherever that root sits.
     The name is computed once, here, and carried on
     :attr:`SourceFile.module`; the import resolver and the call graph both
     read it.
@@ -128,8 +130,14 @@ def load_source(path: Path) -> SourceFile:
     )
 
 
-def module_name_for(path: str, packages: Set[Tuple[str, ...]]) -> str:
-    """Dotted module name for ``path`` given the scanned package dirs."""
+def module_name_for(
+    path: str, packages: Set[Tuple[str, ...]], root: Tuple[str, ...] = ()
+) -> str:
+    """Dotted module name for ``path`` given the scanned package dirs.
+
+    ``root`` holds the path parts of the scanned directory ``path`` was
+    found under; only a bare tree (no packages at all) is named from it.
+    """
     parts = PurePosixPath(path).parts
     dirs, name = parts[:-1], parts[-1]
     stem = name[:-3] if name.endswith(".py") else name
@@ -141,9 +149,10 @@ def module_name_for(path: str, packages: Set[Tuple[str, ...]]) -> str:
             break
     pkg_parts = dirs[start:]
     if not pkg_parts and not packages:
-        # Bare tree (e.g. test fixtures): fall back to the path-derived name
-        # so relative imports still have a package to resolve against.
-        pkg_parts = dirs
+        # Bare tree (e.g. test fixtures): fall back to the path below the
+        # scanned root so relative imports still have a package to resolve
+        # against, and no absolute path leaks into the name.
+        pkg_parts = dirs[len(root):] if dirs[: len(root)] == root else dirs
     if stem == "__init__":
         return ".".join(pkg_parts) if pkg_parts else stem
     return ".".join((*pkg_parts, stem))
@@ -157,8 +166,17 @@ def load_sources(paths: Sequence[str]) -> List[SourceFile]:
         for s in sources
         if PurePosixPath(s.path).name == "__init__.py"
     }
+    roots = []
+    for raw in paths:
+        root = PurePosixPath(_display_path(Path(raw)))
+        roots.append(root.parent.parts if Path(raw).is_file() else root.parts)
     for source in sources:
-        source.module = module_name_for(source.path, packages)
+        dirs = PurePosixPath(source.path).parts[:-1]
+        # The deepest scanned root that holds the file names it.
+        root = max(
+            (r for r in roots if dirs[: len(r)] == r), key=len, default=()
+        )
+        source.module = module_name_for(source.path, packages, root)
     return sources
 
 

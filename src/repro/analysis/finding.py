@@ -68,6 +68,12 @@ class SourceFile:
     def parts(self) -> Tuple[str, ...]:
         return PurePosixPath(self.path).parts
 
+    @property
+    def is_package(self) -> bool:
+        """An ``__init__.py``: its module *is* the package relative imports
+        resolve against, not a member of it."""
+        return PurePosixPath(self.path).name == "__init__.py"
+
     def is_suppressed(self, rule: str, line: int) -> bool:
         disabled = self.suppressions.get(line)
         return bool(disabled) and (rule in disabled or "all" in disabled)

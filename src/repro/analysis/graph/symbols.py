@@ -326,14 +326,20 @@ def _guard_from_handler(handler: ast.ExceptHandler) -> Guard:
 # ---------------------------------------------------------------------------
 
 
-def collect_imports(tree: ast.AST, module: str) -> Dict[str, str]:
+def collect_imports(
+    tree: ast.AST, module: str, is_package: bool = False
+) -> Dict[str, str]:
     """Local alias -> canonical dotted name, resolving relative imports.
 
     ``from .keys import plan_key`` inside ``repro.service.planner`` maps
-    ``plan_key -> repro.service.keys.plan_key``.  Star imports are ignored
-    (none exist in this repository; the linter would flag them anyway).
+    ``plan_key -> repro.service.keys.plan_key``.  In a package's
+    ``__init__.py`` (``is_package``) the module is itself the current
+    package: ``from .keys import plan_key`` inside ``repro.service`` maps
+    to ``repro.service.keys.plan_key``.  Star imports are ignored (none
+    exist in this repository; the linter would flag them anyway).
     """
-    package_parts = module.split(".")[:-1] if module else []
+    parts = module.split(".") if module else []
+    package_parts = parts if is_package else parts[:-1]
     aliases: Dict[str, str] = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -834,7 +840,7 @@ def summarize_module(source: SourceFile, module: str) -> ModuleSummary:
     summary = ModuleSummary(
         module=module,
         path=source.path,
-        imports=collect_imports(tree, module),
+        imports=collect_imports(tree, module, source.is_package),
     )
 
     # Module-level locks first: function bodies reference them by name.

@@ -1,13 +1,15 @@
 """Rule base classes and shared AST helpers.
 
-Two rule kinds:
+Three rule kinds:
 
 * :class:`Rule` — runs once per file against its AST (most rules);
 * :class:`ProjectRule` — runs once against *all* parsed files, for
   cross-module checks (RS106 metric names against the canonical names
-  module; :class:`GraphRule`, the call-graph rules, builds on it).
+  module);
+* :class:`GraphRule` — runs once against the project call graph the
+  engine builds (the RS2xx pack).
 
-Both yield :class:`~repro.analysis.finding.Finding` objects; the engine
+All yield :class:`~repro.analysis.finding.Finding` objects; the engine
 owns suppression handling, so rules stay pure functions of the AST.
 Rules that need a name's canonical form read the module's imports with
 :func:`repro.analysis.graph.symbols.collect_imports` and map names through
@@ -69,19 +71,15 @@ class ProjectRule(Rule):
         """Yield findings across the full file set."""
 
 
-class GraphRule(ProjectRule):
+class GraphRule(Rule):
     """A rule over the project call graph (the RS2xx pack).
 
     The engine builds one :class:`~repro.analysis.graph.CallGraph` per run
-    and hands it to every graph rule; :meth:`check_project` is kept as a
-    fallback so a graph rule still works when invoked directly against a
-    source list (it builds its own graph).
+    and hands it to every graph rule's :meth:`check_graph`.
     """
 
-    def check_project(self, sources: Sequence[SourceFile]) -> Iterator[Finding]:
-        from repro.analysis.graph import build_graph
-
-        return self.check_graph(build_graph(list(sources)))
+    def check(self, source: SourceFile) -> Iterator[Finding]:
+        return iter(())  # pragma: no cover - graph rules use check_graph
 
     @abc.abstractmethod
     def check_graph(self, graph) -> Iterator[Finding]:

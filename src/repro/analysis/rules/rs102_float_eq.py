@@ -67,7 +67,7 @@ class FloatEqualityRule(Rule):
         return contains_parts(source.parts, self.SCOPE)
 
     def check(self, source: SourceFile) -> Iterator[Finding]:
-        imports = collect_imports(source.tree, source.module)
+        imports = collect_imports(source.tree, source.module, source.is_package)
         for node in ast.walk(source.tree):
             if not isinstance(node, ast.Compare):
                 continue

@@ -126,7 +126,7 @@ class MetricNameRule(ProjectRule):
         prefixes: List[str],
         constants: Set[str],
     ) -> Iterator[Finding]:
-        imports = collect_imports(source.tree, source.module)
+        imports = collect_imports(source.tree, source.module, source.is_package)
         for node in ast.walk(source.tree):
             if not isinstance(node, ast.Call) or not node.args:
                 continue

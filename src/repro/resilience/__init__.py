@@ -7,9 +7,9 @@ it answering anyway:
 
 * :mod:`repro.resilience.faults` — deterministic, seedable fault-injection
   harness (``REPRO_FAULTS`` env spec, ``faults.fire`` sites);
-* :mod:`repro.resilience.policies` — :class:`RetryPolicy` (exponential
-  backoff, full jitter, retry budgets), :class:`Deadline` (propagated
-  wall-clock budget);
+* :mod:`repro.resilience.policies` — :class:`RetryPolicy` (bounded
+  attempts, exponential backoff with full jitter), :class:`Deadline`
+  (wall-clock budget for one computation);
 * :mod:`repro.resilience.breaker` — :class:`CircuitBreaker`
   (closed/open/half-open with ``resilience.breaker.*`` metrics);
 * :mod:`repro.resilience.degradation` — :func:`run_ladder`, the
@@ -39,12 +39,7 @@ from repro.resilience.faults import (
     installed,
     uninstall,
 )
-from repro.resilience.policies import (
-    Deadline,
-    DeadlineExceeded,
-    RetryBudget,
-    RetryPolicy,
-)
+from repro.resilience.policies import Deadline, RetryPolicy
 from repro.resilience.supervisor import Supervisor, SupervisorPolicy, Ward
 
 __all__ = [
@@ -55,13 +50,11 @@ __all__ = [
     "CircuitBreaker",
     "CircuitOpen",
     "Deadline",
-    "DeadlineExceeded",
     "FaultPlan",
     "FaultRule",
     "InjectedFault",
     "LadderExhausted",
     "LadderReport",
-    "RetryBudget",
     "RetryPolicy",
     "Supervisor",
     "SupervisorPolicy",

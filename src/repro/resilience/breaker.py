@@ -13,9 +13,8 @@ State machine:
   ``failure_threshold`` opens the breaker;
 * **open** — calls are rejected without running until ``recovery_time``
   seconds pass, then the next caller transitions it to half-open;
-* **half-open** — up to ``half_open_max_calls`` probe calls run; a probe
-  success closes the breaker, a probe failure re-opens it (restarting the
-  recovery clock).
+* **half-open** — one probe call runs; a probe success closes the
+  breaker, a probe failure re-opens it (restarting the recovery clock).
 
 Transitions and rejections are counted under ``resilience.breaker.*`` and
 the current state is exported as a gauge (0 = closed, 1 = half-open,
@@ -31,7 +30,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from repro.observability import metrics
 from repro.observability import names
@@ -63,7 +62,6 @@ class CircuitBreaker:
         self,
         failure_threshold: int = 3,
         recovery_time: float = 5.0,
-        half_open_max_calls: int = 1,
         name: str = "backend",
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
@@ -73,20 +71,15 @@ class CircuitBreaker:
             )
         if recovery_time < 0:
             raise ValueError(f"recovery_time must be >= 0, got {recovery_time}")
-        if half_open_max_calls < 1:
-            raise ValueError(
-                f"half_open_max_calls must be >= 1, got {half_open_max_calls}"
-            )
         self.failure_threshold = int(failure_threshold)
         self.recovery_time = float(recovery_time)
-        self.half_open_max_calls = int(half_open_max_calls)
         self.name = name
         self._clock = clock
         self._lock = threading.RLock()
         self._state = CLOSED
         self._failures = 0
         self._opened_at = 0.0
-        self._probes_inflight = 0
+        self._probe_inflight = False
         # Cumulative transition counts (also in metrics; kept here so
         # health payloads work with observability disabled).
         self._n_opened = 0
@@ -109,7 +102,7 @@ class CircuitBreaker:
                 and self._clock() - self._opened_at >= self.recovery_time
             ):
                 self._state = HALF_OPEN
-                self._probes_inflight = 0
+                self._probe_inflight = False
                 self._n_half_opens += 1
                 metrics.inc(names.RESILIENCE_BREAKER_HALF_OPENS)
                 metrics.set_gauge(
@@ -127,10 +120,9 @@ class CircuitBreaker:
             self._maybe_half_open()
             if self._state == CLOSED:
                 return True
-            if self._state == HALF_OPEN:
-                if self._probes_inflight < self.half_open_max_calls:
-                    self._probes_inflight += 1
-                    return True
+            if self._state == HALF_OPEN and not self._probe_inflight:
+                self._probe_inflight = True
+                return True
             self._n_rejections += 1
             metrics.inc(names.RESILIENCE_BREAKER_REJECTIONS)
             return False
@@ -149,7 +141,7 @@ class CircuitBreaker:
             if self._state == HALF_OPEN:
                 self._state = CLOSED
                 self._failures = 0
-                self._probes_inflight = 0
+                self._probe_inflight = False
                 self._n_closes += 1
                 metrics.inc(names.RESILIENCE_BREAKER_CLOSES)
                 metrics.set_gauge(
@@ -163,7 +155,7 @@ class CircuitBreaker:
             if self._state == HALF_OPEN:
                 self._state = OPEN
                 self._opened_at = self._clock()
-                self._probes_inflight = 0
+                self._probe_inflight = False
                 self._n_opened += 1
                 metrics.inc(names.RESILIENCE_BREAKER_OPENED)
                 metrics.set_gauge(names.RESILIENCE_BREAKER_STATE, _STATE_GAUGE[OPEN])

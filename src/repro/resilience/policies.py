@@ -1,4 +1,4 @@
-"""Retry, deadline, and retry-budget primitives.
+"""Retry and deadline primitives.
 
 A reservation sequence *is* a backoff schedule against an unknown runtime
 (the paper's Eq. 11 fixed point); these classes apply the same idea to the
@@ -10,12 +10,8 @@ serving stack's own failures:
   randomness comes from :mod:`repro.utils.rng`, so drills are seedable and
   a policy that never retries never draws — the no-failure path stays
   bit-identical.
-* :class:`Deadline` — a propagated wall-clock budget.  Callers pass one
-  deadline down a request's whole call tree instead of stacking unrelated
-  per-layer timeouts.
-* :class:`RetryBudget` — a shared cap on the *total* retries a component
-  may spend across calls, so a hard outage degrades instead of
-  multiplying load by ``max_attempts``.
+* :class:`Deadline` — a wall-clock budget for one computation; the
+  degradation ladder skips its remaining non-final rungs once it expires.
 
 All bookkeeping is thread-safe; metrics land under ``resilience.*``.
 """
@@ -24,25 +20,20 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Optional, Tuple, Type
+from typing import Callable
 
 from repro.observability import metrics
 from repro.observability import names
 from repro.utils.rng import SeedLike, as_generator
 
-__all__ = ["DeadlineExceeded", "Deadline", "RetryBudget", "RetryPolicy"]
-
-
-class DeadlineExceeded(RuntimeError):
-    """A wall-clock budget ran out before the work completed."""
+__all__ = ["Deadline", "RetryPolicy"]
 
 
 class Deadline:
-    """An absolute point in time a request must not outlive.
+    """An absolute point in time a computation must not outlive.
 
     Immutable after construction; cheap to pass through call trees.  A
-    ``None`` deadline everywhere means "no budget" — helpers accept
-    ``Optional[Deadline]`` and treat ``None`` as infinite.
+    ``None`` deadline everywhere means "no budget".
     """
 
     __slots__ = ("expires_at", "_clock")
@@ -55,70 +46,18 @@ class Deadline:
         self._clock = clock
         self.expires_at = clock() + seconds
 
-    @classmethod
-    def after(cls, seconds: float, clock: Callable[[], float] = time.monotonic) -> "Deadline":
-        return cls(seconds, clock=clock)
-
-    def remaining(self) -> float:
-        """Seconds left (never negative)."""
-        return max(0.0, self.expires_at - self._clock())
-
     def expired(self) -> bool:
         return self._clock() >= self.expires_at
 
-    def require(self, label: str = "") -> None:
-        """Raise :class:`DeadlineExceeded` (and count it) when expired."""
-        if self.expired():
-            metrics.inc(names.RESILIENCE_DEADLINE_EXPIRED)
-            suffix = f" in {label}" if label else ""
-            raise DeadlineExceeded(f"deadline exceeded{suffix}")
-
-    def bound(self, timeout: Optional[float]) -> Optional[float]:
-        """Tighten a per-call ``timeout`` to the remaining budget."""
-        remaining = self.remaining()
-        if timeout is None:
-            return remaining
-        return min(timeout, remaining)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<Deadline remaining={self.remaining():.3f}s>"
-
-
-class RetryBudget:
-    """A shared, thread-safe cap on total retries across many calls."""
-
-    def __init__(self, max_retries: int) -> None:
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        self.max_retries = int(max_retries)
-        self._spent = 0
-        self._lock = threading.Lock()
-
-    def try_spend(self) -> bool:
-        """Reserve one retry; ``False`` once the budget is exhausted."""
-        with self._lock:
-            if self._spent >= self.max_retries:
-                return False
-            self._spent += 1
-            return True
-
-    @property
-    def spent(self) -> int:
-        with self._lock:
-            return self._spent
-
-    @property
-    def remaining(self) -> int:
-        with self._lock:
-            return self.max_retries - self._spent
-
 
 class RetryPolicy:
-    """Exponential backoff with full jitter, bounded attempts, optional budget.
+    """Exponential backoff with full jitter and bounded attempts.
 
     ``max_attempts`` counts the first try: ``max_attempts=3`` means at most
-    two retries.  ``base_delay=0`` (see :meth:`immediate`) reproduces the
-    historical hot-loop retry exactly — no sleeping, no RNG draws.
+    two retries.  The backoff cap doubles per retry up to ``max_delay``.
+    ``base_delay=0`` (see :meth:`immediate`) reproduces the historical
+    hot-loop retry exactly — no sleeping, no RNG draws.  The caller decides
+    which failures are retryable.
     """
 
     def __init__(
@@ -126,26 +65,16 @@ class RetryPolicy:
         max_attempts: int = 3,
         base_delay: float = 0.05,
         max_delay: float = 2.0,
-        multiplier: float = 2.0,
-        jitter: bool = True,
         seed: SeedLike = None,
-        retry_on: Tuple[Type[BaseException], ...] = (Exception,),
-        budget: Optional[RetryBudget] = None,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         if max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
         if base_delay < 0 or max_delay < 0:
             raise ValueError("delays must be >= 0")
-        if multiplier < 1.0:
-            raise ValueError(f"multiplier must be >= 1, got {multiplier}")
         self.max_attempts = int(max_attempts)
         self.base_delay = float(base_delay)
         self.max_delay = float(max_delay)
-        self.multiplier = float(multiplier)
-        self.jitter = bool(jitter)
-        self.retry_on = retry_on
-        self.budget = budget
         self._sleep = sleep
         self._rng = as_generator(seed)
         self._lock = threading.Lock()
@@ -153,45 +82,27 @@ class RetryPolicy:
     @classmethod
     def immediate(cls, retries: int) -> "RetryPolicy":
         """``retries`` immediate resubmissions — the pre-policy pool behavior."""
-        return cls(max_attempts=retries + 1, base_delay=0.0, jitter=False)
+        return cls(max_attempts=retries + 1, base_delay=0.0)
 
-    # -- decision primitives (used by the pool's future-resubmit loop) ---
-    def should_retry(
-        self,
-        attempt: int,
-        exc: BaseException,
-        deadline: Optional[Deadline] = None,
-    ) -> bool:
+    def should_retry(self, attempt: int) -> bool:
         """May attempt number ``attempt`` (1-based, just failed) be retried?"""
         if attempt >= self.max_attempts:
-            metrics.inc(names.RESILIENCE_RETRY_EXHAUSTED)
-            return False
-        if not isinstance(exc, self.retry_on):
-            return False
-        if deadline is not None and deadline.expired():
-            metrics.inc(names.RESILIENCE_DEADLINE_EXPIRED)
-            return False
-        if self.budget is not None and not self.budget.try_spend():
             metrics.inc(names.RESILIENCE_RETRY_EXHAUSTED)
             return False
         return True
 
     def delay(self, attempt: int) -> float:
         """Backoff before retry number ``attempt`` (1-based), with jitter."""
-        cap = min(self.max_delay, self.base_delay * self.multiplier ** (attempt - 1))
+        cap = min(self.max_delay, self.base_delay * 2.0 ** (attempt - 1))
         if cap <= 0.0:
             return 0.0
-        if not self.jitter:
-            return cap
         with self._lock:  # numpy Generators are not thread-safe
             return float(self._rng.uniform(0.0, cap))
 
-    def backoff(self, attempt: int, deadline: Optional[Deadline] = None) -> None:
-        """Sleep the (jittered, deadline-clamped) delay for ``attempt``."""
+    def backoff(self, attempt: int) -> None:
+        """Sleep the jittered delay for ``attempt``."""
         metrics.inc(names.RESILIENCE_RETRIES)
         pause = self.delay(attempt)
-        if deadline is not None:
-            pause = min(pause, deadline.remaining())
         if pause > 0.0:
             self._sleep(pause)
 
@@ -204,27 +115,3 @@ class RetryPolicy:
         metrics.inc(names.RESILIENCE_RETRIES)
         if seconds > 0.0:
             self._sleep(seconds)
-
-    # -- convenience wrapper --------------------------------------------
-    def call(
-        self,
-        fn: Callable,
-        *args: Any,
-        deadline: Optional[Deadline] = None,
-        on_retry: Optional[Callable[[int, BaseException], None]] = None,
-        **kwargs: Any,
-    ) -> Any:
-        """Run ``fn`` under this policy, re-raising the final failure."""
-        attempt = 0
-        while True:
-            if deadline is not None:
-                deadline.require(getattr(fn, "__name__", "call"))
-            attempt += 1
-            try:
-                return fn(*args, **kwargs)
-            except BaseException as exc:
-                if not self.should_retry(attempt, exc, deadline):
-                    raise
-                if on_retry is not None:
-                    on_retry(attempt, exc)
-                self.backoff(attempt, deadline)

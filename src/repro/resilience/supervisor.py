@@ -35,7 +35,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 __all__ = ["SupervisorPolicy", "Ward", "Supervisor"]
 
@@ -237,7 +237,3 @@ class Supervisor:
             },
             "wards": wards,
         }
-
-    def ward_names(self) -> List[str]:
-        with self._lock:
-            return sorted(self._wards)

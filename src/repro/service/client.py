@@ -113,9 +113,7 @@ class ServiceClient:
             try:
                 return self._request_once(path, body)
             except Exception as exc:
-                if not self._retryable(exc) or not policy.should_retry(
-                    attempt, exc
-                ):
+                if not self._retryable(exc) or not policy.should_retry(attempt):
                     raise
                 if (
                     isinstance(exc, ServiceHTTPError)

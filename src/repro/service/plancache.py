@@ -90,25 +90,22 @@ class PlanCache:
 
     def put(
         self, key: str, payload: dict, created_at: Optional[float] = None
-    ) -> List[str]:
+    ) -> None:
         """Insert (or refresh) an entry, evicting the LRU tail past maxsize.
 
-        Returns the keys evicted to make room (usually empty) — the
-        journaled :class:`~repro.service.shard.ShardStore` records them so
-        a replayed journal removes exactly what the live cache removed.
+        The journaled :class:`~repro.service.shard.ShardStore` picks and
+        journals its own victims before calling this, so replay removes
+        exactly what the live cache removed.
         """
         stamp = self._clock() if created_at is None else float(created_at)
-        evicted: List[str] = []
         with self._lock:
             if key in self._data:
                 self._data.move_to_end(key)
             self._data[key] = (stamp, payload)
             while len(self._data) > self.maxsize:
-                victim, _ = self._data.popitem(last=False)
-                evicted.append(victim)
+                self._data.popitem(last=False)
                 metrics.inc(names.PLANCACHE_EVICTIONS)
             metrics.set_gauge(names.PLANCACHE_SIZE, len(self._data))
-        return evicted
 
     def get_or_compute(
         self, key: str, factory: Callable[[], dict]

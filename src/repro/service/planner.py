@@ -30,7 +30,8 @@ of the probability mass.
 evaluation runs through a fallback ladder — parallel MC on the configured
 backend, then serial MC with fewer samples, then the Eq. 3 quadrature,
 then the Theorem 1 series — stepping down when the backend's circuit
-breaker is open, a rung fails, or the request deadline shrinks.  Every
+breaker is open, a rung fails, or the computation's deadline has expired
+(a running rung is never interrupted).  Every
 response is stamped with ``degraded`` / ``evaluator`` / ``attempts`` so
 callers (and the chaos CI job) can tell a full-fidelity answer from a
 bounded-degraded one.
@@ -56,7 +57,7 @@ from repro.resilience.degradation import LadderReport, run_ladder
 from repro.resilience.policies import Deadline
 from repro.service.keys import plan_key, stable_key_hash
 from repro.service.plancache import PlanCache
-from repro.service.pool import ExecutionBackend, SerialBackend, get_backend
+from repro.service.pool import ExecutionBackend, SerialBackend
 from repro.simulation.monte_carlo import monte_carlo_expected_cost
 from repro.strategies.brute_force import BruteForce
 from repro.strategies.registry import PAPER_STRATEGY_ORDER, make_strategy
@@ -99,6 +100,11 @@ DEFAULT_COVERAGE = 0.999
 DEFAULT_N_SAMPLES = 5000
 MAX_N_SAMPLES = 2_000_000
 
+#: The degraded serial MC rung uses ``max(min, fraction * n_samples)``
+#: samples (never more than the request asked for).
+DEGRADED_FRACTION = 0.25
+DEGRADED_MIN_SAMPLES = 500
+
 
 @dataclass(frozen=True)
 class ResilienceOptions:
@@ -112,7 +118,8 @@ class ResilienceOptions:
     """
 
     enabled: bool = True
-    #: Wall-clock budget per request; ``None`` = unbounded.
+    #: Wall-clock budget per plan or evaluation computation, checked
+    #: between ladder rungs; ``None`` = unbounded.
     request_deadline_s: Optional[float] = None
     #: Per-attempt timeout for one parallel MC chunk (ignored by the
     #: serial backend, which cannot be interrupted).
@@ -123,9 +130,6 @@ class ResilienceOptions:
     breaker_failure_threshold: int = 3
     #: Seconds the breaker stays open before half-opening a probe.
     breaker_recovery_s: float = 5.0
-    #: Degraded serial MC uses ``max(min, fraction * n_samples)`` samples.
-    degraded_fraction: float = 0.25
-    degraded_min_samples: int = 500
 
     @classmethod
     def disabled(cls) -> "ResilienceOptions":
@@ -293,29 +297,11 @@ class PlannerService:
         """Seconds since service construction, immune to wall-clock steps."""
         return time.monotonic() - self._started_monotonic
 
-    @classmethod
-    def from_options(
-        cls,
-        cache_size: int = 256,
-        ttl: Optional[float] = None,
-        backend: str = "serial",
-        jobs: int = 1,
-        n_samples: int = DEFAULT_N_SAMPLES,
-        seed: int = 0,
-        resilience: Optional[ResilienceOptions] = None,
-    ) -> "PlannerService":
-        return cls(
-            cache=PlanCache(maxsize=cache_size, ttl=ttl),
-            backend=get_backend(backend, jobs),
-            n_samples=n_samples,
-            seed=seed,
-            resilience=resilience,
-        )
-
     # ------------------------------------------------------------------
     # Degradation ladder
     # ------------------------------------------------------------------
     def _request_deadline(self) -> Optional[Deadline]:
+        """One deadline per computation: a plan, or one evaluation run."""
         opts = self.resilience
         if not opts.enabled or opts.request_deadline_s is None:
             return None
@@ -368,10 +354,7 @@ class PlannerService:
         def serial_reduced() -> dict:
             n_reduced = min(
                 n_samples,
-                max(
-                    opts.degraded_min_samples,
-                    int(n_samples * opts.degraded_fraction),
-                ),
+                max(DEGRADED_MIN_SAMPLES, int(n_samples * DEGRADED_FRACTION)),
             )
             mc = monte_carlo_expected_cost(
                 sequence, distribution, cost_model,

@@ -18,12 +18,14 @@ Design choices:
   maps "serial" to no pool at all.  There is no size-based choice: a
   kernel runs serially or on the pool its caller names.
 * ``map`` preserves input order and is strict: a task that still fails
-  after its retry budget raises :class:`PoolError` (partial results are
-  never silently dropped).  Retries are governed by a
-  :class:`repro.resilience.policies.RetryPolicy` — the plain ``retries=N``
-  form maps to ``RetryPolicy.immediate(N)``, the historical zero-backoff
-  behavior; pass ``retry_policy=`` for jittered exponential backoff, and
-  ``deadline=`` to bound the whole map under one wall-clock budget.
+  after ``retries`` immediate resubmissions
+  (:meth:`repro.resilience.policies.RetryPolicy.immediate`) raises
+  :class:`PoolError` (partial results are never silently dropped).  Every
+  backend runs the same attempt → collect → resubmit loop and differs
+  only in how an attempt starts and how its result is awaited: the serial
+  backend runs an attempt inline when it is collected (so nothing after
+  an exhausted task runs), the pools submit every first attempt before
+  collecting any result and resubmit retries in index order.
 * ``timeout`` is per task attempt.  Thread workers cannot be interrupted
   mid-flight, so a timed-out attempt may keep running in the background
   while its retry proceeds — acceptable for the pure compute tasks used
@@ -50,15 +52,15 @@ timer, all no-ops unless observability is enabled.
 
 from __future__ import annotations
 
-import abc
 import concurrent.futures
+import functools
 import os
 from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.observability import metrics
 from repro.observability import names
 from repro.resilience import faults
-from repro.resilience.policies import Deadline, DeadlineExceeded, RetryPolicy
+from repro.resilience.policies import RetryPolicy
 
 __all__ = [
     "PoolError",
@@ -91,7 +93,7 @@ def effective_cpu_count() -> int:
 
 
 class PoolError(RuntimeError):
-    """A task exhausted its retry budget (the original error is chained)."""
+    """A task exhausted its retries (the original error is chained)."""
 
 
 def chunk_sizes(n_items: int, n_chunks: int) -> List[int]:
@@ -115,33 +117,65 @@ def _run_task(fn: Callable[[T], R], item: T) -> R:
     Module-level so the process backend can pickle it; child processes
     pick chaos drills up through the inherited ``REPRO_FAULTS`` variable.
     """
-    faults.fire("pool.worker")  # repro-lint: disable=RS203 -- every backend.map caller rides RetryPolicy + the degradation ladder; the flagged routes go through name-based CHA conflating PlanCache.get_or_compute with the sharded tier's, whose factory runs under the same ladder
+    faults.fire("pool.worker")  # repro-lint: disable=RS203 -- an attempt only runs inside map's RetryPolicy handler (_start merely wraps or submits it), and every backend.map caller rides the degradation ladder
     return fn(item)
 
 
-def _resolve_policy(retries: int, retry_policy: Optional[RetryPolicy]) -> RetryPolicy:
-    if retry_policy is not None:
-        return retry_policy
-    return RetryPolicy.immediate(retries)
+class ExecutionBackend:
+    """Ordered fan-out of a function over a sequence of items.
 
-
-class ExecutionBackend(abc.ABC):
-    """Ordered fan-out of a function over a sequence of items."""
+    The base class runs each attempt inline; the pooled backends override
+    :meth:`_start` and :meth:`_collect`.  A caller-defined backend may
+    override :meth:`map` alone.
+    """
 
     #: Identifier used in metrics and the ``/healthz`` payload.
     kind: str = "backend"
 
-    @abc.abstractmethod
     def map(
         self,
         fn: Callable[[T], R],
         items: Sequence[T],
         timeout: Optional[float] = None,
         retries: int = 0,
-        retry_policy: Optional[RetryPolicy] = None,
-        deadline: Optional[Deadline] = None,
     ) -> List[R]:
         """Apply ``fn`` to every item, returning results in input order."""
+        policy = RetryPolicy.immediate(retries)
+        items = list(items)
+        metrics.inc(names.POOL_TASKS, len(items))
+        results: List = [None] * len(items)
+        with metrics.timer(names.POOL_MAP):
+            attempts = [self._start(fn, item) for item in items]
+            for i, item in enumerate(items):
+                tries = 1
+                while True:
+                    try:
+                        results[i] = self._collect(attempts[i], timeout)
+                        break
+                    except Exception as exc:
+                        if not policy.should_retry(tries):
+                            metrics.inc(names.POOL_FAILURES)
+                            self._cancel(attempts[i:])
+                            raise PoolError(
+                                f"task {i} failed after {tries} attempt(s): "
+                                f"{exc!r}"
+                            ) from exc
+                        metrics.inc(names.POOL_RETRIES)
+                        policy.backoff(tries)
+                        tries += 1
+                        attempts[i] = self._start(fn, item)
+        return results
+
+    def _start(self, fn: Callable[[T], R], item: T):
+        """Begin one attempt; inline backends defer the call to collection."""
+        return functools.partial(_run_task, fn, item)
+
+    def _collect(self, attempt, timeout: Optional[float]):
+        """Await one attempt's result (inline: run it; ``timeout`` unused)."""
+        return attempt()
+
+    def _cancel(self, attempts) -> None:
+        """Drop attempts that will never be collected (inline: nothing ran)."""
 
     def close(self) -> None:
         """Release worker resources (idempotent; serial backend is a no-op)."""
@@ -166,74 +200,27 @@ class SerialBackend(ExecutionBackend):
 
     kind = "serial"
 
-    def map(self, fn, items, timeout=None, retries=0, retry_policy=None,
-            deadline=None):
-        policy = _resolve_policy(retries, retry_policy)
-        results = []
-        with metrics.timer(names.POOL_MAP):
-            for item in items:
-                metrics.inc(names.POOL_TASKS)
-                attempt = 0
-                while True:
-                    if deadline is not None:
-                        deadline.require("pool.map")
-                    attempt += 1
-                    try:
-                        results.append(_run_task(fn, item))
-                        break
-                    except Exception as exc:
-                        if not policy.should_retry(attempt, exc, deadline):
-                            metrics.inc(names.POOL_FAILURES)
-                            raise PoolError(
-                                f"task failed after {attempt} attempt(s): {exc}"
-                            ) from exc
-                        metrics.inc(names.POOL_RETRIES)
-                        policy.backoff(attempt, deadline)
-        return results
-
 
 class _ExecutorBackend(ExecutionBackend):
-    """Shared submit/collect loop for the concurrent.futures backends."""
+    """Attempts run on a concurrent.futures executor."""
 
     def __init__(self, executor: concurrent.futures.Executor, jobs: int):
         self._executor = executor
         self.jobs = jobs
 
-    def map(self, fn, items, timeout=None, retries=0, retry_policy=None,
-            deadline=None):
-        policy = _resolve_policy(retries, retry_policy)
-        items = list(items)
-        futures = [self._executor.submit(_run_task, fn, item) for item in items]
-        metrics.inc(names.POOL_TASKS, len(items))
-        results: List = [None] * len(items)
-        with metrics.timer(names.POOL_MAP):
-            for i, future in enumerate(futures):
-                attempts = 0
-                while True:
-                    wait = timeout if deadline is None else deadline.bound(timeout)
-                    attempts += 1
-                    try:
-                        results[i] = future.result(timeout=wait)
-                        break
-                    except Exception as exc:
-                        if isinstance(exc, concurrent.futures.TimeoutError):
-                            metrics.inc(names.POOL_TIMEOUTS)
-                            if deadline is not None and deadline.expired():
-                                exc = DeadlineExceeded(
-                                    f"pool.map deadline expired waiting on task {i}"
-                                )
-                        if not policy.should_retry(attempts, exc, deadline):
-                            metrics.inc(names.POOL_FAILURES)
-                            for pending in futures[i:]:
-                                pending.cancel()
-                            raise PoolError(
-                                f"task {i} failed after {attempts} attempt(s): "
-                                f"{exc!r}"
-                            ) from exc
-                        metrics.inc(names.POOL_RETRIES)
-                        policy.backoff(attempts, deadline)
-                        future = self._executor.submit(_run_task, fn, items[i])
-        return results
+    def _start(self, fn, item):
+        return self._executor.submit(_run_task, fn, item)
+
+    def _collect(self, attempt, timeout):
+        try:
+            return attempt.result(timeout=timeout)
+        except concurrent.futures.TimeoutError:
+            metrics.inc(names.POOL_TIMEOUTS)
+            raise
+
+    def _cancel(self, attempts) -> None:
+        for attempt in attempts:
+            attempt.cancel()
 
     def close(self) -> None:
         self._executor.shutdown(wait=True, cancel_futures=True)

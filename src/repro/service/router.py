@@ -38,7 +38,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.observability import metrics
 from repro.observability import names
-from repro.resilience.supervisor import Supervisor, SupervisorPolicy
+from repro.resilience.supervisor import Supervisor
 from repro.service.keys import stable_key_hash
 from repro.service.shard import ShardClient, ShardError, ShardUnavailable
 
@@ -46,7 +46,13 @@ __all__ = ["HashRing", "ShardedPlanCache", "ShardFleet", "BANNER_RE"]
 
 #: Virtual nodes per shard: enough to balance a handful of shards to a few
 #: percent without making ring construction or lookup noticeable.
-DEFAULT_REPLICAS = 64
+REPLICAS = 64
+
+#: Per-RPC socket timeout of every shard client the fleet builds.
+RPC_TIMEOUT_S = 2.0
+
+#: Seconds a spawned shard worker may take to print its banner.
+BOOT_TIMEOUT_S = 20.0
 
 #: Striped single-flight locks for cold keys (same rationale as PlanCache).
 _N_STRIPES = 64
@@ -61,17 +67,14 @@ BANNER_RE = re.compile(
 class HashRing:
     """Consistent-hashing ring over integer shard ids with virtual nodes."""
 
-    def __init__(self, shard_ids: Sequence[int], replicas: int = DEFAULT_REPLICAS):
+    def __init__(self, shard_ids: Sequence[int]):
         ids = sorted({int(s) for s in shard_ids})
         if not ids:
             raise ValueError("HashRing needs at least one shard id")
-        if replicas < 1:
-            raise ValueError(f"replicas must be >= 1, got {replicas}")
         self.shard_ids = ids
-        self.replicas = int(replicas)
         points: List[Tuple[int, int]] = []
         for sid in ids:
-            for replica in range(self.replicas):
+            for replica in range(REPLICAS):
                 token = hashlib.sha256(f"shard-{sid}#{replica}".encode()).digest()
                 points.append((int.from_bytes(token[:8], "big"), sid))
         points.sort()
@@ -122,12 +125,11 @@ class ShardedPlanCache:
         clients: Dict[int, ShardClient],
         maxsize_per_shard: int = 4096,
         ttl: Optional[float] = None,
-        replicas: int = DEFAULT_REPLICAS,
     ):
         if not clients:
             raise ValueError("ShardedPlanCache needs at least one shard client")
         self._clients = dict(clients)
-        self._ring = HashRing(sorted(self._clients), replicas=replicas)
+        self._ring = HashRing(sorted(self._clients))
         self.maxsize = int(maxsize_per_shard) * len(self._clients)
         self.ttl = ttl
         self._down: set = set()
@@ -244,9 +246,8 @@ class ShardedPlanCache:
         metrics.inc(names.SHARD_HITS if payload is not None else names.SHARD_MISSES)
         return payload
 
-    def put(self, key: str, payload: dict) -> List[str]:
+    def put(self, key: str, payload: dict) -> None:
         self._put_routed(key, payload)
-        return []
 
     def get_or_compute(
         self, key: str, factory: Callable[[], dict]
@@ -345,10 +346,6 @@ class ShardFleet:
         ttl: Optional[float] = None,
         journal_max_bytes: int = 1 << 20,
         host: str = "127.0.0.1",
-        rpc_timeout: float = 2.0,
-        boot_timeout: float = 20.0,
-        policy: Optional[SupervisorPolicy] = None,
-        replicas: int = DEFAULT_REPLICAS,
     ):
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
@@ -358,10 +355,6 @@ class ShardFleet:
         self.ttl = ttl
         self.journal_max_bytes = int(journal_max_bytes)
         self.host = host
-        self.rpc_timeout = float(rpc_timeout)
-        self.boot_timeout = float(boot_timeout)
-        self.policy = policy if policy is not None else SupervisorPolicy()
-        self.replicas = int(replicas)
         self._procs: Dict[int, subprocess.Popen] = {}
         self._lock = threading.Lock()
         self.cache: Optional[ShardedPlanCache] = None
@@ -381,14 +374,11 @@ class ShardFleet:
             clients,
             maxsize_per_shard=self.maxsize_per_shard,
             ttl=self.ttl,
-            replicas=self.replicas,
         )
         with self._lock:
             self.cache = cache
         metrics.set_gauge(names.SHARD_UP, self.n_shards)
-        supervisor = Supervisor(
-            policy=self.policy, on_down=self._on_down, on_up=self._on_up
-        )
+        supervisor = Supervisor(on_down=self._on_down, on_up=self._on_up)
         for sid in range(self.n_shards):
             supervisor.add(
                 name=str(sid),
@@ -440,7 +430,7 @@ class ShardFleet:
             raise
         with self._lock:
             self._procs[shard_id] = proc
-        return ShardClient(self.host, port, shard_id, timeout=self.rpc_timeout)
+        return ShardClient(self.host, port, shard_id, timeout=RPC_TIMEOUT_S)
 
     def _read_banner(self, proc: subprocess.Popen) -> int:
         """Wait for the worker's banner; returns its bound port."""
@@ -457,12 +447,12 @@ class ShardFleet:
 
         thread = threading.Thread(target=read, daemon=True)
         thread.start()
-        thread.join(self.boot_timeout)
+        thread.join(BOOT_TIMEOUT_S)
         port = result.get("port")
         if not isinstance(port, int):
             raise RuntimeError(
                 "shard worker did not print its banner within "
-                f"{self.boot_timeout}s (exit={proc.poll()})"
+                f"{BOOT_TIMEOUT_S}s (exit={proc.poll()})"
             )
         return port
 

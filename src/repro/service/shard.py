@@ -121,14 +121,13 @@ class ShardStore(PlanCache):
     # -- journaled mutations -------------------------------------------
     def put(
         self, key: str, payload: dict, created_at: Optional[float] = None
-    ) -> List[str]:
+    ) -> None:
         with self._write_lock:
             stamp = self._clock() if created_at is None else float(created_at)
             # Make room first, one journaled eviction at a time, so replay
             # removes exactly what the live cache removed and no committed
             # prefix of the journal ever holds more than maxsize entries.
-            evicted = self._lru_victims(key)
-            for victim in evicted:
+            for victim in self._lru_victims(key):
                 self.journal.append({"op": "evict", "key": victim})
                 if super().invalidate(victim):
                     metrics.inc(names.PLANCACHE_EVICTIONS)
@@ -137,7 +136,6 @@ class ShardStore(PlanCache):
             )
             super().put(key, payload, created_at=stamp)
             self._maybe_compact()
-            return evicted
 
     def _lru_victims(self, key: str) -> List[str]:
         """The least-recently-used keys a ``put`` of ``key`` must evict."""

@@ -55,6 +55,17 @@ class TestModuleNaming:
     def test_bare_tree_falls_back_to_path_derived(self):
         assert module_name_for("pkg/mod.py", set()) == "pkg.mod"
 
+    def test_bare_tree_is_named_below_the_scanned_root(self, tmp_path):
+        # tmp_path lies outside the working directory, so its display path
+        # is absolute; none of it may leak into the module name.
+        (tmp_path / "service").mkdir()
+        (tmp_path / "service" / "mod.py").write_text("X = 1\n")
+        (source,) = load_sources([str(tmp_path)])
+        assert source.path.startswith("/")
+        assert source.module == "service.mod"
+        root = tuple(Path(tmp_path).parts)
+        assert module_name_for(source.path, set(), root) == "service.mod"
+
 
 class TestResolution:
     def test_module_and_import_resolution(self, graph_of):
@@ -173,6 +184,32 @@ class TestImportResolver:
             "names": "repro.observability.names",
             "plan_key": "repro.service.keys.plan_key",
         }
+
+    def test_relative_imports_in_a_package_init(self):
+        tree = ast.parse("from .x import y\nfrom .. import names\n")
+        assert collect_imports(tree, "repro.service", is_package=True) == {
+            "y": "repro.service.x.y",
+            "names": "repro.names",
+        }
+        # The same import in the module repro.service (not a package).
+        assert collect_imports(tree, "repro.service")["y"] == "repro.x.y"
+
+    def test_package_init_calls_resolve_into_the_package(self, graph_of):
+        g = graph_of(
+            {
+                "pkg/__init__.py": """
+                from .helpers import helper
+
+                def entry():
+                    helper()
+                """,
+                "pkg/helpers.py": """
+                def helper():
+                    return 1
+                """,
+            }
+        )
+        assert _edges(g, "pkg.entry") == {("helpers.helper", "direct")}
 
     def test_absolute_imports_and_aliases(self):
         tree = ast.parse(

@@ -98,8 +98,6 @@ class TestStateMachine:
             CircuitBreaker(failure_threshold=0)
         with pytest.raises(ValueError):
             CircuitBreaker(recovery_time=-1.0)
-        with pytest.raises(ValueError):
-            CircuitBreaker(half_open_max_calls=0)
 
 
 class TestCallWrapper:

@@ -2,14 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.resilience.policies import (
-    Deadline,
-    DeadlineExceeded,
-    RetryBudget,
-    RetryPolicy,
-)
+from repro.resilience.policies import Deadline, RetryPolicy
 
 
 class FakeClock:
@@ -24,46 +20,21 @@ class FakeClock:
 
 
 class TestDeadline:
-    def test_remaining_counts_down(self):
+    def test_expires_when_the_budget_runs_out(self):
         clock = FakeClock()
         deadline = Deadline(10.0, clock=clock)
-        assert deadline.remaining() == pytest.approx(10.0)
-        clock.advance(4.0)
-        assert deadline.remaining() == pytest.approx(6.0)
         assert not deadline.expired()
-
-    def test_remaining_never_negative(self):
-        clock = FakeClock()
-        deadline = Deadline(1.0, clock=clock)
-        clock.advance(5.0)
-        assert deadline.remaining() == 0.0
+        clock.advance(9.5)
+        assert not deadline.expired()
+        clock.advance(0.5)
         assert deadline.expired()
 
-    def test_require_raises_after_expiry(self):
-        clock = FakeClock()
-        deadline = Deadline(1.0, clock=clock)
-        deadline.require("setup")  # fine while time remains
-        clock.advance(2.0)
-        with pytest.raises(DeadlineExceeded, match="setup"):
-            deadline.require("setup")
+    def test_zero_budget_is_already_expired(self):
+        assert Deadline(0.0, clock=FakeClock()).expired()
 
-    def test_bound_clamps_timeouts(self):
-        clock = FakeClock()
-        deadline = Deadline(5.0, clock=clock)
-        assert deadline.bound(None) == pytest.approx(5.0)
-        assert deadline.bound(2.0) == pytest.approx(2.0)
-        clock.advance(4.0)
-        assert deadline.bound(2.0) == pytest.approx(1.0)
-
-
-class TestRetryBudget:
-    def test_budget_is_shared_and_bounded(self):
-        budget = RetryBudget(2)
-        assert budget.try_spend()
-        assert budget.try_spend()
-        assert not budget.try_spend()
-        assert budget.spent == 2
-        assert budget.remaining == 0
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ValueError, match="deadline"):
+            Deadline(-1.0)
 
 
 class TestRetryPolicy:
@@ -71,10 +42,9 @@ class TestRetryPolicy:
         slept = []
         policy = RetryPolicy.immediate(2)
         policy._sleep = slept.append
-        boom = ValueError("boom")
-        assert policy.should_retry(1, boom)
-        assert policy.should_retry(2, boom)
-        assert not policy.should_retry(3, boom)
+        assert policy.should_retry(1)
+        assert policy.should_retry(2)
+        assert not policy.should_retry(3)
         policy.backoff(1)
         policy.backoff(2)
         assert slept == []  # zero base delay: never sleeps
@@ -88,39 +58,23 @@ class TestRetryPolicy:
         replay = RetryPolicy(base_delay=0.1, max_delay=1.0, seed=42)
         assert delays == [replay.delay(a) for a in (1, 2, 3, 4, 5)]
 
-    def test_unjittered_delay_is_the_cap(self):
-        policy = RetryPolicy(base_delay=0.1, max_delay=1.0, jitter=False)
-        assert policy.delay(3) == pytest.approx(0.4)
-        assert policy.delay(10) == pytest.approx(1.0)  # capped
+    def test_delay_is_a_uniform_draw_under_the_doubling_cap(self):
+        # delay(a) ~ U[0, min(max_delay, base * 2**(a-1))], drawn from the
+        # policy's own seeded generator in call order.
+        policy = RetryPolicy(base_delay=0.1, max_delay=1.0, seed=7)
+        rng = np.random.default_rng(7)
+        for attempt in (1, 2, 3, 4, 5, 10):
+            cap = min(1.0, 0.1 * 2.0 ** (attempt - 1))
+            assert policy.delay(attempt) == float(rng.uniform(0.0, cap))
 
-    def test_should_retry_respects_retry_on(self):
-        policy = RetryPolicy(max_attempts=5, retry_on=(OSError,))
-        assert policy.should_retry(1, OSError("io"))
-        assert not policy.should_retry(1, ValueError("logic"))
-
-    def test_should_retry_respects_deadline(self):
-        clock = FakeClock()
-        deadline = Deadline(1.0, clock=clock)
-        policy = RetryPolicy(max_attempts=5)
-        assert policy.should_retry(1, ValueError(), deadline)
-        clock.advance(2.0)
-        assert not policy.should_retry(1, ValueError(), deadline)
-
-    def test_should_retry_respects_shared_budget(self):
-        budget = RetryBudget(1)
-        policy = RetryPolicy(max_attempts=10, budget=budget)
-        assert policy.should_retry(1, ValueError())
-        assert not policy.should_retry(1, ValueError())  # budget drained
-
-    def test_backoff_clamped_by_deadline(self):
-        clock = FakeClock()
+    def test_backoff_sleeps_the_seeded_delay(self):
         slept = []
-        policy = RetryPolicy(
-            base_delay=10.0, max_delay=10.0, jitter=False, sleep=slept.append
-        )
-        deadline = Deadline(0.5, clock=clock)
-        policy.backoff(1, deadline)
-        assert slept == [pytest.approx(0.5)]
+        policy = RetryPolicy(base_delay=0.1, max_delay=1.0, seed=3,
+                             sleep=slept.append)
+        twin = RetryPolicy(base_delay=0.1, max_delay=1.0, seed=3)
+        policy.backoff(1)
+        policy.backoff(2)
+        assert slept == [twin.delay(1), twin.delay(2)]
 
     def test_sleep_for_honors_server_hint(self):
         slept = []
@@ -129,33 +83,18 @@ class TestRetryPolicy:
         policy.sleep_for(0.0)  # no sleep call for zero
         assert slept == [1.25]
 
-    def test_call_retries_until_success(self):
-        slept = []
-        policy = RetryPolicy(
-            max_attempts=4, base_delay=0.01, jitter=False, sleep=slept.append
-        )
-        attempts = []
-
-        def flaky():
-            attempts.append(1)
-            if len(attempts) < 3:
-                raise ValueError("transient")
-            return "ok"
-
-        assert policy.call(flaky) == "ok"
-        assert len(attempts) == 3
-        assert len(slept) == 2
-
-    def test_call_reraises_after_exhaustion(self):
-        policy = RetryPolicy(max_attempts=2, base_delay=0.0, jitter=False)
-        with pytest.raises(ValueError, match="always"):
-            policy.call(lambda: (_ for _ in ()).throw(ValueError("always")))
+    def test_constructor_validation(self):
+        with pytest.raises(ValueError, match="max_attempts"):
+            RetryPolicy(max_attempts=0)
+        with pytest.raises(ValueError, match="delays"):
+            RetryPolicy(base_delay=-0.1)
 
     def test_retry_metrics(self, enabled_obs):
         reg, _ = enabled_obs
-        policy = RetryPolicy(max_attempts=2, base_delay=0.0, jitter=False)
-        with pytest.raises(ValueError):
-            policy.call(lambda: (_ for _ in ()).throw(ValueError("x")))
+        policy = RetryPolicy.immediate(1)
+        assert policy.should_retry(1)
+        policy.backoff(1)
+        assert not policy.should_retry(2)
         counters = reg.to_dict()["counters"]
         assert counters["resilience.retries"] == 1
         assert counters["resilience.retry_exhausted"] == 1

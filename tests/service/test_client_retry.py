@@ -89,7 +89,7 @@ def scripted():
 
 def fast_policy(recorder=None):
     return RetryPolicy(
-        max_attempts=3, base_delay=0.0, jitter=False,
+        max_attempts=3, base_delay=0.0,
         sleep=recorder if recorder is not None else (lambda s: None),
     )
 
@@ -154,7 +154,7 @@ class TestRetryOnServerErrors:
         # Nothing listens on this port: every attempt raises URLError.
         policy_sleeps = []
         policy = RetryPolicy(
-            max_attempts=3, base_delay=0.001, jitter=False,
+            max_attempts=3, base_delay=0.001, seed=0,
             sleep=policy_sleeps.append,
         )
         client = ServiceClient("http://127.0.0.1:9", timeout=0.2, retry=policy)

@@ -173,20 +173,29 @@ class TestGaugeRegressions:
         assert self.gauge(registry) == 1
 
 
-class TestEvictionReporting:
-    def test_put_returns_evicted_keys_in_lru_order(self, registry):
+class TestEviction:
+    @staticmethod
+    def keys(cache):
+        return [entry["key"] for entry in cache.entries()]
+
+    def test_put_evicts_in_lru_order(self, registry):
         cache = PlanCache(maxsize=2)
-        assert cache.put("a", {}) == []
-        assert cache.put("b", {}) == []
-        assert cache.put("c", {}) == ["a"]  # LRU victim
+        assert cache.put("a", {}) is None
+        cache.put("b", {})
+        cache.put("c", {})  # "a" is the LRU victim
+        assert self.keys(cache) == ["b", "c"]
         cache.get("b")  # refresh b; c becomes the victim
-        assert cache.put("d", {}) == ["c"]
+        cache.put("d", {})
+        assert self.keys(cache) == ["b", "d"]
+        assert counter(registry, "plancache.evictions") == 2
 
     def test_refresh_is_not_an_eviction(self, registry):
         cache = PlanCache(maxsize=2)
         cache.put("a", {})
         cache.put("b", {})
-        assert cache.put("a", {"v": 2}) == []
+        cache.put("a", {"v": 2})
+        assert self.keys(cache) == ["b", "a"]
+        assert counter(registry, "plancache.evictions") == 0
 
 
 class TestStripeDeterminism:

@@ -210,8 +210,3 @@ class TestIntrospection:
         assert counters["plancache.hits"] == 1
         assert counters["plancache.misses"] >= 1
         assert payload["cache"]["size"] == 1
-
-    def test_from_options_builds_thread_backend(self):
-        svc = PlannerService.from_options(backend="thread", jobs=2)
-        assert svc.backend.kind == "thread"
-        svc.backend.close()

@@ -114,15 +114,30 @@ class TestGetBackend:
 
 
 # ----------------------------------------------------------------------
+#: Backends that can run closures (a process pool must pickle its tasks).
+IN_PROCESS = ["serial", "thread"]
+
+POOL_COUNTERS = (
+    "pool.tasks", "pool.retries", "pool.failures",
+    "resilience.retries", "resilience.retry_exhausted",
+)
+
+
+def make_backend(kind):
+    if kind == "serial":
+        return SerialBackend()
+    if kind == "thread":
+        return ThreadBackend(2)
+    return ProcessBackend(2)
+
+
+def pool_counters(registry):
+    return {name: int(registry.counter(name).value) for name in POOL_COUNTERS}
+
+
 @pytest.fixture(params=["serial", "thread", "process"])
 def backend(request):
-    if request.param == "serial":
-        b = SerialBackend()
-    elif request.param == "thread":
-        b = ThreadBackend(2)
-    else:
-        b = ProcessBackend(2)
-    with b:
+    with make_backend(request.param) as b:
         yield b
 
 
@@ -134,28 +149,58 @@ class TestMapContract:
     def test_empty_input(self, registry, backend):
         assert backend.map(square, []) == []
 
-    def test_strictness_raises_pool_error(self, registry):
+    @pytest.mark.parametrize("kind", IN_PROCESS)
+    def test_strictness_raises_pool_error(self, registry, kind):
         # In-process backends only: the raising closure is not picklable.
         def boom(x):
             raise ValueError(f"bad item {x}")
 
-        for b in (SerialBackend(), ThreadBackend(2)):
-            with b, pytest.raises(PoolError, match="failed after 1 attempt"):
-                b.map(boom, [1, 2, 3])
+        with make_backend(kind) as b, pytest.raises(PoolError) as err:
+            b.map(boom, [1, 2, 3])
+        assert str(err.value) == (
+            "task 0 failed after 1 attempt(s): ValueError('bad item 1')"
+        )
+        assert pool_counters(registry) == {
+            "pool.tasks": 3, "pool.retries": 0, "pool.failures": 1,
+            "resilience.retries": 0, "resilience.retry_exhausted": 1,
+        }
 
-    def test_retries_recover_transient_failures(self, registry):
-        for make in (SerialBackend, lambda: ThreadBackend(2)):
-            flaky = Flaky(n_failures=1)
-            with make() as b:
-                assert b.map(flaky, [1, 2], retries=2) == [10, 20]
-        assert int(registry.counter("pool.retries").value) >= 2
+    @pytest.mark.parametrize("kind", IN_PROCESS)
+    def test_retries_recover_transient_failures(self, registry, kind):
+        flaky = Flaky(n_failures=1)
+        with make_backend(kind) as b:
+            assert b.map(flaky, [1, 2], retries=2) == [10, 20]
+        assert pool_counters(registry) == {
+            "pool.tasks": 2, "pool.retries": 2, "pool.failures": 0,
+            "resilience.retries": 2, "resilience.retry_exhausted": 0,
+        }
 
-    def test_retries_exhausted_still_raises(self, registry):
+    @pytest.mark.parametrize("kind", IN_PROCESS)
+    def test_retries_exhausted_still_raises(self, registry, kind):
         flaky = Flaky(n_failures=5)
-        with ThreadBackend(2) as b:
-            with pytest.raises(PoolError):
-                b.map(flaky, [1], retries=1)
-        assert int(registry.counter("pool.failures").value) == 1
+        with make_backend(kind) as b, pytest.raises(PoolError) as err:
+            b.map(flaky, [1], retries=1)
+        assert str(err.value) == (
+            "task 0 failed after 2 attempt(s): "
+            "RuntimeError('transient failure #1 for 1')"
+        )
+        assert pool_counters(registry) == {
+            "pool.tasks": 1, "pool.retries": 1, "pool.failures": 1,
+            "resilience.retries": 1, "resilience.retry_exhausted": 1,
+        }
+
+    def test_serial_runs_nothing_after_an_exhausted_task(self, registry):
+        ran = []
+
+        def stop_at_two(x):
+            ran.append(x)
+            if x == 2:
+                raise ValueError("stop")
+            return x
+
+        with pytest.raises(PoolError, match=r"^task 1 failed after 2 attempt"):
+            SerialBackend().map(stop_at_two, [1, 2, 3, 4], retries=1)
+        assert ran == [1, 2, 2]
 
     def test_timeout_raises_pool_error(self, registry):
         def slow(x):

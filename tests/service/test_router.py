@@ -70,11 +70,9 @@ def test_ring_removal_moves_only_the_lost_arc():
             assert reduced.primary(key) == full.primary(key)
 
 
-def test_ring_rejects_empty_and_bad_replicas():
+def test_ring_rejects_empty():
     with pytest.raises(ValueError):
         HashRing([])
-    with pytest.raises(ValueError):
-        HashRing([0], replicas=0)
 
 
 # ----------------------------------------------------------------------

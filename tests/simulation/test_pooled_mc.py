@@ -100,8 +100,7 @@ class _InlineBackend(ExecutionBackend):
 
     kind = "inline"
 
-    def map(self, fn, items, timeout=None, retries=0, retry_policy=None,
-            deadline=None):
+    def map(self, fn, items, timeout=None, retries=0):
         return [fn(item) for item in items]
 
 
