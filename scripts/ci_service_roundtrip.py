@@ -31,6 +31,7 @@ Exit status is 0 iff every step passed.
 
 import os
 import re
+import shutil
 import signal
 import subprocess
 import sys
@@ -88,8 +89,16 @@ def shutdown(proc):
 
 
 def roundtrip(extra_args):
-    store_args = ["--shard-dir", tempfile.mkdtemp(prefix="repro-serve-ci-")]
-    proc, port, _ = boot([*store_args, *extra_args])
+    shard_dir = tempfile.mkdtemp(prefix="repro-serve-ci-")
+    try:
+        return _roundtrip(["--shard-dir", shard_dir, *extra_args])
+    finally:
+        # Both servers have stopped by now: shutdown() waited for them.
+        shutil.rmtree(shard_dir, ignore_errors=True)
+
+
+def _roundtrip(server_args):
+    proc, port, _ = boot(server_args)
     try:
         print(f"repro-serve up on port {port}")
         client = ServiceClient(f"http://127.0.0.1:{port}")
@@ -113,7 +122,7 @@ def roundtrip(extra_args):
         shutdown(proc)
 
     # Reboot on the same directory: the journal replays the one plan.
-    proc, port, banner = boot([*store_args, *extra_args])
+    proc, port, banner = boot(server_args)
     try:
         assert "recovered=1" in banner, banner
         client = ServiceClient(f"http://127.0.0.1:{port}")
@@ -343,7 +352,10 @@ def shard_drill(extra_args):
         print("shard drill ok: SIGKILL lost zero requests, journal recovered")
     finally:
         proc.send_signal(signal.SIGTERM)
-        code = proc.wait(timeout=30)
+        try:
+            code = proc.wait(timeout=30)
+        finally:
+            shutil.rmtree(shard_dir, ignore_errors=True)
         print(proc.stdout.read(), end="")
         assert code == 0, f"sharded repro-serve exited with {code}"
     return 0

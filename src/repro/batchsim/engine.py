@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Iterable, List
 
 from repro.batchsim.cluster import Cluster

@@ -11,7 +11,7 @@ runtimes; this substrate lets us generate such logs from first principles.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 __all__ = ["JobState", "Job"]

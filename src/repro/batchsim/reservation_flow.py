@@ -15,7 +15,7 @@ requests come back and congest the queue further).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 

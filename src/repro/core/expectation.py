@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from typing import Sequence, Union
 
-import numpy as np
 from scipy import integrate
 
 from repro.core.cost import CostModel

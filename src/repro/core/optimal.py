@@ -18,7 +18,6 @@ from typing import List
 
 import numpy as np
 
-from repro.core.cost import CostModel
 from repro.core.sequence import ReservationSequence
 
 __all__ = [

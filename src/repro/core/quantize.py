@@ -11,7 +11,6 @@ the cost of that granularity — small for fine grids, and bounded by
 
 from __future__ import annotations
 
-import math
 from typing import List
 
 import numpy as np

@@ -15,7 +15,6 @@ raising :class:`RecurrenceError` with the failing index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np

@@ -17,7 +17,6 @@ traces).  This class lets every strategy run *directly on the data*:
 
 from __future__ import annotations
 
-import math
 from typing import Tuple
 
 import numpy as np

@@ -10,7 +10,6 @@ combinator after every failure.
 
 from __future__ import annotations
 
-import math
 from typing import Tuple
 
 import numpy as np

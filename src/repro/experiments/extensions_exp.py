@@ -15,12 +15,11 @@ drives the normalized cost toward 1 (work is never redone).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.core.convex import (
     QuadraticReservationCost,
     brute_force_convex_t1,
-    expected_cost_convex,
 )
 from repro.core.cost import CostModel
 from repro.discretization.schemes import equal_probability

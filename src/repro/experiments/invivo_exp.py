@@ -16,7 +16,7 @@ approximation of the simulator's wait behaviour.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List
 
 from repro.batchsim.reservation_flow import FlowResult, run_reservation_flow
 from repro.core.cost import CostModel

@@ -15,7 +15,7 @@ the optimal plan's processor choices and normalized cost.  Expected shape:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.discretization.schemes import equal_probability
 from repro.distributions.lognormal import LogNormal

@@ -297,11 +297,15 @@ class FaultPlan:
 
     # -- firing ---------------------------------------------------------
     def fire(self, site: str) -> None:
-        """Run ``site`` through every matching rule (called by :func:`fire`).
+        """Run ``site`` through the matching rules (called by :func:`fire`).
 
-        The trigger decision (RNG draw + budget bookkeeping) happens under
-        the plan lock; the fault *effect* — sleeping or raising — happens
-        outside it, so a hung site never blocks other injection points.
+        The first ``error`` rule that triggers ends the walk: the rules
+        after it neither draw from their RNG nor spend their budget, so
+        every counted trigger takes effect and ``total_triggered`` equals
+        ``resilience.faults_injected``.  The trigger decision (RNG draw +
+        budget bookkeeping) happens under the plan lock; the fault
+        *effect* — sleeping or raising — happens outside it, so a hung
+        site never blocks other injection points.
         """
         to_apply: List[FaultRule] = []
         with self._lock:
@@ -317,6 +321,8 @@ class FaultPlan:
                     continue
                 rule.triggered += 1
                 to_apply.append(rule)
+                if rule.mode == "error":
+                    break
         for rule in to_apply:
             metrics.inc(names.RESILIENCE_FAULTS_INJECTED)
             metrics.inc(f"{names.RESILIENCE_FAULT_PREFIX}{site}")

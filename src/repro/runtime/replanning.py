@@ -16,7 +16,7 @@ conditional spread.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 from repro.core.cost import CostModel
 from repro.distributions.base import Distribution

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, Mapping, Optional
+from collections.abc import Mapping
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -66,8 +67,16 @@ def stable_key_hash(key: str) -> int:
 
 def _canonical(obj):
     """Reduce ``obj`` to a JSON-safe structure with exact float encoding."""
-    if isinstance(obj, bool) or obj is None:  # bool before int: bool is int
+    # Exact builtin types first: a request's JSON decodes to nothing else,
+    # and ``type(obj) is`` costs no ABC or subclass check.
+    kind = type(obj)
+    if kind is float:
+        return obj.hex()
+    if kind is str or kind is int or kind is bool or obj is None:
         return obj
+    if kind is dict:
+        return {str(k): _canonical(v) for k, v in obj.items()}
+    # Subclasses next (bool cannot be subclassed, so it is done above).
     if isinstance(obj, float):
         return obj.hex()
     if isinstance(obj, int):

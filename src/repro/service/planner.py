@@ -40,8 +40,9 @@ bounded-degraded one.
 from __future__ import annotations
 
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Optional, Protocol, Tuple
+from typing import Callable, Dict, Optional, Protocol, Tuple
 
 import numpy as np
 

@@ -34,7 +34,20 @@ fault-injection site, and ``--fault-spec`` installs a
 :class:`~repro.service.planner.ResilienceOptions`.  See
 ``docs/RESILIENCE.md``.
 
-Built only on ``http.server``/``socketserver`` — no new dependencies.
+Protocol: the handler parses and answers HTTP/1.1 itself on
+``socketserver`` (stdlib only).  ``http.server``'s header parser and
+response writer each cost more CPU per warm ``/plan`` hit than the plan
+lookup does.
+HTTP/1.1 connections stay open unless the client sends ``Connection:
+close``; HTTP/1.0 ones close unless it sends ``Connection: keep-alive``.
+``Expect: 100-continue`` is answered with ``100 Continue`` just before
+the body is read.  A reply sent with the body still unread (404, 429,
+413, an injected 500, a chunked body) closes the connection.  Protocol
+errors are answered as JSON ``{"error": ...}`` and close it too: a bad
+request line is a 400, an over-long line a 414 (request line) or 431
+(header line), more than 100 headers a 431, a method other than
+GET/POST a 501.  Every response is one write carrying
+``Content-Type: application/json``, ``Content-Length`` and ``Date``.
 """
 
 from __future__ import annotations
@@ -43,11 +56,13 @@ import argparse
 import json
 import os
 import signal
+import socketserver
 import sys
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Tuple
+from email.utils import formatdate
+from http import HTTPStatus
+from typing import Dict, Tuple
 
 from repro import observability as obs
 from repro.observability import metrics
@@ -63,10 +78,15 @@ from repro.service.shard import ShardStore, recover_or_cold
 __all__ = ["PlanServer", "serve", "main"]
 
 MAX_BODY_BYTES = 8 * 1024 * 1024
+#: Request-line / header-line and header-count limits (``http.server``'s).
+MAX_LINE_BYTES = 65536
+MAX_HEADERS = 100
+
+_STATUS_LINES = {s.value: f"HTTP/1.1 {s.value} {s.phrase}" for s in HTTPStatus}
 
 
-class PlanServer(ThreadingHTTPServer):
-    """Threaded HTTP server with a bounded in-flight request budget."""
+class PlanServer(socketserver.ThreadingTCPServer):
+    """Threaded HTTP/1.1 server with a bounded in-flight request budget."""
 
     daemon_threads = True
     allow_reuse_address = True
@@ -119,58 +139,110 @@ class PlanServer(ThreadingHTTPServer):
         return self.server_address[1]
 
 
-class _Handler(BaseHTTPRequestHandler):
+class _ProtocolError(Exception):
+    """A request the server cannot parse; answered, then the connection closes."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
+
+
+class _Handler(socketserver.StreamRequestHandler):
+    """One connection: parse and answer HTTP/1.1 requests until it closes."""
+
     server: PlanServer  # narrowed for attribute access below
-    protocol_version = "HTTP/1.1"
 
-    # -- plumbing ------------------------------------------------------
-    def log_message(self, fmt, *args):  # default logs every request to stderr
-        pass
+    def handle(self) -> None:
+        try:
+            while self._handle_one():
+                pass
+        except OSError:
+            pass  # peer vanished mid-exchange; nothing left to answer
 
-    def _start_request(self) -> None:
-        metrics.inc(names.SERVER_REQUESTS)
+    def _handle_one(self) -> bool:
+        """Answer one request; returns whether the connection stays open."""
         self._body_read = False
+        self._close = True  # until the request line and headers parse
+        self._headers: Dict[str, str] = {}
+        try:
+            request_line = self._read_line(414, "request line too long")
+            if not request_line.strip():
+                return False  # EOF, or a stray blank line: close quietly
+            method, self.path, self._http11 = self._parse_request_line(
+                request_line
+            )
+            self._read_headers()
+        except _ProtocolError as exc:
+            self._error(exc.status, str(exc))
+            return False
+        # HTTP/1.1 keeps the connection unless told otherwise; HTTP/1.0
+        # closes it unless asked to keep it.
+        connection = self._headers.get("connection", "").lower()
+        self._close = connection == "close" or (
+            not self._http11 and connection != "keep-alive"
+        )
+        if method == "GET":
+            self._do_get()
+        elif method == "POST":
+            self._do_post()
+        else:
+            self._close = True
+            self._error(501, f"unsupported method {method!r}")
+        return not (self._close or self._body_pending())
+
+    # -- parsing -------------------------------------------------------
+    def _read_line(self, status: int, message: str) -> bytes:
+        line = self.rfile.readline(MAX_LINE_BYTES + 1)
+        if len(line) > MAX_LINE_BYTES:
+            raise _ProtocolError(status, message)
+        return line
+
+    @staticmethod
+    def _parse_request_line(line: bytes) -> Tuple[str, str, bool]:
+        """``(method, path, is_http11)`` of a request line."""
+        words = line.decode("latin-1").split()
+        if len(words) != 3 or words[2] not in ("HTTP/1.1", "HTTP/1.0"):
+            raise _ProtocolError(400, f"bad request line {line[:80]!r}")
+        method, path, version = words
+        return method, path, version == "HTTP/1.1"
+
+    def _read_headers(self) -> None:
+        """Header names lower-cased; the first of a repeated header wins."""
+        for _ in range(MAX_HEADERS + 1):
+            line = self._read_line(431, "header line too long")
+            if line in (b"\r\n", b"\n", b""):
+                return
+            name, sep, value = line.decode("latin-1").partition(":")
+            if not sep or not name or name != name.strip():
+                raise _ProtocolError(400, f"bad header line {line[:80]!r}")
+            self._headers.setdefault(name.lower(), value.strip())
+        raise _ProtocolError(431, f"more than {MAX_HEADERS} headers")
 
     def _body_pending(self) -> bool:
         """Whether the request's body is still unread in the stream."""
         if self._body_read:
             return False
-        length = self.headers.get("Content-Length", "0").strip()
-        return length != "0" or "Transfer-Encoding" in self.headers
-
-    def _send_json(self, status: int, payload: dict, extra_headers=()) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if self._body_pending():
-            # Answered before the body was read (404, 429, 413, an
-            # injected 500): on a kept-alive connection the body would be
-            # parsed as the next request line, so close it instead.
-            self.send_header("Connection", "close")
-        for name, value in extra_headers:
-            self.send_header(name, value)
-        # The whole message in one write.  end_headers() would send the
-        # header block on its own and the body in a second send(), which
-        # Nagle's algorithm holds until the client's delayed ACK (~40 ms
-        # per response on a keep-alive connection).
-        head = getattr(self, "_headers_buffer", None)  # absent for HTTP/0.9
-        if head is None:
-            self.wfile.write(body)
-        else:
-            head.append(b"\r\n" + body)
-            self.flush_headers()
-
-    def _error(self, status: int, message: str, extra_headers=()) -> None:
-        metrics.inc(f"{names.SERVER_RESPONSES_PREFIX}{status}")
-        self._send_json(status, {"error": message}, extra_headers)
+        headers = self._headers
+        return (
+            headers.get("content-length", "0") != "0"
+            or "transfer-encoding" in headers
+        )
 
     def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length", 0) or 0)
+        if "transfer-encoding" in self._headers:
+            raise ServiceError("chunked request bodies are not supported")
+        try:
+            length = int(self._headers.get("content-length", "0"))
+        except ValueError:
+            raise ServiceError("bad Content-Length header") from None
         if length <= 0:
             raise ServiceError("request body required")
         if length > MAX_BODY_BYTES:
             raise ServiceError("request body too large", status=413)
+        expect = self._headers.get("expect", "").lower()
+        if self._http11 and expect == "100-continue":
+            # The client holds the body back until told to send it.
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
         raw = self.rfile.read(length)
         self._body_read = True
         try:
@@ -181,9 +253,35 @@ class _Handler(BaseHTTPRequestHandler):
             raise ServiceError("request body must be a JSON object")
         return body
 
+    # -- writing -------------------------------------------------------
+    def _send_json(self, status: int, payload: dict, extra_headers=()) -> None:
+        body = json.dumps(payload).encode("utf-8")
+        lines = [
+            _STATUS_LINES[status],
+            "Content-Type: application/json",
+            f"Content-Length: {len(body)}",
+            f"Date: {formatdate(usegmt=True)}",
+        ]
+        if self._close or self._body_pending():
+            # A reply sent before the body was read (404, 429, 413, an
+            # injected 500) closes too: on a kept-alive connection the
+            # body would be parsed as the next request line.
+            lines.append("Connection: close")
+        lines.extend(f"{name}: {value}" for name, value in extra_headers)
+        head = "\r\n".join(lines).encode("latin-1") + b"\r\n\r\n"
+        # The whole message in one write: a header block sent on its own
+        # would leave the body waiting on Nagle's algorithm for the
+        # client's delayed ACK (~40 ms per response on a kept-alive
+        # connection).
+        self.wfile.write(head + body)
+
+    def _error(self, status: int, message: str, extra_headers=()) -> None:
+        metrics.inc(f"{names.SERVER_RESPONSES_PREFIX}{status}")
+        self._send_json(status, {"error": message}, extra_headers)
+
     # -- routes --------------------------------------------------------
-    def do_GET(self) -> None:
-        self._start_request()
+    def _do_get(self) -> None:
+        metrics.inc(names.SERVER_REQUESTS)
         if self.path == "/healthz":
             self._send_json(200, self.server.service.health())
         elif self.path == "/metrics":
@@ -191,8 +289,8 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             self._error(404, f"unknown endpoint {self.path!r}")
 
-    def do_POST(self) -> None:
-        self._start_request()
+    def _do_post(self) -> None:
+        metrics.inc(names.SERVER_REQUESTS)
         if self.path not in ("/plan", "/evaluate"):
             self._error(404, f"unknown endpoint {self.path!r}")
             return

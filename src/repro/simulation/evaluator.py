@@ -8,7 +8,7 @@ truncation) and normalizes by the omniscient scheduler's cost
 
 from __future__ import annotations
 
-from typing import Literal, Optional
+from typing import Literal
 
 import numpy as np
 

@@ -11,14 +11,13 @@ The result is a :class:`~repro.verification.report.ConformanceReport`.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.cost import CostModel
 from repro.distributions.registry import PAPER_ORDER, paper_distributions
 from repro.observability import metrics, tracing
 from repro.strategies.registry import make_strategy
-from repro.utils.rng import SeedLike
 from repro.verification import invariants as inv
 from repro.verification.comparisons import Agreement
 from repro.verification.oracles import context_for, iter_oracles

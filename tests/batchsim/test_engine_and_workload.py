@@ -1,6 +1,5 @@
 """Tests for the discrete-event engine, workload generation and analysis."""
 
-import numpy as np
 import pytest
 
 from repro.batchsim import (

@@ -2,8 +2,6 @@
 
 from collections import deque
 
-import pytest
-
 from repro.batchsim import Cluster, EasyBackfillScheduler, FCFSScheduler, Job
 
 

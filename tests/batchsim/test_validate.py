@@ -1,6 +1,5 @@
 """Property tests: random workloads through the engine, all invariants hold."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

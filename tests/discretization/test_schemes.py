@@ -1,7 +1,5 @@
 """Tests for the EQUAL-TIME / EQUAL-PROBABILITY discretization schemes."""
 
-import math
-
 import numpy as np
 import pytest
 

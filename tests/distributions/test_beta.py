@@ -5,7 +5,7 @@ import math
 import pytest
 from scipy import special, stats
 
-from repro.distributions import Beta, Uniform
+from repro.distributions import Beta
 from repro.distributions.base import SupportError
 
 

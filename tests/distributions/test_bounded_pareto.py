@@ -1,7 +1,5 @@
 """Closed-form tests for BoundedPareto (Table 5, Theorem 13)."""
 
-import math
-
 import pytest
 from scipy import integrate
 

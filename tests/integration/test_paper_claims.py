@@ -6,8 +6,6 @@ paper's results — who wins, by roughly what factor — not exact numbers
 EXPERIMENTS.md).
 """
 
-import math
-
 import pytest
 
 from repro import (

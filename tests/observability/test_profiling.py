@@ -46,7 +46,6 @@ class TestProfiled:
     def test_instrumented_hot_paths_record_under_profiling(self, isolated_obs):
         registry, _ = isolated_obs
         obs.enable(profiling=True)
-        import numpy as np
 
         from repro import CostModel, LogNormal
         from repro.core.sequence import ReservationSequence, constant_extender

@@ -7,9 +7,6 @@ interval, and the estimate must be bit-identical across backends for a
 fixed ``(seed, jobs)``.
 """
 
-import math
-
-import numpy as np
 import pytest
 
 from repro import LogNormal

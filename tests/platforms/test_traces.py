@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.platforms.traces import (
-    FMRIQA_PARAMS,
     VBMQA_PARAMS,
     ApplicationTrace,
     generate_trace,

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro import CostModel, DiscreteDistribution, Exponential, LogNormal
+from repro import CostModel, DiscreteDistribution
 from repro.extensions.checkpoint import (
-    CheckpointPlan,
     checkpoint_costs_for_times,
     solve_checkpoint_dp,
 )

@@ -112,6 +112,25 @@ class TestFaultPlan:
         assert counters["resilience.faults_injected"] == 1
         assert counters["resilience.fault.pool.worker"] == 1
 
+    def test_first_error_rule_ends_the_walk(self, enabled_obs):
+        """A later rule neither triggers nor spends its budget while an
+        earlier error rule raises: every counted trigger is injected."""
+        reg, _ = enabled_obs
+        plan = FaultPlan([error_rule(max_triggers=3), error_rule(max_triggers=3)])
+        for _ in range(3):
+            with pytest.raises(InjectedFault):
+                plan.fire("pool.worker")
+        stats = plan.stats()
+        injected = reg.to_dict()["counters"]["resilience.faults_injected"]
+        assert (stats["total_triggered"], injected) == (3, 3)
+        assert [rule["triggered"] for rule in stats["rules"]] == [3, 0]
+        # The first budget is spent: the second rule takes over.
+        for _ in range(3):
+            with pytest.raises(InjectedFault):
+                plan.fire("pool.worker")
+        assert [rule["triggered"] for rule in plan.stats()["rules"]] == [3, 3]
+        plan.fire("pool.worker")
+
 
 class TestSpecParsing:
     def test_compact_spec(self):

@@ -6,7 +6,6 @@ from repro import CostModel
 from repro import observability as obs
 from repro.core.sequence import ReservationSequence, constant_extender
 from repro.runtime.session import (
-    AttemptOutcome,
     ReservationSession,
     SessionError,
     execute,

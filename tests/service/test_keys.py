@@ -167,6 +167,71 @@ class TestKeySensitivity:
 
 
 # ----------------------------------------------------------------------
+# Golden digests
+# ----------------------------------------------------------------------
+#: One plan request per law: (law, params, strategy, knobs) -> digest.
+#: Shard journals persist these keys across restarts, so a change to the
+#: canonical encoding that moves any of them orphans every journaled plan
+#: (bump ``KEY_VERSION`` on purpose instead).
+GOLDEN_KEYS = [
+    ("exponential", {"rate": 1.0}, "brute_force", {"m_grid": 200, "seed": 1},
+     "bd517cb69dc674423aab1346a4a12e445980f075f3004f7f647bd7172f398592"),
+    ("weibull", {"scale": 1.0, "shape": 0.5}, "mean_by_mean", {},
+     "abfd71c53577a378c9dacac35a8cc7563e75a46263ff2f3e352788cd5f931f7e"),
+    ("gamma", {"shape": 2.0, "rate": 2.0}, "mean_stdev", {},
+     "fc31c15b3b85ef16a150cd5eef41a6735828e70828bf24574cb5458ffcc2272a"),
+    ("lognormal", {"mu": 3.0, "sigma": 0.5}, "mean_doubling", {},
+     "af1c3af76cc4415686d707cd451f7f500376cb9f055827aa6b61f8a7a2379fda"),
+    ("truncated_normal", {"mu": 8.0, "sigma2": 2.0, "a": 0.0},
+     "median_by_median", {},
+     "4c697c3d457720171799ee0e3c28d24d4d0e613cbb51f397472b5551e7ea62ee"),
+    ("pareto", {"scale": 1.5, "alpha": 3.0}, "equal_time_dp", {"n": 500},
+     "c025dc6477f11c0d6bd6d35e032881f6d609f12957f5d931741fc2ecd0128e4d"),
+    ("uniform", {"a": 10.0, "b": 20.0}, "equal_probability_dp", {"n": 500},
+     "d700582927bd03f799ea92d84776dbcf21f6a10670d520043fa083cb89a00d46"),
+    ("beta", {"alpha": 2.0, "beta": 2.0}, "brute_force", {"m_grid": 200, "seed": 7},
+     "4951fc1a271bd109b8bcd02e55d131b81f1e382ed1a5be1070134e4a13e41376"),
+    ("bounded_pareto", {"low": 1.0, "high": 20.0, "alpha": 2.1}, "mean_by_mean", {},
+     "6ab2541a8ee666818cffed2a711d293b1e0eb2169dd1768b1d16a3140f4f9d56"),
+]
+
+
+class TestGoldenKeys:
+    @pytest.mark.parametrize(
+        "law, params, strategy, knobs, digest",
+        GOLDEN_KEYS,
+        ids=[case[0] for case in GOLDEN_KEYS],
+    )
+    def test_one_request_per_law(self, law, params, strategy, knobs, digest):
+        dist = make_distribution(law, **params)
+        assert plan_key(dist, CM, strategy, knobs=knobs, coverage=0.999) == digest
+
+    def test_all_nine_laws_are_pinned(self):
+        assert sorted(case[0] for case in GOLDEN_KEYS) == sorted(PAPER_ORDER)
+
+    def test_numpy_parameters_knobs_and_extra(self):
+        dist = make_distribution(
+            "weibull", scale=np.float64(1.0), shape=np.float64(0.5)
+        )
+        key = plan_key(
+            dist,
+            CM,
+            "brute_force",
+            knobs={"m_grid": np.int64(200), "seed": np.int32(3)},
+            coverage=np.float64(0.999),
+            extra={"grid": np.array([0.5, 1.0]), "flag": True, "none": None},
+        )
+        assert key == "5ba277402eb844e50b899bfe1296fd97c1e63a79db5c46d83f1b912381097dd8"
+
+    def test_empirical_distribution(self):
+        dist = EmpiricalDistribution(
+            [3.5, 1.25, 2.0, 7.75, 2.0, 0.5, 11.0, 4.25, 6.0, 9.5, 2.0, 5.125]
+        )
+        key = plan_key(dist, CM, "mean_by_mean", coverage=0.99)
+        assert key == "e53f2a58cb7d04003c90fefee94f7e812d7a1878779bea8245e12539136bbfec"
+
+
+# ----------------------------------------------------------------------
 # Cross-process stability
 # ----------------------------------------------------------------------
 _SUBPROCESS_SNIPPET = """\

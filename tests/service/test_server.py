@@ -11,9 +11,11 @@ from __future__ import annotations
 import http.client
 import io
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
+from email.utils import parsedate_to_datetime
 
 import pytest
 
@@ -296,3 +298,148 @@ class TestOneWritePerResponse:
         sent = _drive(offline_server(4), _post_request("/plan") * 3)
         assert len(sent) == 3
         assert all(msg.startswith(b"HTTP/1.1 200 ") for msg in sent)
+
+
+def _split_response(message: bytes):
+    """``(status, headers, body)`` of one raw HTTP response."""
+    head, _, body = message.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    headers = dict(line.split(": ", 1) for line in lines[1:])
+    return int(lines[0].split()[1]), headers, body
+
+
+def _recv_until_closed(sock) -> bytes:
+    chunks = []
+    while True:
+        chunk = sock.recv(65536)
+        if not chunk:
+            return b"".join(chunks)
+        chunks.append(chunk)
+
+
+HEALTHZ = b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n"
+
+
+class TestProtocolEdges:
+    """The handler's own HTTP/1.1 parsing: ``Expect``, HTTP/1.0, and
+    protocol errors answered as JSON on a closing connection."""
+
+    @pytest.fixture()
+    def server(self, registry):
+        service = PlannerService(cache=PlanCache(maxsize=16), n_samples=300, seed=0)
+        server = serve(service, port=0, max_inflight=4)
+        yield server
+        server.server_close()
+
+    def test_expect_100_continue_before_the_body(self, live_server):
+        body = _plan_body()
+        head = (
+            f"POST /plan HTTP/1.1\r\nHost: test\r\nExpect: 100-continue\r\n"
+            f"Content-Length: {len(body)}\r\nConnection: close\r\n\r\n"
+        ).encode()
+        address = ("127.0.0.1", live_server.port)
+        with socket.create_connection(address, timeout=30) as sock:
+            sock.sendall(head)
+            # The body is held back until the server asks for it.
+            assert sock.recv(64) == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(body)
+            status, headers, payload = _split_response(_recv_until_closed(sock))
+        assert status == 200
+        assert "reservations" in json.loads(payload)["plan"]
+
+    def test_http10_request_closes_the_connection(self, live_server):
+        address = ("127.0.0.1", live_server.port)
+        with socket.create_connection(address, timeout=30) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.0\r\n\r\n")
+            status, headers, body = _split_response(_recv_until_closed(sock))
+        assert status == 200
+        assert headers["Connection"] == "close"
+        assert json.loads(body)["status"] == "ok"
+
+    def test_http10_keep_alive_is_honoured(self, server):
+        request = b"GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"
+        sent = _drive(server, request * 2)
+        assert len(sent) == 2
+        assert all("Connection" not in _split_response(m)[1] for m in sent)
+
+    def test_connection_close_is_honoured(self, server):
+        request = b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n"
+        sent = _drive(server, request + HEALTHZ)
+        assert len(sent) == 1
+        assert _split_response(sent[0])[1]["Connection"] == "close"
+
+    @pytest.mark.parametrize(
+        "request_bytes, status",
+        [
+            (b"NONSENSE\r\n\r\n", 400),
+            (b"GET /healthz HTTP/2.0\r\n\r\n", 400),
+            (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", 414),
+            (
+                b"GET /healthz HTTP/1.1\r\n"
+                + b"".join(b"X-H%d: v\r\n" % i for i in range(101))
+                + b"\r\n",
+                431,
+            ),
+            (b"GET /healthz HTTP/1.1\r\nX-Big: " + b"v" * 70_000 + b"\r\n\r\n", 431),
+            (b"GET /healthz HTTP/1.1\r\nno colon here\r\n\r\n", 400),
+            (b"PUT /plan HTTP/1.1\r\nHost: test\r\n\r\n", 501),
+            (
+                b"POST /plan HTTP/1.1\r\nHost: test\r\n"
+                b"Transfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
+                400,
+            ),
+            (
+                b"POST /plan HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Length: many\r\n\r\n{}",
+                400,
+            ),
+        ],
+        ids=[
+            "bad-request-line", "bad-version", "long-line-414", "101-headers-431",
+            "long-header-431", "bad-header-400", "put-501", "chunked-400",
+            "bad-content-length-400",
+        ],
+    )
+    def test_protocol_error_is_json_and_closes(self, server, request_bytes, status):
+        # A valid request follows on the same connection: it must not be read.
+        sent = _drive(server, request_bytes + HEALTHZ)
+        assert len(sent) == 1
+        got, headers, body = _split_response(sent[0])
+        assert got == status
+        assert headers["Connection"] == "close"
+        assert headers["Content-Type"] == "application/json"
+        assert int(headers["Content-Length"]) == len(body)
+        assert json.loads(body)["error"]
+
+    def test_one_hundred_headers_are_accepted(self, server):
+        request = (
+            b"GET /healthz HTTP/1.1\r\n"
+            + b"".join(b"X-H%d: v\r\n" % i for i in range(100))
+            + b"\r\n"
+        )
+        sent = _drive(server, request)
+        assert _split_response(sent[0])[0] == 200
+
+    @pytest.mark.parametrize(
+        "max_inflight, request_bytes",
+        [
+            (4, _post_request("/plan")),
+            (4, _post_request("/nope")),
+            (0, _post_request("/plan")),
+            (4, HEALTHZ),
+            (4, b"GET /metrics HTTP/1.1\r\n\r\n"),
+            (4, b"DELETE /plan HTTP/1.1\r\n\r\n"),
+            (4, b"NONSENSE\r\n\r\n"),
+        ],
+        ids=["plan-200", "404", "429", "healthz", "metrics", "501", "400"],
+    )
+    def test_every_response_carries_a_date(self, registry, max_inflight, request_bytes):
+        service = PlannerService(cache=PlanCache(maxsize=16), n_samples=300, seed=0)
+        server = serve(service, port=0, max_inflight=max_inflight)
+        try:
+            sent = _drive(server, request_bytes)
+        finally:
+            server.server_close()
+        _, headers, _ = _split_response(sent[-1])
+        assert parsedate_to_datetime(headers["Date"]).tzinfo is not None
+        assert "Server" not in headers

@@ -37,7 +37,7 @@ from repro.simulation.monte_carlo import (
     costs_for_times,
     monte_carlo_expected_cost,
 )
-from repro.utils.rng import as_generator, spawn_generators
+from repro.utils.rng import as_generator
 
 
 def _ladder_rows(tmax: float, n_rows: int, rng: np.random.Generator) -> list:

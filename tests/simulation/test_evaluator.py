@@ -1,6 +1,5 @@
 """Tests for the evaluation harness (Section 5.1 methodology)."""
 
-import numpy as np
 import pytest
 
 from repro import (
@@ -10,7 +9,6 @@ from repro import (
     MeanByMean,
     MeanDoubling,
     Uniform,
-    evaluate_sequence,
     evaluate_strategy,
 )
 from repro.simulation.evaluator import evaluate_on_samples

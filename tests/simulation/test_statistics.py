@@ -8,7 +8,6 @@ import pytest
 from repro import CostModel, Exponential, LogNormal, ReservationSequence, Uniform
 from repro.core.sequence import constant_extender
 from repro.simulation.statistics import (
-    CostStatistics,
     cost_statistics,
     reservation_count_pmf,
 )

@@ -1,8 +1,5 @@
 """Tests for the BRUTE-FORCE heuristic (Section 4.1)."""
 
-import math
-
-import numpy as np
 import pytest
 
 from repro import (
@@ -11,7 +8,6 @@ from repro import (
     Exponential,
     LogNormal,
     Uniform,
-    expected_cost_series,
     t1_search_interval,
 )
 

@@ -1,6 +1,5 @@
 """Tests for the discretization + DP strategies (Section 4.2)."""
 
-import numpy as np
 import pytest
 
 from repro import (

@@ -22,7 +22,6 @@ from repro.verification import invariants as inv
 from repro.verification.generators import (
     cost_models,
     covering_grid,
-    grid_for,
     interior_quantiles,
     paper_laws,
     random_distributions,

@@ -13,7 +13,6 @@ from repro.verification.oracles import (
     ORACLES,
     OracleContext,
     context_for,
-    iter_oracles,
     run_oracle,
 )
 from repro.verification.sweep import (

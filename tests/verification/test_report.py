@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from repro.verification.comparisons import agree_close
 from repro.verification.report import CheckRecord, ConformanceReport
 

@@ -9,11 +9,9 @@ code path cannot silently regress to ``np.random.*`` module-level calls.
 """
 
 import numpy as np
-import pytest
 
 from repro.batchsim.engine import simulate
 from repro.batchsim.workload import WorkloadSpec, generate_workload
-from repro.core.cost import CostModel
 from repro.core.sequence import ReservationSequence
 from repro.distributions.registry import paper_distribution
 from repro.simulation.evaluator import evaluate_on_samples
