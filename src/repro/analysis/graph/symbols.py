@@ -232,10 +232,6 @@ class FunctionSummary:
     def seedish_params(self) -> Tuple[str, ...]:
         return tuple(p for p in self.params if is_seedish_name(p))
 
-    @property
-    def has_broad_terminal_guard(self) -> bool:
-        return any(g.terminal for g in self.guards)
-
 
 @dataclass
 class ClassSummary:

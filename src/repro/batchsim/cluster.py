@@ -31,10 +31,6 @@ class Cluster:
     def free_nodes(self) -> int:
         return self.total_nodes - self.used_nodes
 
-    @property
-    def running_jobs(self) -> List[Job]:
-        return list(self._running.values())
-
     def can_start(self, job: Job) -> bool:
         return job.nodes <= self.free_nodes
 

@@ -35,10 +35,6 @@ class SimulationResult:
     total_nodes: int
 
     @property
-    def completed_jobs(self) -> List[Job]:
-        return [j for j in self.jobs if j.state is JobState.COMPLETED]
-
-    @property
     def killed_jobs(self) -> List[Job]:
         return [j for j in self.jobs if j.state is JobState.KILLED]
 

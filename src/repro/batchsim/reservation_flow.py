@@ -53,10 +53,6 @@ class StochasticJobRun:
         assert self.attempts[-1].end_time is not None
         return self.attempts[-1].end_time - self.first_submit
 
-    @property
-    def total_wait(self) -> float:
-        return sum(a.wait_time for a in self.attempts if a.start_time is not None)
-
 
 @dataclass(frozen=True)
 class FlowResult:

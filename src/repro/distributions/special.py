@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 from scipy import special
 
 __all__ = [
@@ -78,13 +77,3 @@ def log_normal_sf_ratio(z_num: float, z_den: float) -> float:
     is of order one.
     """
     return math.exp(float(special.log_ndtr(-z_num)) - float(special.log_ndtr(-z_den)))
-
-
-def gauss_phi(z: np.ndarray | float):
-    """Standard normal pdf."""
-    return np.exp(-0.5 * np.square(z)) / math.sqrt(2.0 * math.pi)
-
-
-def gauss_cdf(z: np.ndarray | float):
-    """Standard normal CDF via ``ndtr`` (vectorized)."""
-    return special.ndtr(z)

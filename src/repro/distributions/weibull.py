@@ -16,7 +16,6 @@ import math
 from typing import Tuple
 
 import numpy as np
-from scipy import special
 
 from repro.distributions.base import Distribution
 from repro.distributions.special import exp_scaled_upper_gamma
@@ -98,10 +97,3 @@ class Weibull(Distribution):
 
     def describe(self) -> str:
         return f"Weibull(scale={self.scale:g}, shape={self.shape:g})"
-
-
-def _self_check() -> None:  # pragma: no cover - debugging helper
-    w = Weibull(1.0, 0.5)
-    assert abs(w.mean() - math.gamma(3.0)) < 1e-12
-    assert abs(float(w.cdf(w.quantile(0.3))) - 0.3) < 1e-12
-    assert abs(float(special.gammaincc(2.0, 0.0)) - 1.0) < 1e-15

@@ -46,7 +46,7 @@ MC_BATCH_SCREEN_SURVIVORS = "mc.batch.screen_survivors"
 #: Static prefix of the per-kind backend-selection counters (a
 #: DYNAMIC_PREFIXES family), one per backend decision of the Monte-Carlo
 #: estimate and ``monte_carlo_many``.  Full names are built as
-#: f"{MC_BATCH_BACKEND_PREFIX}{kind}" for the resolved pool's kind: serial,
+#: f"{MC_BATCH_BACKEND_PREFIX}{kind}" for the given pool's kind: serial,
 #: thread, process, or a custom backend's kind.
 MC_BATCH_BACKEND_PREFIX = "mc.batch.backend."
 
@@ -55,15 +55,9 @@ SPOT_EVAL_CALLS = "spot.eval_calls"
 SPOT_PATHS = "spot.paths"
 SPOT_STEPS = "spot.steps"
 SPOT_INTERRUPTIONS = "spot.interruptions"
-SPOT_TASKS = "spot.tasks"
 SPOT_EVAL = "spot.eval"
 SPOT_QUADRATURE_CALLS = "spot.quadrature_calls"
 SPOT_PLANS = "spot.plans"
-#: Static prefix of the spot evaluator's per-kind backend-selection
-#: counters (a DYNAMIC_PREFIXES family): f"{SPOT_BACKEND_PREFIX}{kind}",
-#: counted like MC_BATCH_BACKEND_PREFIX (serial, thread, process or a custom
-#: backend's kind).
-SPOT_BACKEND_PREFIX = "spot.backend."
 
 # -- Eq. (11) grid recurrence ---------------------------------------------
 RECURRENCE_GRID_CANDIDATES = "recurrence.grid_candidates"
@@ -162,16 +156,4 @@ DYNAMIC_PREFIXES = (
     "resilience.fault.",       # one counter per fault-injection site
     "resilience.evaluator.",   # one counter per degradation-ladder rung
     "mc.batch.backend.",       # one counter per selected batch backend kind
-    "spot.backend.",           # one counter per selected spot backend kind
 )
-
-
-def all_metric_names() -> frozenset:
-    """Every canonical (non-dynamic) metric name declared above."""
-    return frozenset(
-        value
-        for key, value in globals().items()
-        if key.isupper()
-        and key != "DYNAMIC_PREFIXES"
-        and isinstance(value, str)
-    )

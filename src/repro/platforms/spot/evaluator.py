@@ -5,11 +5,9 @@ Two evaluation paths, built to agree in their common regime:
 * :func:`spot_monte_carlo_cost` — vectorized Monte-Carlo: each path draws a
   job length, steps the price process on a wall-clock grid, draws
   interruptions from the (possibly price-dependent) hazard, and bills the
-  busy time against the *realized* price path.  Chunked per
-  ``simulation.batch`` conventions and backend-invariant: for a fixed
-  ``(seed, jobs)`` the result is bit-identical on serial, thread, process
-  and caller-supplied backends, because every backend runs the same
-  module-level task on the same ``SeedSequence``-spawned streams.
+  busy time against the *realized* price path.  Every path comes from one
+  ``SeedSequence`` spawned from the seed, so a fixed seed gives a
+  bit-identical estimate.
 
 * :func:`expected_spot_busy_time` / :func:`expected_spot_cost` — the
   closed-form/quadrature path for the memoryless constant-price case,
@@ -222,33 +220,6 @@ def _simulate_spot_paths(
     return cost, busy, interruptions, steps
 
 
-def _simulate_spot_chunk(
-    args: Tuple[Any, ...]
-) -> Tuple[float, float, float, int, int, int]:
-    """One pool task: draw ``n`` paths on a spawned stream, return moments.
-
-    Module-level so the process backend can pickle it; the partials are
-    ``(sum_cost, sum_cost_sq, sum_busy, n_interruptions, n_steps, n)``.
-    """
-    job, scenario, tau, n, child_seed = args
-    rng = as_generator(child_seed)
-    if hasattr(job, "rvs"):
-        lengths = np.asarray(job.rvs(n, seed=rng), dtype=float)
-    else:
-        lengths = np.full(n, float(job))
-    cost, busy, interruptions, steps = _simulate_spot_paths(
-        lengths, scenario, tau, rng
-    )
-    return (
-        float(cost.sum()),
-        float(np.dot(cost, cost)),
-        float(busy.sum()),
-        interruptions,
-        steps,
-        n,
-    )
-
-
 def spot_monte_carlo_cost(
     job: Union[float, object],
     scenario: SpotScenario,
@@ -256,10 +227,6 @@ def spot_monte_carlo_cost(
     checkpoint_interval: Optional[float] = None,
     n_paths: int = 2000,
     seed: SeedLike = None,
-    backend: Any = None,
-    jobs: int = 1,
-    task_timeout: Optional[float] = None,
-    task_retries: int = 0,
 ) -> SpotCostResult:
     """Monte-Carlo spot cost of ``job`` (a length or a Distribution).
 
@@ -267,10 +234,8 @@ def spot_monte_carlo_cost(
     ``recovery="checkpoint"`` keeps completed ``checkpoint_interval``
     segments (overhead per the scenario) and replays only the active one.
 
-    **Backend-invariant:** paths are split into ``max(jobs, 1)`` chunks,
-    each a ``SeedSequence``-spawned stream run by the same module-level
-    task — so for fixed ``(seed, jobs)`` the estimate is bit-identical on
-    every backend, and ``jobs=1`` is one chunk regardless of backend.
+    Job lengths and the price/interruption draws all come from one stream,
+    the first ``SeedSequence`` spawned from ``seed``.
     """
     if n_paths <= 0:
         raise ValueError(f"n_paths must be positive, got {n_paths}")
@@ -291,42 +256,21 @@ def spot_monte_carlo_cost(
     metrics.inc("spot.eval_calls")
     metrics.inc("spot.paths", n_paths)
 
-    from repro.service.pool import chunk_sizes, resolve_backend
-
-    sizes = [s for s in chunk_sizes(n_paths, max(int(jobs), 1)) if s > 0]
-    children = spawn_seed_sequences(seed, len(sizes))
-    tasks = [
-        (job, scenario, tau, n, child) for n, child in zip(sizes, children)
-    ]
-    metrics.inc("spot.tasks", len(tasks))
-
-    pool, owned = resolve_backend(backend, jobs)
-    metrics.inc(f"spot.backend.{pool.kind if pool is not None else 'serial'}")
+    rng = as_generator(spawn_seed_sequences(seed, 1)[0])
     with metrics.timer("spot.eval"):
-        try:
-            if pool is None:
-                partials = [_simulate_spot_chunk(task) for task in tasks]
-            else:
-                partials = pool.map(
-                    _simulate_spot_chunk,
-                    tasks,
-                    timeout=task_timeout,
-                    retries=task_retries,
-                )
-        finally:
-            if owned:
-                pool.close()
-
-    sum_cost = sum(p[0] for p in partials)
-    sum_sq = sum(p[1] for p in partials)
-    sum_busy = sum(p[2] for p in partials)
-    interruptions = sum(p[3] for p in partials)
-    steps = sum(p[4] for p in partials)
+        if hasattr(job, "rvs"):
+            lengths = np.asarray(job.rvs(n_paths, seed=rng), dtype=float)
+        else:
+            lengths = np.full(n_paths, float(job))
+        cost, busy, interruptions, steps = _simulate_spot_paths(
+            lengths, scenario, tau, rng
+        )
     metrics.inc("spot.steps", steps)
     metrics.inc("spot.interruptions", interruptions)
 
-    mean = sum_cost / n_paths
+    mean = float(cost.sum()) / n_paths
     if n_paths > 1:
+        sum_sq = float(np.dot(cost, cost))
         var = max(sum_sq - n_paths * mean * mean, 0.0) / (n_paths - 1)
         std_error = math.sqrt(var / n_paths)
     else:
@@ -334,7 +278,7 @@ def spot_monte_carlo_cost(
     return SpotCostResult(
         mean_cost=mean,
         std_error=std_error,
-        mean_busy_time=sum_busy / n_paths,
+        mean_busy_time=float(busy.sum()) / n_paths,
         mean_interruptions=interruptions / n_paths,
         n_paths=n_paths,
     )

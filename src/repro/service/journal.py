@@ -93,10 +93,6 @@ class ReplayResult:
     records_applied: int = 0
     truncated_records: int = 0
 
-    @property
-    def total_records(self) -> int:
-        return self.base_entries + self.records_applied
-
 
 class ShardJournal:
     """Append-only mutation log with size-triggered compaction."""

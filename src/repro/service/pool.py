@@ -11,12 +11,16 @@ interface::
 
 Design choices:
 
+* The library never creates or closes a pool.  A kernel takes
+  ``backend=None`` or an :class:`ExecutionBackend` that its caller built
+  and owns; a backend *name* becomes a pool only in :func:`get_backend`,
+  at the command-line edge (``repro-serve --backend/--jobs``,
+  ``repro-experiments --jobs``, ``repro-verify --jobs``).  There is no
+  size-based choice: a kernel runs serially or on the pool it is given.
 * ``SerialBackend`` runs tasks inline in submission order; it is what
-  every ``jobs <= 1`` request resolves to, preserving the library's
-  bit-identical seeded behavior.  The Monte-Carlo kernels normalize their
-  ``backend=``/``jobs=`` arguments through :func:`resolve_backend`, which
-  maps "serial" to no pool at all.  There is no size-based choice: a
-  kernel runs serially or on the pool its caller names.
+  every ``jobs <= 1`` request gets, and the Monte-Carlo kernels treat it
+  like no backend at all, preserving the library's bit-identical seeded
+  behavior.
 * ``map`` preserves input order and is strict: a task that still fails
   after ``retries`` immediate resubmissions
   (:meth:`repro.resilience.policies.RetryPolicy.immediate`) raises
@@ -41,8 +45,7 @@ Design choices:
 * ``jobs=0`` means two things, depending on the entry point.
   ``ThreadBackend(0)`` and ``ProcessBackend(0)`` size the pool from
   :func:`effective_cpu_count`, so a restricted CPU affinity (taskset,
-  cpusets) is honored; so does :func:`resolve_backend` for a backend
-  *name* with ``jobs <= 1``.  :func:`get_backend` with ``jobs=0`` returns
+  cpusets) is honored.  :func:`get_backend` with ``jobs=0`` returns
   :class:`SerialBackend`, like any ``jobs <= 1``: that is what
   ``repro-serve``'s default ``--jobs 0`` gets.
 
@@ -55,7 +58,7 @@ from __future__ import annotations
 import concurrent.futures
 import functools
 import os
-from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, List, Optional, Sequence, TypeVar
 
 from repro.observability import metrics
 from repro.observability import names
@@ -69,7 +72,6 @@ __all__ = [
     "ThreadBackend",
     "ProcessBackend",
     "get_backend",
-    "resolve_backend",
     "effective_cpu_count",
     "BACKEND_KINDS",
     "chunk_sizes",
@@ -273,24 +275,3 @@ def get_backend(kind: Optional[str] = "serial", jobs: int = 1) -> ExecutionBacke
         return ThreadBackend(jobs)
     return ProcessBackend(jobs)
 
-
-def resolve_backend(
-    backend, jobs: int
-) -> Tuple[Optional[ExecutionBackend], bool]:
-    """Normalize a kernel's ``backend=``/``jobs=`` arguments to a pool.
-
-    Returns ``(pool, owned)``: ``pool`` is None when the kernel should run
-    its serial path, and ``owned`` is True when this call created the pool
-    (from a name), so the kernel must close it afterwards — pass a backend
-    *object* to reuse a pool across calls.  ``backend`` is None (serial),
-    a :data:`BACKEND_KINDS` name (``jobs <= 1`` sizes the pool from
-    :func:`effective_cpu_count`), or an :class:`ExecutionBackend`, which
-    stays the caller's.  The decision is the returned pool's ``kind``
-    (``"serial"`` when None).
-    """
-    owned = isinstance(backend, str)
-    if owned:
-        backend = get_backend(backend, jobs if jobs > 1 else effective_cpu_count())
-    if backend is None or isinstance(backend, SerialBackend):
-        return None, False
-    return backend, owned

@@ -115,9 +115,6 @@ class ShardStore(PlanCache):
         )
         self._write_lock = threading.RLock()
 
-    def keys(self) -> List[str]:
-        return [str(entry["key"]) for entry in self.entries()]
-
     # -- journaled mutations -------------------------------------------
     def put(
         self, key: str, payload: dict, created_at: Optional[float] = None
@@ -317,13 +314,6 @@ class ShardServer(socketserver.ThreadingTCPServer):
         if op == "invalidate":
             removed = self.store.invalidate(str(request["key"]))
             return {"ok": True, "removed": removed}
-        if op == "keys":
-            return {"ok": True, "keys": self.store.keys()}
-        if op == "clear":
-            self.store.clear()
-            return {"ok": True}
-        if op == "compact":
-            return {"ok": True, "entries": self.store.compact()}
         if op == "stats":
             stats = self.store.stats()
             stats["shard_id"] = self.shard_id

@@ -33,10 +33,11 @@ which either the explicit index matrix (matrix kernel) or per-row cost
 moments (moments kernel) follow.
 
 ``monte_carlo_many`` is the one pooled kernel here: ``backend`` is None
-(serial), a name (``"serial"``, ``"thread"``, ``"process"``) or any
-:class:`repro.service.pool.ExecutionBackend`, normalized by
-:func:`repro.service.pool.resolve_backend` and counted under
-``mc.batch.backend.<kind>``.
+(inline) or an :class:`repro.service.pool.ExecutionBackend` its caller
+built and closes; the choice is counted under ``mc.batch.backend.<kind>``.
+It shares its chunk runner — spawned streams, pre-extension, and the
+redraw of a chunk that outruns its sequence — with the pooled
+single-sequence estimate of :mod:`repro.simulation.monte_carlo`.
 """
 
 from __future__ import annotations
@@ -50,14 +51,14 @@ from repro.core.cost import CostModel
 from repro.core.recurrence import generate_sequence_grid
 from repro.core.sequence import ReservationSequence
 from repro.observability import metrics
+from repro.service.pool import ExecutionBackend
 from repro.simulation.monte_carlo import (
     MonteCarloResult,
-    _coverage_horizon,
+    _pool,
     _result_from_partials,
-    _sample_and_cost_chunk,
-    kernel_costs_and_indices,
+    _run_chunks,
 )
-from repro.utils.rng import SeedLike, spawn_seed_sequences
+from repro.utils.rng import SeedLike
 
 __all__ = [
     "ReservationBatch",
@@ -482,8 +483,7 @@ def monte_carlo_many(
     cost_model: CostModel,
     n_samples: int = 1000,
     seed: SeedLike = None,
-    backend=None,
-    jobs: int = 0,
+    backend: Optional[ExecutionBackend] = None,
     task_timeout: Optional[float] = None,
     task_retries: int = 0,
 ) -> List[MonteCarloResult]:
@@ -495,10 +495,10 @@ def monte_carlo_many(
     planning workloads (one fine-grained 10k-sample estimate alone is
     dominated by serial sampling; see ``docs/PERFORMANCE.md``).
 
-    **Backend-invariant:** results are bit-identical across serial, thread,
-    process and caller-supplied backends for a fixed ``(seed, n_samples)`` — every
-    backend runs the same per-sequence task on the same spawned stream; only
-    where it runs changes.
+    **Backend-invariant:** results are bit-identical with no backend and on
+    serial, thread, process and caller-supplied backends for a fixed
+    ``(seed, n_samples)`` — every backend runs the same per-sequence task on
+    the same spawned stream; only where it runs changes.
     """
     if not len(sequences):
         raise ValueError("need at least one sequence")
@@ -507,55 +507,12 @@ def monte_carlo_many(
     metrics.inc("mc.batch.calls")
     metrics.inc("mc.batch.sequences", len(sequences))
     metrics.inc("mc.batch.samples", len(sequences) * n_samples)
-
-    # Deferred import: repro.service imports this module for the planner.
-    from repro.service.pool import resolve_backend
-
-    pool, owned = resolve_backend(backend, jobs)
-    metrics.inc(f"mc.batch.backend.{pool.kind if pool is not None else 'serial'}")
-    children = spawn_seed_sequences(seed, len(sequences))
-    horizon = _coverage_horizon(distribution)
-    value_arrays: List[np.ndarray] = []
-    for seq in sequences:
-        if seq.is_extensible:
-            seq.ensure_covers(horizon)
-        value_arrays.append(np.array(seq.values, dtype=float, copy=True))
-
-    tasks = [
-        (distribution, child, n_samples, values, cost_model)
-        for child, values in zip(children, value_arrays)
+    metrics.inc("mc.batch.tasks", len(sequences))
+    partials = _run_chunks(
+        sequences, [n_samples] * len(sequences), distribution, cost_model,
+        seed, _pool(backend), task_timeout, task_retries,
+    )
+    return [
+        _result_from_partials([partial], n_samples, len(sequence))
+        for sequence, partial in zip(sequences, partials)
     ]
-    metrics.inc("mc.batch.tasks", len(tasks))
-    try:
-        if pool is None:
-            partials = [_sample_and_cost_chunk(task) for task in tasks]
-        else:
-            partials = pool.map(
-                _sample_and_cost_chunk, tasks,
-                timeout=task_timeout, retries=task_retries,
-            )
-    finally:
-        if owned:
-            pool.close()
-
-    results: List[MonteCarloResult] = []
-    for i, partial in enumerate(partials):
-        n_reservations = int(value_arrays[i].size)
-        if not partial[3]:
-            # The stream outran the pre-extended horizon: redraw it where
-            # the live extender is available (same stream, same estimate).
-            metrics.inc("mc.chunk_fallbacks")
-            rng = np.random.default_rng(children[i])
-            times = np.asarray(distribution.rvs(n_samples, seed=rng), dtype=float)
-            sequences[i].ensure_covers(float(times.max()))
-            values = np.asarray(sequences[i].values)
-            costs, k = kernel_costs_and_indices(values, times, cost_model)
-            partial = (
-                float(costs.sum()), float(np.dot(costs, costs)), int(k.max()),
-            )
-            n_reservations = int(values.size)
-        results.append(
-            _result_from_partials([partial[:3]], n_samples, n_reservations)
-        )
-    return results
-

@@ -7,17 +7,20 @@ covering reservation of every sample, and a prefix-sum over per-reservation
 failure costs accumulates the paid-but-failed reservations — no per-sample
 Python loop (cf. the hpc-parallel guide on vectorizing).
 
-Backends (``backend=`` may be a :class:`repro.service.pool.ExecutionBackend`
-or one of the strings ``"serial"``, ``"thread"``, ``"process"``;
-:func:`repro.service.pool.resolve_backend` normalizes it):
+Backends: ``backend=`` is None or an
+:class:`repro.service.pool.ExecutionBackend` that the caller built and
+closes; this module never creates or closes a pool.
 
-* **serial** — the historical single-pass kernel, bit-identical for a fixed
-  seed.  Always used for ``jobs=1`` with no explicit backend.
-* **any pool** (thread, process, or a caller's own backend) — the samples
-  split into one chunk per worker and each worker *draws and costs its own
-  chunk* from a ``SeedSequence``-spawned stream, shipping only a seed and
-  the materialized reservation values — never the sample block.  A fixed
-  ``(seed, jobs)`` pair therefore gives the same estimate on every pool.
+* **None or** :class:`~repro.service.pool.SerialBackend` — the historical
+  single-pass kernel, bit-identical for a fixed seed.
+* **any other pool** (thread, process, or a caller's own backend) — the
+  samples split into one chunk per worker (the pool's ``jobs``) and each
+  worker *draws and costs its own chunk* from a ``SeedSequence``-spawned
+  stream, shipping only a seed and the materialized reservation values —
+  never the sample block.  A fixed seed and chunk count therefore give the
+  same estimate on every pool.  :func:`monte_carlo_many` in
+  :mod:`repro.simulation.batch` runs its one-chunk-per-sequence tasks
+  through the same chunk runner.
 
 Evaluating a whole *grid* of candidate sequences against one shared sample
 set lives in :mod:`repro.simulation.batch`, which amortizes everything above
@@ -32,6 +35,7 @@ enabled.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List, Sequence as SequenceType, Tuple
 
 import numpy as np
 
@@ -40,6 +44,7 @@ from repro.core.sequence import ReservationSequence
 from repro.observability import metrics
 from repro.observability.profiling import profiled
 from repro.resilience import faults
+from repro.service.pool import ExecutionBackend, SerialBackend, chunk_sizes
 from repro.utils.rng import SeedLike, as_generator, spawn_seed_sequences
 
 __all__ = [
@@ -153,12 +158,12 @@ def costs_for_times(
 def _sample_and_cost_chunk(args):
     """Draw one chunk from its spawned stream and cost it (pool task).
 
-    Returns ``(sum, sum_sq, max_index, covered, chunk_max)``.  The sample
-    block never crosses the process boundary — only the chunk's
-    ``SeedSequence`` and the materialized reservation values do.  When the
-    chunk's largest sample exceeds the pre-extended horizon the worker
-    reports ``covered=False`` and the driver re-costs that chunk serially
-    with the live extender (same stream, so the estimate is unchanged).
+    Returns ``(sum, sum_sq, max_index)``.  The sample block never crosses
+    the process boundary — only the chunk's ``SeedSequence`` and the
+    materialized reservation values do.  When the chunk's largest sample
+    exceeds the pre-extended horizon the worker returns None and the
+    driver re-costs that chunk serially with the live extender (same
+    stream, so the estimate is unchanged).
 
     Module-level so the process backend can pickle it.  Tagged as the
     ``mc.chunk`` fault-injection site: chaos drills can make individual
@@ -169,11 +174,10 @@ def _sample_and_cost_chunk(args):
     distribution, child_seed, n, values, cost_model = args
     rng = np.random.default_rng(child_seed)
     times = np.asarray(distribution.rvs(n, seed=rng), dtype=float)
-    chunk_max = float(times.max())
-    if chunk_max > float(values[-1]):
-        return 0.0, 0.0, 0, False, chunk_max
+    if float(times.max()) > float(values[-1]):
+        return None
     costs, k = kernel_costs_and_indices(values, times, cost_model)
-    return float(costs.sum()), float(np.dot(costs, costs)), int(k.max()), True, chunk_max
+    return float(costs.sum()), float(np.dot(costs, costs)), int(k.max())
 
 
 def _result_from_partials(
@@ -214,22 +218,20 @@ def monte_carlo_expected_cost(
     cost_model: CostModel,
     n_samples: int = 1000,
     seed: SeedLike = None,
-    jobs: int = 1,
-    backend=None,
+    backend: ExecutionBackend | None = None,
     task_timeout: float | None = None,
     task_retries: int = 0,
 ) -> MonteCarloResult:
     """Estimate ``E(S)`` by averaging over ``n_samples`` sampled jobs (Eq. 13).
 
-    ``jobs=1`` (the default, with no ``backend``) is the library's historical
-    serial path, bit-identical for a fixed seed.  ``jobs > 1`` (threads when
-    no ``backend`` is named) — or an explicit backend (object or name; see
-    the module docstring) — splits the samples into one chunk per worker,
-    each drawn from its own ``SeedSequence``-spawned stream: the estimate is
-    still deterministic for a fixed ``(seed, jobs)`` pair and *identical* on
-    every pool (same streams, same kernel), but uses a different sample set
-    than the serial path (they agree within the Monte-Carlo confidence
-    interval).
+    With no ``backend`` (or a :class:`SerialBackend`) this is the library's
+    historical serial path, bit-identical for a fixed seed.  Any other
+    backend splits the samples into one chunk per worker of the pool (its
+    ``jobs``; one chunk when it has none), each drawn from its own
+    ``SeedSequence``-spawned stream: the estimate is still deterministic
+    for a fixed ``seed`` and chunk count and *identical* on every pool (same
+    streams, same kernel), but uses a different sample set than the serial
+    path (they agree within the Monte-Carlo confidence interval).
 
     ``task_timeout``/``task_retries`` are forwarded to the backend's
     ``map`` so a hung or faulted chunk (e.g. under a ``REPRO_FAULTS``
@@ -239,14 +241,7 @@ def monte_carlo_expected_cost(
     if n_samples <= 0:
         raise ValueError(f"n_samples must be positive, got {n_samples}")
 
-    # Deferred import: repro.service imports this module for the planner.
-    from repro.service.pool import chunk_sizes, resolve_backend
-
-    if backend is None and jobs > 1:
-        backend = "thread"
-    pool, owned = resolve_backend(backend, jobs)
-    metrics.inc(f"mc.batch.backend.{pool.kind if pool is not None else 'serial'}")
-
+    pool = _pool(backend)
     if pool is None:
         rng = as_generator(seed)
         times = distribution.rvs(n_samples, seed=rng)
@@ -263,60 +258,70 @@ def monte_carlo_expected_cost(
     # Fewer samples than workers: chunk_sizes collapses to one sample per
     # chunk, so no chunk is ever empty (an empty chunk would make the
     # worker's ``times.max()`` raise).
-    n_chunks = jobs if jobs > 1 else int(getattr(pool, "jobs", 1))
-    sizes = chunk_sizes(n_samples, max(n_chunks, 1))
-    try:
-        return _pooled_expected_cost(
-            sequence, distribution, cost_model, sizes, seed,
-            pool, task_timeout, task_retries, n_samples,
-        )
-    finally:
-        if owned:
-            pool.close()
+    sizes = chunk_sizes(n_samples, max(int(getattr(pool, "jobs", 1)), 1))
+    metrics.inc("mc.parallel_chunks", len(sizes))
+    partials = _run_chunks(
+        [sequence] * len(sizes), sizes, distribution, cost_model, seed,
+        pool, task_timeout, task_retries,
+    )
+    return _result_from_partials(partials, n_samples, len(sequence))
 
 
-def _pooled_expected_cost(
-    sequence: ReservationSequence,
+def _pool(backend: ExecutionBackend | None) -> ExecutionBackend | None:
+    """The pool to map chunks on, or None to run inline; counts the choice."""
+    if isinstance(backend, SerialBackend):
+        backend = None
+    metrics.inc(f"mc.batch.backend.{backend.kind if backend is not None else 'serial'}")
+    return backend
+
+
+def _run_chunks(
+    sequences: SequenceType[ReservationSequence],
+    sizes: SequenceType[int],
     distribution,
     cost_model: CostModel,
-    sizes,
     seed: SeedLike,
-    pool,
-    task_timeout,
-    task_retries,
-    n_samples: int,
-) -> MonteCarloResult:
-    """Pooled estimate: workers draw and cost their own chunks."""
+    pool: ExecutionBackend | None,
+    task_timeout: float | None,
+    task_retries: int,
+) -> List[Tuple[float, float, int]]:
+    """Draw chunk ``i`` (``sizes[i]`` samples) and cost it on ``sequences[i]``.
+
+    Chunk ``i`` samples the ``i``-th ``SeedSequence`` spawned from ``seed``,
+    so the partials do not depend on where the chunks run: inline when
+    ``pool`` is None, else through ``pool.map``.  Extensible sequences are
+    first extended to the coverage horizon (workers cannot run extender
+    closures); a chunk that still outruns its sequence is redrawn here from
+    the same stream and costed with the live extender (the
+    ``mc.chunk_fallbacks`` counter), so the partial is unchanged.  Returns
+    one ``(sum, sum_sq, max_index)`` per chunk.
+    """
     children = spawn_seed_sequences(seed, len(sizes))
-    if sequence.is_extensible:
-        sequence.ensure_covers(_coverage_horizon(distribution))
-    values = np.array(sequence.values, dtype=float, copy=True)
-    metrics.inc("mc.parallel_chunks", len(sizes))
-    partials = pool.map(
-        _sample_and_cost_chunk,
-        [
-            (distribution, child, n, values, cost_model)
-            for n, child in zip(sizes, children)
-        ],
-        timeout=task_timeout,
-        retries=task_retries,
-    )
+    horizon = _coverage_horizon(distribution)
+    tasks = []
+    for sequence, n, child in zip(sequences, sizes, children):
+        if sequence.is_extensible:
+            sequence.ensure_covers(horizon)
+        values = np.array(sequence.values, dtype=float, copy=True)
+        tasks.append((distribution, child, n, values, cost_model))
+    if pool is None:
+        partials = [_sample_and_cost_chunk(task) for task in tasks]
+    else:
+        partials = pool.map(
+            _sample_and_cost_chunk, tasks, timeout=task_timeout, retries=task_retries
+        )
     combined = []
-    for i, partial in enumerate(partials):
-        if not partial[3]:
-            # The chunk outran the pre-extended horizon (probability
-            # ~ n * PROCESS_COVERAGE_TAIL): redraw the same stream serially
-            # where the live extender is available.
-            metrics.inc("mc.chunk_fallbacks")
-            rng = np.random.default_rng(children[i])
-            times = distribution.rvs(sizes[i], seed=rng)
-            costs, k = _costs_and_indices(sequence, times, cost_model)
-            combined.append(
-                (float(costs.sum()), float(np.dot(costs, costs)), int(k.max()))
-            )
-        else:
+    for sequence, n, child, partial in zip(sequences, sizes, children, partials):
+        if partial is not None:
             # Worker-side counters stay in the worker; count here instead
-            # (a fallback chunk is counted by the serial kernel above).
-            metrics.inc("mc.samples", sizes[i])
-            combined.append(partial[:3])
-    return _result_from_partials(combined, n_samples, len(sequence))
+            # (a redrawn chunk is counted by the serial kernel below).
+            metrics.inc("mc.samples", n)
+            combined.append(partial)
+            continue
+        # The chunk outran the pre-extended horizon (probability
+        # ~ n * PROCESS_COVERAGE_TAIL).
+        metrics.inc("mc.chunk_fallbacks")
+        times = distribution.rvs(n, seed=np.random.default_rng(child))
+        costs, k = _costs_and_indices(sequence, times, cost_model)
+        combined.append((float(costs.sum()), float(np.dot(costs, costs)), int(k.max())))
+    return combined

@@ -4,8 +4,8 @@ Monte-Carlo backends.
 The batch rework moved sampling *into* process-pool workers
 (``_sample_and_cost_chunk``), so three properties need guarding here:
 
-* a fixed ``(seed, jobs, backend)`` triple reproduces bit-identically on
-  every backend kind, and thread/process agree with each other;
+* a fixed seed on a fixed pool reproduces bit-identically on every
+  backend kind, and thread/process pools of one size agree with each other;
 * an ``mc.chunk`` fault injected inside a *process* worker travels back to
   the driver as the real :class:`InjectedFault` (pickle roundtrip via
   ``__reduce__``), both through ``faults.installed`` (fork inheritance)
@@ -27,7 +27,12 @@ from repro.distributions.lognormal import LogNormal
 from repro.resilience import faults
 from repro.resilience.faults import FaultPlan, FaultRule, InjectedFault
 from repro.service.planner import PlannerService, ResilienceOptions
-from repro.service.pool import PoolError, ProcessBackend, ThreadBackend
+from repro.service.pool import (
+    PoolError,
+    ProcessBackend,
+    SerialBackend,
+    ThreadBackend,
+)
 from repro.simulation.batch import monte_carlo_many
 from repro.simulation.monte_carlo import monte_carlo_expected_cost
 
@@ -58,24 +63,32 @@ def make_sequence(distribution):
     )
 
 
-def estimate(kind, jobs, seed=11, n_samples=300):
+def make_backend(kind, jobs):
+    """A ``kind`` backend of ``jobs`` workers (0: one per CPU)."""
+    if kind == "serial":
+        return SerialBackend()
+    return (ThreadBackend if kind == "thread" else ProcessBackend)(jobs)
+
+
+def estimate(backend, seed=11, n_samples=300):
     d = make_distribution()
     cm = CostModel(alpha=1.0, beta=0.25, gamma=0.05)
     return monte_carlo_expected_cost(
         make_sequence(d), d, cm,
-        n_samples=n_samples, seed=seed, jobs=jobs, backend=kind,
+        n_samples=n_samples, seed=seed, backend=backend,
     )
 
 
 # ----------------------------------------------------------------------
 class TestSeedDeterminismMatrix:
-    """Fixed (seed, jobs, backend) must reproduce exactly on every kind."""
+    """A fixed seed on a fixed pool must reproduce exactly on every kind."""
 
     @pytest.mark.parametrize("kind", ["serial", "thread", "process"])
-    @pytest.mark.parametrize("jobs", [1, 2, 4])
+    @pytest.mark.parametrize("jobs", [0, 2, 4])
     def test_repeat_call_is_bit_identical(self, registry, kind, jobs):
-        a = estimate(kind, jobs)
-        b = estimate(kind, jobs)
+        with make_backend(kind, jobs) as backend:
+            a = estimate(backend)
+            b = estimate(backend)
         assert a.mean_cost == b.mean_cost
         assert a.std_error == b.std_error
         assert a.max_reservations_hit == b.max_reservations_hit
@@ -84,8 +97,9 @@ class TestSeedDeterminismMatrix:
     @pytest.mark.parametrize("jobs", [2, 4])
     def test_thread_and_process_share_streams(self, registry, jobs):
         """Same SeedSequence-spawned chunk streams => identical estimates."""
-        t = estimate("thread", jobs)
-        p = estimate("process", jobs)
+        with ThreadBackend(jobs) as thread, ProcessBackend(jobs) as process:
+            t = estimate(thread)
+            p = estimate(process)
         assert t.mean_cost == p.mean_cost
         assert t.std_error == p.std_error
 
@@ -96,11 +110,12 @@ class TestSeedDeterminismMatrix:
         d = make_distribution()
         cm = CostModel.reservation_only()
         reference = None
-        for jobs in (1, 2, 4):
+        for jobs in (0, 2, 4):
             seqs = [make_sequence(d) for _ in range(3)]
-            results = monte_carlo_many(
-                seqs, d, cm, n_samples=120, seed=7, backend=kind, jobs=jobs
-            )
+            with make_backend(kind, jobs) as backend:
+                results = monte_carlo_many(
+                    seqs, d, cm, n_samples=120, seed=7, backend=backend
+                )
             summary = [(r.mean_cost, r.std_error) for r in results]
             if reference is None:
                 reference = summary
@@ -121,7 +136,7 @@ class TestProcessChunkFaultDrill:
             # Workers fork at first submit, inheriting the installed plan.
             with ProcessBackend(2) as backend:
                 with pytest.raises(PoolError) as excinfo:
-                    estimate(backend, 2)
+                    estimate(backend)
         cause = excinfo.value.__cause__
         assert isinstance(cause, InjectedFault)
         assert cause.site == "mc.chunk"
@@ -131,14 +146,15 @@ class TestProcessChunkFaultDrill:
         """max_triggers=1 per forked worker: <=2 injected faults total, so
         retries=2 always recovers — to the exact fault-free estimate, since
         chunk streams are seeded by position, not by worker."""
-        clean = estimate("process", 2, seed=23)
+        with ProcessBackend(2) as backend:
+            clean = estimate(backend, seed=23)
         with faults.installed(self._plan(max_triggers=1)):
             with ProcessBackend(2) as backend:
                 d = make_distribution()
                 cm = CostModel(alpha=1.0, beta=0.25, gamma=0.05)
                 drilled = monte_carlo_expected_cost(
                     make_sequence(d), d, cm,
-                    n_samples=300, seed=23, jobs=2, backend=backend,
+                    n_samples=300, seed=23, backend=backend,
                     task_retries=2,
                 )
         assert drilled.mean_cost == clean.mean_cost
@@ -152,7 +168,7 @@ class TestProcessChunkFaultDrill:
         faults.reset_env_cache()
         with ProcessBackend(2) as backend:
             with pytest.raises(PoolError) as excinfo:
-                estimate(backend, 2)
+                estimate(backend)
         assert isinstance(excinfo.value.__cause__, InjectedFault)
 
     def test_monte_carlo_many_hits_the_same_site(self, registry):

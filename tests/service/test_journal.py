@@ -365,7 +365,7 @@ def test_put_journals_evictions_first_and_recover_does_not_rejournal(
     assert store.put("a" * 64, {"v": 1}) is None
     store.put("b" * 64, {"v": 2})
     store.put("c" * 64, {"v": 3})
-    assert store.keys() == ["b" * 64, "c" * 64]
+    assert [e["key"] for e in store.entries()] == ["b" * 64, "c" * 64]
     store.close()
     with open(store.journal.journal_path, "rb") as fh:
         ops = [json.loads(line)["op"] for line in fh.read().splitlines()]
@@ -382,7 +382,7 @@ def test_put_journals_evictions_first_and_recover_does_not_rejournal(
     with open(restarted.journal.journal_path, "rb") as fh:
         assert fh.read() == before  # replay appended nothing
     assert restarted.journal.stats()["appends"] == 0
-    assert restarted.keys() == ["b" * 64, "c" * 64]
+    assert [e["key"] for e in restarted.entries()] == ["b" * 64, "c" * 64]
     restarted.close()
 
 

@@ -263,12 +263,13 @@ class TestChunkingEdgeCases:
                 [float(d.quantile(0.5))], extend=lambda cur: float(cur[-1]) * 2.0
             )
 
-        a = monte_carlo_expected_cost(
-            make_seq(), d, cm, n_samples=n_samples, seed=3, jobs=jobs
-        )
-        b = monte_carlo_expected_cost(
-            make_seq(), d, cm, n_samples=n_samples, seed=3, jobs=jobs
-        )
+        with ThreadBackend(jobs) as pool:
+            a = monte_carlo_expected_cost(
+                make_seq(), d, cm, n_samples=n_samples, seed=3, backend=pool
+            )
+            b = monte_carlo_expected_cost(
+                make_seq(), d, cm, n_samples=n_samples, seed=3, backend=pool
+            )
         assert a.n_samples == n_samples
         assert np.isfinite(a.mean_cost)
         assert a.mean_cost == b.mean_cost
@@ -286,8 +287,9 @@ class TestChunkingEdgeCases:
                 [float(d.quantile(0.5))], extend=lambda cur: float(cur[-1]) * 2.0
             )
         ]
-        results = monte_carlo_many(
-            seqs, d, cm, n_samples=50, seed=0, backend="thread", jobs=8
-        )
+        with ThreadBackend(8) as pool:
+            results = monte_carlo_many(
+                seqs, d, cm, n_samples=50, seed=0, backend=pool
+            )
         assert len(results) == 1
         assert results[0].n_samples == 50

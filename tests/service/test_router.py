@@ -8,6 +8,7 @@ stay fast and a "dead shard" is simply a server that was shut down.
 from __future__ import annotations
 
 import hashlib
+import json
 import socket
 import threading
 import time
@@ -315,6 +316,28 @@ def test_stale_pooled_socket_reconnects_once(tmp_path, enabled_obs):
         client.close()
         kill(second)
         second.store.close()
+
+
+@pytest.mark.parametrize("op", ["keys", "clear", "compact", "bogus"])
+def test_shard_answers_an_unknown_op_with_a_structured_error(tmp_path, op):
+    """A worker answers only the ops ShardClient sends (ping, get, put,
+    invalidate, stats); anything else is an error line, not a dropped
+    connection."""
+    server = serve_shard(ShardStore(str(tmp_path / "s"), fsync=False), 0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        with socket.create_connection(
+            ("127.0.0.1", server.port), timeout=2.0
+        ) as conn, conn.makefile("rb") as reader:
+            conn.sendall(json.dumps({"op": op}).encode("utf-8") + b"\n")
+            answer = json.loads(reader.readline())
+            conn.sendall(b'{"op":"ping"}\n')
+            assert json.loads(reader.readline())["pong"] is True
+    finally:
+        kill(server)
+        server.store.close()
+    assert answer == {"ok": False, "error": f"ShardError: unknown shard op {op!r}"}
 
 
 def _silent_after_first_answer(listener: socket.socket, stop: threading.Event):

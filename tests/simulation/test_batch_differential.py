@@ -4,10 +4,10 @@ The batched kernels (``repro.simulation.batch``) advertise three contracts:
 
 (a) the matrix kernel is **bit-identical** to looping the serial kernel
     over the same rows and samples;
-(b) the ``jobs=1`` Monte-Carlo path is bit-identical to the historical
-    implementation (frozen here as an inline reference);
-(c) thread and process backends agree bit-for-bit with each other for a
-    fixed ``(seed, jobs)`` and within a CI-aware ``z=4`` band of the serial
+(b) the serial (no backend) Monte-Carlo path is bit-identical to the
+    historical implementation (frozen here as an inline reference);
+(c) thread and process pools of one size agree bit-for-bit with each
+    other for a fixed seed and within a CI-aware ``z=4`` band of the serial
     estimate (different sample partitioning, same estimator).
 
 Each contract gets direct tests plus a Hypothesis sweep over random
@@ -26,6 +26,7 @@ from repro.core.recurrence import generate_sequence_grid, optimal_sequence_from_
 from repro.core.bounds import t1_search_interval
 from repro.core.sequence import ReservationSequence, SequenceError
 from repro.core.recurrence import RecurrenceError
+from repro.service.pool import ProcessBackend, SerialBackend, ThreadBackend
 from repro.simulation.batch import (
     BatchCostSummary,
     ReservationBatch,
@@ -171,7 +172,7 @@ class TestMomentsKernel:
 
 
 # ----------------------------------------------------------------------
-# (b) jobs=1 bit-identical to the historical serial path
+# (b) serial path bit-identical to the historical one
 # ----------------------------------------------------------------------
 def _historical_serial_estimate(sequence, distribution, cost_model, n_samples, seed):
     """The pre-refactor serial path, frozen: same draw, same kernel ops."""
@@ -241,14 +242,15 @@ class TestBackendAgreement:
             [float(unbounded_distribution.quantile(0.5))],
             extend=lambda cur: float(cur[-1]) * 2.0,
         )
-        thread = monte_carlo_expected_cost(
-            seq, unbounded_distribution, cost_model,
-            n_samples=2000, seed=42, jobs=jobs,
-        )
-        process = monte_carlo_expected_cost(
-            seq, unbounded_distribution, cost_model,
-            n_samples=2000, seed=42, jobs=jobs, backend="process",
-        )
+        with ThreadBackend(jobs) as thread_pool, ProcessBackend(jobs) as process_pool:
+            thread = monte_carlo_expected_cost(
+                seq, unbounded_distribution, cost_model,
+                n_samples=2000, seed=42, backend=thread_pool,
+            )
+            process = monte_carlo_expected_cost(
+                seq, unbounded_distribution, cost_model,
+                n_samples=2000, seed=42, backend=process_pool,
+            )
         assert thread.mean_cost == process.mean_cost
         assert thread.std_error == process.std_error
         assert thread.n_samples == process.n_samples
@@ -262,15 +264,13 @@ class TestBackendAgreement:
         )
         n = 20_000
         serial = monte_carlo_expected_cost(seq, d, cost_model, n_samples=n, seed=1)
-        for kwargs in (
-            {"jobs": 2},
-            {"jobs": 2, "backend": "process"},
-        ):
-            other = monte_carlo_expected_cost(
-                seq, d, cost_model, n_samples=n, seed=1, **kwargs
-            )
+        for make_pool in (ThreadBackend, ProcessBackend):
+            with make_pool(2) as pool:
+                other = monte_carlo_expected_cost(
+                    seq, d, cost_model, n_samples=n, seed=1, backend=pool
+                )
             tolerance = 4.0 * np.hypot(serial.std_error, other.std_error)
-            assert abs(other.mean_cost - serial.mean_cost) <= tolerance, kwargs
+            assert abs(other.mean_cost - serial.mean_cost) <= tolerance, pool
 
 
 # ----------------------------------------------------------------------
@@ -290,13 +290,16 @@ class TestMonteCarloMany:
         d = unbounded_distribution
         base = monte_carlo_many(
             self._sequences(d), d, cost_model, n_samples=400, seed=5,
-            backend="serial",
+            backend=SerialBackend(),
         )
-        for backend, jobs in (("thread", 2), ("process", 2), ("process", 0)):
-            other = monte_carlo_many(
-                self._sequences(d), d, cost_model, n_samples=400, seed=5,
-                backend=backend, jobs=jobs,
-            )
+        for make_pool, jobs in (
+            (ThreadBackend, 2), (ProcessBackend, 2), (ProcessBackend, 0)
+        ):
+            with make_pool(jobs) as pool:
+                other = monte_carlo_many(
+                    self._sequences(d), d, cost_model, n_samples=400, seed=5,
+                    backend=pool,
+                )
             assert [r.mean_cost for r in other] == [r.mean_cost for r in base]
             assert [r.std_error for r in other] == [r.std_error for r in base]
 

@@ -1,27 +1,25 @@
-"""One pooled Monte-Carlo path behind one backend resolver.
+"""One pooled Monte-Carlo path, on the pool its caller built.
 
 Every pool — thread, process, or a caller's own
-:class:`ExecutionBackend` — runs the same worker-draw chunk
-task on the same ``SeedSequence``-spawned streams, and every kernel
-normalizes ``backend=``/``jobs=`` through
-:func:`repro.service.pool.resolve_backend`.  So:
+:class:`ExecutionBackend` — runs the same worker-draw chunk task on the
+same ``SeedSequence``-spawned streams, one chunk per worker of the pool.
+So:
 
 * the pooled single-sequence estimate is bit-identical on every pool for a
-  fixed ``(seed, jobs)``, for every paper law x strategy the planner serves
-  (including bounded laws whose extenders only converge toward the bound);
-* ``monte_carlo_many`` and the spot evaluator are bit-identical on every
-  backend form, and pools a kernel creates from a name are closed on exit.
+  fixed seed and worker count, for every paper law x strategy the planner
+  serves (including bounded laws whose extenders only converge toward the
+  bound);
+* ``monte_carlo_many`` is bit-identical on every backend form;
+* golden answers pin every pool form across commits.
 """
 
 from __future__ import annotations
-
-import multiprocessing
-import threading
 
 import numpy as np
 import pytest
 
 from repro.core.cost import CostModel
+from repro.core.sequence import ReservationSequence
 from repro.distributions.lognormal import LogNormal
 from repro.distributions.registry import PAPER_ORDER, paper_distribution
 from repro.platforms.spot import (
@@ -66,7 +64,7 @@ def _planned(law: str, strategy: str):
 def test_thread_process_and_many_agree_bit_for_bit(law, strategy, pools):
     thread_pool, process_pool = pools
     d = paper_distribution(law)
-    kwargs = dict(n_samples=5000, seed=0, jobs=2)
+    kwargs = dict(n_samples=5000, seed=0)
 
     thread = monte_carlo_expected_cost(
         _planned(law, strategy), d, CM, backend=thread_pool, **kwargs
@@ -93,26 +91,26 @@ def test_thread_process_and_many_agree_bit_for_bit(law, strategy, pools):
 
 
 # ----------------------------------------------------------------------
-# Three pooled kernels x every backend form
+# Both pooled kernels x every backend form
 # ----------------------------------------------------------------------
+LAW = LogNormal(3.0, 0.5)
+JOBS = 2
+
+
 class _InlineBackend(ExecutionBackend):
-    """A minimal caller-defined backend: inline ``map``, no pool at all."""
+    """A minimal caller-defined backend: inline ``map``, no pool at all,
+    chunking like a pool of ``JOBS`` workers."""
 
     kind = "inline"
+    jobs = JOBS
 
     def map(self, fn, items, timeout=None, retries=0):
         return [fn(item) for item in items]
 
 
-LAW = LogNormal(3.0, 0.5)
-JOBS = 2
-
-#: Backend forms; callables build a fresh object per test.
+#: Backend forms; each builds a fresh object per test.
 FORMS = {
-    "none": None,
-    "serial": "serial",
-    "thread": "thread",
-    "process": "process",
+    "none": lambda: None,
     "SerialBackend": lambda: SerialBackend(),
     "ThreadBackend": lambda: ThreadBackend(JOBS),
     "ProcessBackend": lambda: ProcessBackend(JOBS),
@@ -130,7 +128,7 @@ def _sequences(k: int = 4):
 def _mc(backend):
     seq = _sequences(1)[0]
     return monte_carlo_expected_cost(
-        seq, LAW, CM, n_samples=3000, seed=11, jobs=JOBS, backend=backend
+        seq, LAW, CM, n_samples=3000, seed=11, backend=backend
     )
 
 
@@ -142,30 +140,10 @@ def _mc_serial():
 def _many(backend):
     return monte_carlo_many(
         _sequences(), LAW, CM, n_samples=400, seed=5, backend=backend,
-        jobs=JOBS,
     )
 
 
-def _spot(backend):
-    scenario = SpotScenario(
-        price=ConstantPrice(0.3), hazard=ConstantHazard(0.8), step=0.05
-    )
-    return spot_monte_carlo_cost(
-        LogNormal(0.0, 0.3), scenario, recovery="checkpoint",
-        checkpoint_interval=0.5, n_paths=400, seed=17, jobs=JOBS,
-        backend=backend,
-    )
-
-
-KERNELS = {"mc": _mc, "many": _many, "spot": _spot}
-
-
-def _live_workers():
-    threads = {
-        t.ident for t in threading.enumerate() if t.name.startswith("repro-pool")
-    }
-    children = {p.pid for p in multiprocessing.active_children()}
-    return threads, children
+KERNELS = {"mc": _mc, "many": _many}
 
 
 @pytest.mark.parametrize("form", list(FORMS))
@@ -173,26 +151,148 @@ def _live_workers():
 def test_every_backend_form_matches_the_reference(kernel, form):
     run = KERNELS[kernel]
     if kernel == "mc":
-        # jobs=2 with no backend means threads, so both MC references are
-        # explicit: the serial kernel (for the forms that resolve to no
-        # pool), or the chunks mapped inline.
-        serial = form in ("serial", "SerialBackend")
+        # The MC references are explicit: the serial kernel (for the forms
+        # that run no pool), or the chunks mapped inline.
+        serial = form in ("none", "SerialBackend")
         reference = _mc_serial() if serial else run(_InlineBackend())
     else:
         reference = run(None)
 
-    spec = FORMS[form]
-    if callable(spec):
-        backend = spec()
-        try:
-            assert run(backend) == reference
-        finally:
+    backend = FORMS[form]()
+    try:
+        assert run(backend) == reference
+    finally:
+        if backend is not None:
             backend.close()
-        return
 
-    before_threads, before_children = _live_workers()
-    assert run(spec) == reference
-    after_threads, after_children = _live_workers()
-    assert after_threads <= before_threads, "pool threads left running"
-    assert after_children <= before_children, "pool processes left running"
 
+# ----------------------------------------------------------------------
+# Golden answers: every pool form, pinned across commits
+# ----------------------------------------------------------------------
+#: ``(mean_cost.hex(), std_error.hex(), max_reservations_hit)`` of a
+#: 5000-sample, seed-2019 estimate of the planned MEAN-BY-MEAN sequence:
+#: ``(inline, pooled)`` per law.  No backend and ``SerialBackend()`` run the
+#: serial kernel; a two-worker thread or process pool draws two spawned
+#: chunks.  A change that moves any sample, stream or chunk boundary moves
+#: these bits.
+GOLDEN_MC = {
+    "lognormal": (
+        ("0x1.81585249b5096p+5", "0x1.586c59ea1b0e0p-1", 9),
+        ("0x1.8215b34d90db4p+5", "0x1.632f45a9f9c61p-1", 11),
+    ),
+    "weibull": (
+        ("0x1.7599bee327c8bp+2", "0x1.7b855dddcffdcp-3", 8),
+        ("0x1.73d677f34fa0bp+2", "0x1.a66ba1413f320p-3", 10),
+    ),
+    "uniform": (
+        ("0x1.0beb0a3d70a3dp+5", "0x1.873a139c27e9dp-2", 12),
+        ("0x1.0a4bb16a7ef9ep+5", "0x1.84370ce0e5d1cp-2", 17),
+    ),
+}
+
+#: ``monte_carlo_many`` on three planned lognormal sequences, 2000
+#: samples each, seed 5: one triple per sequence, on every backend.
+GOLDEN_MANY_STRATEGIES = ("mean_by_mean", "mean_doubling", "median_by_median")
+GOLDEN_MANY = [
+    ("0x1.87190976361d0p+5", "0x1.1f5227462c0c3p+0", 10),
+    ("0x1.653d43a466efbp+5", "0x1.88bc3c0a6000ep-1", 4),
+    ("0x1.c97c4dc752847p+5", "0x1.703e6bdd3ad4cp+0", 11),
+]
+
+#: Checkpointed spot estimate: ``(mean_cost, std_error, mean_busy_time,
+#: mean_interruptions)`` as ``float.hex()``.
+GOLDEN_SPOT = (
+    "0x1.ae875bc833de1p-2",
+    "0x1.13cfed5011c76p-7",
+    "0x1.66c621d1808e5p+0",
+    "0x1.2666666666666p+0",
+)
+
+
+def _golden(result):
+    return (
+        result.mean_cost.hex(),
+        result.std_error.hex(),
+        result.max_reservations_hit,
+    )
+
+
+class TestGoldenAnswers:
+    @pytest.mark.parametrize(
+        "form", ["none", "SerialBackend", "ThreadBackend", "ProcessBackend"]
+    )
+    @pytest.mark.parametrize("law", list(GOLDEN_MC))
+    def test_single_estimate(self, law, form, pools):
+        thread_pool, process_pool = pools
+        backend = {
+            "none": None,
+            "SerialBackend": SerialBackend(),
+            "ThreadBackend": thread_pool,
+            "ProcessBackend": process_pool,
+        }[form]
+        result = monte_carlo_expected_cost(
+            _planned(law, "mean_by_mean"), paper_distribution(law), CM,
+            n_samples=5000, seed=2019, backend=backend,
+        )
+        pooled = form in ("ThreadBackend", "ProcessBackend")
+        assert _golden(result) == GOLDEN_MC[law][pooled]
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_many(self, pooled, pools):
+        results = monte_carlo_many(
+            [_planned("lognormal", s) for s in GOLDEN_MANY_STRATEGIES],
+            paper_distribution("lognormal"), CM, n_samples=2000, seed=5,
+            backend=pools[1] if pooled else None,
+        )
+        assert [_golden(r) for r in results] == GOLDEN_MANY
+
+    def test_checkpointed_spot(self):
+        scenario = SpotScenario(
+            price=ConstantPrice(0.3), hazard=ConstantHazard(0.8), step=0.05
+        )
+        result = spot_monte_carlo_cost(
+            LogNormal(0.0, 0.3), scenario, recovery="checkpoint",
+            checkpoint_interval=0.5, n_paths=400, seed=17,
+        )
+        assert (
+            result.mean_cost.hex(),
+            result.std_error.hex(),
+            result.mean_busy_time.hex(),
+            result.mean_interruptions.hex(),
+        ) == GOLDEN_SPOT
+
+
+# ----------------------------------------------------------------------
+# A chunk that outruns the pre-extended horizon
+# ----------------------------------------------------------------------
+def test_uncovered_chunks_are_redrawn_from_their_own_streams(
+    pools, monkeypatch, enabled_obs
+):
+    """With the horizon cut to the median, most chunks outrun their
+    pre-extended sequence; the runner redraws each from its own stream and
+    costs it with the live extender, so no answer moves."""
+    from repro.simulation import monte_carlo
+
+    thread_pool, _ = pools
+
+    def short():
+        return ReservationSequence(
+            [float(LAW.quantile(0.1))], extend=lambda v: float(v[-1]) * 2.0
+        )
+
+    def run():
+        single = monte_carlo_expected_cost(
+            short(), LAW, CM, n_samples=3000, seed=11, backend=thread_pool
+        )
+        many = monte_carlo_many(
+            [short() for _ in range(4)], LAW, CM, n_samples=400, seed=5,
+            backend=thread_pool,
+        )
+        return [_golden(single)] + [_golden(r) for r in many]
+
+    registry, _ = enabled_obs
+    full = run()
+    assert registry.counter("mc.chunk_fallbacks").value == 0
+    monkeypatch.setattr(monte_carlo, "PROCESS_COVERAGE_TAIL", 0.5)
+    assert run() == full
+    assert registry.counter("mc.chunk_fallbacks").value == JOBS + 4
