@@ -268,16 +268,11 @@ def spot_monte_carlo_cost(
     metrics.inc("spot.steps", steps)
     metrics.inc("spot.interruptions", interruptions)
 
-    mean = float(cost.sum()) / n_paths
-    if n_paths > 1:
-        sum_sq = float(np.dot(cost, cost))
-        var = max(sum_sq - n_paths * mean * mean, 0.0) / (n_paths - 1)
-        std_error = math.sqrt(var / n_paths)
-    else:
-        std_error = math.inf
     return SpotCostResult(
-        mean_cost=mean,
-        std_error=std_error,
+        mean_cost=float(cost.sum()) / n_paths,
+        std_error=(
+            float(cost.std(ddof=1)) / math.sqrt(n_paths) if n_paths > 1 else math.inf
+        ),
         mean_busy_time=float(busy.sum()) / n_paths,
         mean_interruptions=interruptions / n_paths,
         n_paths=n_paths,

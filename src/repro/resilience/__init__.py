@@ -13,9 +13,10 @@ it answering anyway:
 * :mod:`repro.resilience.breaker` — :class:`CircuitBreaker`
   (closed/open/half-open with ``resilience.breaker.*`` metrics);
 * :mod:`repro.resilience.degradation` — :func:`run_ladder`, the
-  evaluator fallback chain used by the planner;
-* :mod:`repro.resilience.supervisor` — :class:`Supervisor`, the probe /
-  failover / restart loop over the shard worker processes.
+  evaluator fallback chain used by the planner.
+
+The shard workers are supervised by their own fleet
+(:class:`repro.service.router.ShardFleet`).
 
 See ``docs/RESILIENCE.md`` for the fault-spec format, the policy knobs,
 and the planner's degradation ladder.
@@ -40,7 +41,6 @@ from repro.resilience.faults import (
     uninstall,
 )
 from repro.resilience.policies import Deadline, RetryPolicy
-from repro.resilience.supervisor import Supervisor, SupervisorPolicy, Ward
 
 __all__ = [
     "ENV_VAR",
@@ -56,9 +56,6 @@ __all__ = [
     "LadderExhausted",
     "LadderReport",
     "RetryPolicy",
-    "Supervisor",
-    "SupervisorPolicy",
-    "Ward",
     "fire",
     "install",
     "installed",

@@ -19,7 +19,7 @@ Record grammar (``op`` selects the shape)::
     {"op": "put", "key": k, "created_at": <ts>, "payload": {...}}
     {"op": "invalidate", "key": k}
     {"op": "evict", "key": k}       # capacity eviction, same replay effect
-    {"op": "clear"}
+    {"op": "clear"}                 # replay-only: older journals may hold one
 
 Durability discipline:
 

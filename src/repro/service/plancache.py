@@ -140,11 +140,6 @@ class PlanCache:
                 metrics.set_gauge(names.PLANCACHE_SIZE, len(self._data))
             return removed
 
-    def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
-            metrics.set_gauge(names.PLANCACHE_SIZE, 0)
-
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, object]:
         """Size/bounds snapshot (counters live in the metrics registry)."""

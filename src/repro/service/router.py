@@ -12,16 +12,15 @@ Three layers, bottom-up:
   :class:`~repro.service.plancache.PlanCache` protocol
   (``get_or_compute`` / ``invalidate`` / ``stats``) but serves every key
   from its ring shard over RPC.  When a shard is down (marked by the
-  supervisor, or discovered via a failed RPC) the key fails over to the
-  next shard on its preference list; when *all* shards are down the plan
-  is computed and returned uncached (``shard.put_drops``) — a dead cache
-  tier degrades latency, never availability.
+  fleet's probe loop, or discovered via a failed RPC) the key fails over
+  to the next shard on its preference list; when *all* shards are down
+  the plan is computed and returned uncached (``shard.put_drops``) — a
+  dead cache tier degrades latency, never availability.
 * :class:`ShardFleet` — spawns the ``python -m repro.service.shard``
-  worker processes, parses their banners, wires a
-  :class:`~repro.resilience.supervisor.Supervisor` over them (SIGKILL a
-  worker and its keys fail over within a ping interval while the
-  supervisor restarts it; the restarted worker warm-starts from its
-  journal), and owns clean shutdown.
+  worker processes, parses their banners, and supervises them with one
+  probe thread (SIGKILL a worker and its keys fail over within a ping
+  interval while the fleet restarts it; the restarted worker warm-starts
+  from its journal).  It owns clean shutdown, restarts in flight included.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.observability import metrics
 from repro.observability import names
-from repro.resilience.supervisor import Supervisor
 from repro.service.keys import stable_key_hash
 from repro.service.shard import ShardClient, ShardError, ShardUnavailable
 
@@ -53,6 +51,16 @@ RPC_TIMEOUT_S = 2.0
 
 #: Seconds a spawned shard worker may take to print its banner.
 BOOT_TIMEOUT_S = 20.0
+
+#: Seconds between probe passes over every shard.
+PING_INTERVAL_S = 0.5
+
+#: Consecutive failed pings (worker process alive) before a shard counts as
+#: wedged and is failed over and restarted.
+MAX_PING_FAILURES = 3
+
+#: Delay before a restart starts (lets a crash loop breathe).
+RESTART_BACKOFF_S = 0.25
 
 #: Striped single-flight locks for cold keys (same rationale as PlanCache).
 _N_STRIPES = 64
@@ -136,7 +144,7 @@ class ShardedPlanCache:
         self._state_lock = threading.Lock()
         self._stripes = [threading.Lock() for _ in range(_N_STRIPES)]
 
-    # -- shard liveness (router view; the supervisor drives it) ---------
+    # -- shard liveness (router view; the fleet's probe loop drives it) --
     @property
     def n_shards(self) -> int:
         return len(self._clients)
@@ -191,13 +199,10 @@ class ShardedPlanCache:
             down = set(self._down)
         return preference[0], [sid for sid in preference if sid not in down]
 
-    def _note_failure(self, shard_id: int, exc: Exception) -> None:
-        # Bench immediately: the next requests skip the dead shard instead
-        # of each eating a connect timeout.  The supervisor un-benches it
-        # on the next clean health probe.
-        self.mark_down(shard_id)
-
     # -- routed primitives ----------------------------------------------
+    # A failed RPC benches its shard at once (``mark_down``): the next
+    # requests skip it instead of each eating a connect timeout.  The
+    # fleet's probe loop un-benches it on its next clean probe.
     def _get_routed(self, key: str) -> Tuple[Optional[dict], Optional[int]]:
         """(payload-or-None, shard that answered or None if all down)."""
         _, order = self._serving_order(key)
@@ -206,8 +211,8 @@ class ShardedPlanCache:
                 client = self._clients[sid]
             try:
                 payload = client.get(key)
-            except (ShardUnavailable, ShardError) as exc:
-                self._note_failure(sid, exc)
+            except (ShardUnavailable, ShardError):
+                self.mark_down(sid)
                 continue
             return payload, sid  # hit *or* authoritative miss — stop here
         return None, None
@@ -220,8 +225,8 @@ class ShardedPlanCache:
                 client = self._clients[sid]
             try:
                 client.put(key, payload)
-            except (ShardUnavailable, ShardError) as exc:
-                self._note_failure(sid, exc)
+            except (ShardUnavailable, ShardError):
+                self.mark_down(sid)
                 continue
             return sid
         metrics.inc(names.SHARD_PUT_DROPS)
@@ -294,8 +299,8 @@ class ShardedPlanCache:
                 continue
             try:
                 removed = client.invalidate(key) or removed
-            except (ShardUnavailable, ShardError) as exc:
-                self._note_failure(sid, exc)
+            except (ShardUnavailable, ShardError):
+                self.mark_down(sid)
         return removed
 
     def __len__(self) -> int:
@@ -336,7 +341,16 @@ class ShardedPlanCache:
 
 
 class ShardFleet:
-    """Spawn, supervise, and tear down the shard worker processes."""
+    """Spawn, supervise, and tear down the shard worker processes.
+
+    One probe thread checks every shard each ``PING_INTERVAL_S``:
+    ``proc.poll()``, then ``client.ping()``.  A dead worker fails over at
+    once, a wedged one after ``MAX_PING_FAILURES`` consecutive failed
+    pings; either way one restart thread boots a fresh worker after
+    ``RESTART_BACKOFF_S``.  Every clean probe returns the shard to the
+    ring.  Restarts are unlimited; a failed one is reported on stderr and
+    retried by a later probe.
+    """
 
     def __init__(
         self,
@@ -358,7 +372,15 @@ class ShardFleet:
         self._procs: Dict[int, subprocess.Popen] = {}
         self._lock = threading.Lock()
         self.cache: Optional[ShardedPlanCache] = None
-        self.supervisor: Optional[Supervisor] = None
+        # Probe-loop state.  ``_up`` is the fleet's own view, kept apart
+        # from the router's ``_down``: a shard the router benched after a
+        # failed RPC is still up here until a probe fails, so each death
+        # counts once in ``shard.deaths``.
+        self._up: set = set()
+        self._failures: Dict[int, int] = {}
+        self._restarting: Dict[int, threading.Thread] = {}
+        self._stop = threading.Event()
+        self._monitor: Optional[threading.Thread] = None
 
     # -- boot -----------------------------------------------------------
     def start(self) -> ShardedPlanCache:
@@ -366,7 +388,7 @@ class ShardFleet:
         clients: Dict[int, ShardClient] = {}
         try:
             for sid in range(self.n_shards):
-                clients[sid] = self._spawn(sid)
+                self._procs[sid], clients[sid] = self._spawn(sid)
         except Exception:
             self.shutdown()  # reap the workers that did boot
             raise
@@ -375,26 +397,23 @@ class ShardFleet:
             maxsize_per_shard=self.maxsize_per_shard,
             ttl=self.ttl,
         )
+        metrics.set_gauge(names.SHARD_UP, self.n_shards)
+        monitor = threading.Thread(
+            target=self._probe_loop, name="shard-probe", daemon=True
+        )
         with self._lock:
             self.cache = cache
-        metrics.set_gauge(names.SHARD_UP, self.n_shards)
-        supervisor = Supervisor(on_down=self._on_down, on_up=self._on_up)
-        for sid in range(self.n_shards):
-            supervisor.add(
-                name=str(sid),
-                is_alive=lambda s=sid: self._is_alive(s),
-                ping=lambda s=sid: self._ping(s),
-                restart=lambda s=sid: self._restart(s),
-            )
-        supervisor.start()
-        with self._lock:
-            self.supervisor = supervisor
+            self._up = set(clients)
+            self._failures = dict.fromkeys(clients, 0)
+            self._monitor = monitor
+        monitor.start()
         return cache
 
     def _shard_dir(self, shard_id: int) -> str:
         return os.path.join(self.data_dir, f"shard-{shard_id}")
 
-    def _spawn(self, shard_id: int) -> ShardClient:
+    def _spawn(self, shard_id: int) -> Tuple[subprocess.Popen, ShardClient]:
+        """Boot one worker; returns its process and a client for its port."""
         cmd = [
             sys.executable,
             "-m",
@@ -428,9 +447,7 @@ class ShardFleet:
             proc.kill()
             proc.wait()
             raise
-        with self._lock:
-            self._procs[shard_id] = proc
-        return ShardClient(self.host, port, shard_id, timeout=RPC_TIMEOUT_S)
+        return proc, ShardClient(self.host, port, shard_id, timeout=RPC_TIMEOUT_S)
 
     def _read_banner(self, proc: subprocess.Popen) -> int:
         """Wait for the worker's banner; returns its bound port."""
@@ -456,49 +473,101 @@ class ShardFleet:
             )
         return port
 
-    # -- supervisor callbacks -------------------------------------------
-    def _is_alive(self, shard_id: int) -> bool:
+    # -- probe loop -----------------------------------------------------
+    def _probe_loop(self) -> None:
+        while not self._stop.is_set():
+            self.check_once()
+            self._stop.wait(PING_INTERVAL_S)
+
+    def check_once(self) -> None:
+        """One probe pass over every shard (the loop body)."""
+        for sid in range(self.n_shards):
+            self._probe(sid)
+
+    def _probe(self, shard_id: int) -> None:
+        cache = self.cache
+        assert cache is not None
         with self._lock:
             proc = self._procs.get(shard_id)
-        return proc is not None and proc.poll() is None
-
-    def _ping(self, shard_id: int) -> bool:
-        cache = self.cache
-        if cache is None:
-            return False
-        return cache.client(shard_id).ping()
+        try:
+            alive = proc is not None and proc.poll() is None
+            # Outside the lock: a wedged worker holds the ping for a whole
+            # RPC timeout.
+            healthy = alive and cache.client(shard_id).ping()
+        except Exception as exc:  # noqa: BLE001 - a probe that raises is a
+            # failed probe, never a dead loop: the loop must outlive every
+            # worker.
+            print(
+                f"shard fleet: probe of shard {shard_id} raised {exc!r}",
+                file=sys.stderr,
+                flush=True,
+            )
+            alive = healthy = False
+        if healthy:
+            self._failures[shard_id] = 0
+            # Re-mark up on *every* clean probe (idempotent): a shard the
+            # router benched after a transient RPC error comes back without
+            # a restart.
+            self._up.add(shard_id)
+            cache.mark_up(shard_id)
+            return
+        self._failures[shard_id] += 1
+        if alive and self._failures[shard_id] < MAX_PING_FAILURES:
+            return
+        if shard_id in self._up:
+            # Requests fail over before the restart begins.
+            self._up.discard(shard_id)
+            cache.mark_down(shard_id)
+            metrics.inc(names.SHARD_DEATHS)
+        thread = threading.Thread(
+            target=self._restart,
+            args=(shard_id,),
+            name=f"restart-shard-{shard_id}",
+            daemon=True,
+        )
+        with self._lock:
+            if shard_id in self._restarting or self._stop.is_set():
+                return
+            self._restarting[shard_id] = thread
+        thread.start()
 
     def _restart(self, shard_id: int) -> None:
         """Kill whatever is left of the worker and boot a fresh one.
 
         The new worker replays its journal before binding, so by the time
-        the banner prints its keys are warm again; the supervisor's next
-        clean ping returns the shard to the ring.
+        the banner prints its keys are warm again; the next clean probe
+        returns the shard to the ring.
         """
-        with self._lock:
-            old = self._procs.get(shard_id)
-        if old is not None and old.poll() is None:
-            old.kill()
-        if old is not None:
-            old.wait()
-        client = self._spawn(shard_id)
-        cache = self.cache
-        if cache is not None:
-            cache.set_client(shard_id, client)
-        metrics.inc(names.SHARD_RESTARTS)
-
-    def _on_down(self, name: str) -> None:
-        cache = self.cache
-        if cache is not None:
-            cache.mark_down(int(name))
-        # The supervisor fires on_down exactly once per up->down transition
-        # (the router may have benched the shard already — still one death).
-        metrics.inc(names.SHARD_DEATHS)
-
-    def _on_up(self, name: str) -> None:
-        cache = self.cache
-        if cache is not None:
-            cache.mark_up(int(name))
+        try:
+            if self._stop.wait(RESTART_BACKOFF_S):
+                return
+            with self._lock:
+                old = self._procs.get(shard_id)
+            if old is not None:
+                _reap(old)
+            proc, client = self._spawn(shard_id)
+            with self._lock:
+                stopped = self._stop.is_set()
+                if not stopped:
+                    self._procs[shard_id] = proc
+            if stopped:
+                # shutdown() has already collected the workers it stops.
+                _reap(proc)
+                return
+            assert self.cache is not None
+            self.cache.set_client(shard_id, client)
+            metrics.inc(names.SHARD_RESTARTS)
+        except Exception as exc:  # noqa: BLE001 - the shard stays down and
+            # a later probe retries; raising would only end this thread.
+            print(
+                f"shard fleet: restart of shard {shard_id} failed "
+                f"({exc!r}); a later probe retries it",
+                file=sys.stderr,
+                flush=True,
+            )
+        finally:
+            with self._lock:
+                del self._restarting[shard_id]
 
     # -- introspection / teardown ---------------------------------------
     def pids(self) -> Dict[int, int]:
@@ -510,17 +579,28 @@ class ShardFleet:
             }
 
     def shutdown(self, timeout: float = 5.0) -> None:
+        """Stop the probe loop, wait for restarts in flight, stop every worker.
+
+        A restart that outlives ``timeout`` finds the fleet stopped and
+        reaps the worker it booted itself, so no worker outlives its fleet.
+        """
+        deadline = time.monotonic() + timeout
         with self._lock:
-            supervisor = self.supervisor
-            self.supervisor = None
-        if supervisor is not None:
-            # Stop outside the lock: it joins the monitor thread, whose
-            # restart callbacks take this lock.
-            supervisor.stop()
+            self._stop.set()
+            monitor = self._monitor
+            self._monitor = None
+        # Join outside the lock: a probe pass and a restart both take it.
+        if monitor is not None:
+            monitor.join(timeout)
+        with self._lock:
+            restarts = list(self._restarting.values())
+        for thread in restarts:
+            # One not started yet finds ``_stop`` set and boots nothing.
+            if thread.is_alive():
+                thread.join(max(0.0, deadline - time.monotonic()))
         with self._lock:
             procs = dict(self._procs)
             self._procs.clear()
-        deadline = time.monotonic() + timeout
         for proc in procs.values():
             if proc.poll() is None:
                 proc.terminate()
@@ -536,3 +616,12 @@ class ShardFleet:
         cache = self.cache
         if cache is not None:
             cache.close()
+
+
+def _reap(proc: subprocess.Popen) -> None:
+    """Kill ``proc`` if it still runs, wait for it, close its banner pipe."""
+    if proc.poll() is None:
+        proc.kill()
+    proc.wait()
+    if proc.stdout is not None:
+        proc.stdout.close()

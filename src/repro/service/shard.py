@@ -6,7 +6,7 @@ memory (:class:`~repro.service.plancache.PlanCache`) and on disk
 (:class:`~repro.service.journal.ShardJournal`).  Three pieces live here:
 
 * :class:`ShardStore` — the ``PlanCache`` subclass that journals every
-  ``put`` / ``invalidate`` / ``clear`` and capacity eviction *before* the
+  ``put`` / ``invalidate`` and capacity eviction *before* the
   in-memory mutation, so a SIGKILL at any instant recovers to the exact
   committed state via ``base + journal`` replay
   (:meth:`ShardStore.recover`).  Single-process ``repro-serve
@@ -148,11 +148,6 @@ class ShardStore(PlanCache):
             removed = super().invalidate(key)
             self._maybe_compact()
             return removed
-
-    def clear(self) -> None:
-        with self._write_lock:
-            self.journal.append({"op": "clear"})
-            super().clear()
 
     # -- compaction / recovery -----------------------------------------
     def _maybe_compact(self) -> None:
@@ -448,7 +443,7 @@ class ShardClient:
             return bool(self.call({"op": "ping"}).get("pong", False))
         except (ShardUnavailable, ShardError):
             # Unreachable or misbehaving both read as "not healthy"; the
-            # supervisor counts consecutive failures before acting.
+            # fleet's probe loop counts consecutive failures before acting.
             return False
 
     def get(self, key: str) -> Optional[dict]:

@@ -513,6 +513,6 @@ def monte_carlo_many(
         seed, _pool(backend), task_timeout, task_retries,
     )
     return [
-        _result_from_partials([partial], n_samples, len(sequence))
+        _result_from_partials([partial], len(sequence))
         for sequence, partial in zip(sequences, partials)
     ]

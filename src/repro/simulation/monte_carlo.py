@@ -34,6 +34,7 @@ enabled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Sequence as SequenceType, Tuple
 
@@ -158,7 +159,7 @@ def costs_for_times(
 def _sample_and_cost_chunk(args):
     """Draw one chunk from its spawned stream and cost it (pool task).
 
-    Returns ``(sum, sum_sq, max_index)``.  The sample block never crosses
+    Returns the chunk's :func:`_partial`.  The sample block never crosses
     the process boundary — only the chunk's ``SeedSequence`` and the
     materialized reservation values do.  When the chunk's largest sample
     exceeds the pre-extended horizon the worker returns None and the
@@ -176,28 +177,40 @@ def _sample_and_cost_chunk(args):
     times = np.asarray(distribution.rvs(n, seed=rng), dtype=float)
     if float(times.max()) > float(values[-1]):
         return None
-    costs, k = kernel_costs_and_indices(values, times, cost_model)
-    return float(costs.sum()), float(np.dot(costs, costs)), int(k.max())
+    return _partial(*kernel_costs_and_indices(values, times, cost_model))
 
 
-def _result_from_partials(
-    partials, n_samples: int, n_reservations_used: int
-) -> MonteCarloResult:
-    """Combine per-chunk ``(sum, sum_sq, max_index)`` into one estimate."""
-    total = float(sum(p[0] for p in partials))
-    total_sq = float(sum(p[1] for p in partials))
-    mean = total / n_samples
-    if n_samples > 1:
-        var = max(total_sq - n_samples * mean * mean, 0.0) / (n_samples - 1)
-        std_error = float(np.sqrt(var / n_samples))
-    else:
-        std_error = 0.0
+def _partial(costs: np.ndarray, k: np.ndarray) -> Tuple[int, float, float, int]:
+    """One chunk's ``(n, sum, m2, max_index)``.
+
+    ``m2`` is the sum of squared deviations from the chunk's own mean, so
+    no raw second moment (which cancels when the spread is tiny next to
+    the mean) is ever formed.
+    """
+    total = float(costs.sum())
+    dev = costs - total / costs.size
+    return costs.size, total, float(np.dot(dev, dev)), int(k.max())
+
+
+def _result_from_partials(partials, n_reservations_used: int) -> MonteCarloResult:
+    """Combine per-chunk ``(n, sum, m2, max_index)`` into one estimate.
+
+    The mean is the plain total over every sample; the ``m2`` terms merge
+    by Chan et al.'s pairwise update, which adds the spread between chunk
+    means instead of subtracting ``n * mean**2`` from a raw sum of squares.
+    """
+    n, total, m2, _ = partials[0]
+    for n_b, total_b, m2_b, _ in partials[1:]:
+        delta = total_b / n_b - total / n
+        m2 += m2_b + delta * delta * n * n_b / (n + n_b)
+        n += n_b
+        total += total_b
     return MonteCarloResult(
-        mean_cost=mean,
-        std_error=std_error,
-        n_samples=n_samples,
+        mean_cost=total / n,
+        std_error=math.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else 0.0,
+        n_samples=n,
         n_reservations_used=n_reservations_used,
-        max_reservations_hit=max(p[2] for p in partials) + 1,
+        max_reservations_hit=max(p[3] for p in partials) + 1,
     )
 
 
@@ -264,7 +277,7 @@ def monte_carlo_expected_cost(
         [sequence] * len(sizes), sizes, distribution, cost_model, seed,
         pool, task_timeout, task_retries,
     )
-    return _result_from_partials(partials, n_samples, len(sequence))
+    return _result_from_partials(partials, len(sequence))
 
 
 def _pool(backend: ExecutionBackend | None) -> ExecutionBackend | None:
@@ -284,7 +297,7 @@ def _run_chunks(
     pool: ExecutionBackend | None,
     task_timeout: float | None,
     task_retries: int,
-) -> List[Tuple[float, float, int]]:
+) -> List[Tuple[int, float, float, int]]:
     """Draw chunk ``i`` (``sizes[i]`` samples) and cost it on ``sequences[i]``.
 
     Chunk ``i`` samples the ``i``-th ``SeedSequence`` spawned from ``seed``,
@@ -294,7 +307,7 @@ def _run_chunks(
     closures); a chunk that still outruns its sequence is redrawn here from
     the same stream and costed with the live extender (the
     ``mc.chunk_fallbacks`` counter), so the partial is unchanged.  Returns
-    one ``(sum, sum_sq, max_index)`` per chunk.
+    one :func:`_partial` per chunk.
     """
     children = spawn_seed_sequences(seed, len(sizes))
     horizon = _coverage_horizon(distribution)
@@ -322,6 +335,5 @@ def _run_chunks(
         # ~ n * PROCESS_COVERAGE_TAIL).
         metrics.inc("mc.chunk_fallbacks")
         times = distribution.rvs(n, seed=np.random.default_rng(child))
-        costs, k = _costs_and_indices(sequence, times, cost_model)
-        combined.append((float(costs.sum()), float(np.dot(costs, costs)), int(k.max())))
+        combined.append(_partial(*_costs_and_indices(sequence, times, cost_model)))
     return combined

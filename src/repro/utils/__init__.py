@@ -1,21 +1,13 @@
 """Shared utilities: seeded RNG handling, numeric helpers, table formatting."""
 
 from repro.utils.rng import as_generator, spawn_generators
-from repro.utils.numeric import (
-    bracketed_minimize,
-    clip_probability,
-    is_strictly_increasing,
-    trapezoid_integral,
-)
+from repro.utils.numeric import is_strictly_increasing
 from repro.utils.tables import format_table, format_float
 
 __all__ = [
     "as_generator",
     "spawn_generators",
-    "bracketed_minimize",
-    "clip_probability",
     "is_strictly_increasing",
-    "trapezoid_integral",
     "format_table",
     "format_float",
 ]

@@ -2,13 +2,13 @@
 
 These are deliberately dependency-light: the heavy lifting (quadrature,
 special functions) lives in :mod:`scipy`; what is collected here is the glue
-the reservation algorithms need — monotonicity checks, probability clipping,
-grid minimization and stable tail integration.
+the reservation algorithms need — the strict-monotonicity checks every
+reservation sequence must pass.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -16,11 +16,6 @@ import numpy as np
 #: monotonicity.  Reservation grids are built from quantile functions whose
 #: outputs can collide at double precision in flat regions of the CDF.
 MONOTONE_ATOL = 1e-12
-
-
-def clip_probability(p: np.ndarray | float) -> np.ndarray | float:
-    """Clip ``p`` into ``[0, 1]`` to absorb quadrature round-off."""
-    return np.clip(p, 0.0, 1.0)
 
 
 def is_strictly_increasing(values: Sequence[float], atol: float = MONOTONE_ATOL) -> bool:
@@ -40,59 +35,3 @@ def first_nonincreasing_index(values: Sequence[float], atol: float = MONOTONE_AT
     arr = np.asarray(values, dtype=float)
     bad = np.nonzero(np.diff(arr) <= atol)[0]
     return int(bad[0] + 1) if bad.size else -1
-
-
-def trapezoid_integral(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
-                       num: int = 2049) -> float:
-    """Trapezoid-rule integral of ``fn`` over ``[lo, hi]``.
-
-    Used as a cross-check for closed-form tail expectations in tests; the
-    production evaluators use :func:`scipy.integrate.quad` where accuracy
-    matters.
-    """
-    if hi <= lo:
-        return 0.0
-    xs = np.linspace(lo, hi, num)
-    return float(np.trapezoid(fn(xs), xs))
-
-
-def bracketed_minimize(
-    fn: Callable[[float], float],
-    lo: float,
-    hi: float,
-    num: int = 256,
-) -> Tuple[float, float]:
-    """Grid-scan ``fn`` on ``[lo, hi]`` and return ``(argmin, min)``.
-
-    This mirrors the paper's brute-force philosophy: the expected-cost
-    landscape in ``t_1`` is smooth but can contain infeasible gaps (where the
-    recurrence stops being increasing), so derivative-based optimizers are
-    unreliable.  ``fn`` may return ``inf``/``nan`` for infeasible points; those
-    are ignored.
-    """
-    if hi < lo:
-        raise ValueError(f"empty bracket [{lo}, {hi}]")
-    xs = np.linspace(lo, hi, num)
-    best_x, best_v = float("nan"), float("inf")
-    for x in xs:
-        v = fn(float(x))
-        if np.isfinite(v) and v < best_v:
-            best_x, best_v = float(x), float(v)
-    return best_x, best_v
-
-
-def geometric_grid(lo: float, hi: float, num: int) -> np.ndarray:
-    """Geometrically spaced grid on ``[lo, hi]`` (handles ``lo == 0``).
-
-    Heavy-tailed distributions (Pareto, Weibull k<1) need denser sampling near
-    the left end of the ``t_1`` search interval; a geometric grid captures
-    that without inflating ``num``.
-    """
-    if num < 2:
-        raise ValueError("need at least two grid points")
-    if hi <= lo:
-        raise ValueError(f"empty grid range [{lo}, {hi}]")
-    if lo <= 0.0:
-        shift = (hi - lo) * 1e-9
-        return lo + np.geomspace(shift, hi - lo, num)
-    return np.geomspace(lo, hi, num)

@@ -10,7 +10,9 @@ So:
   serves (including bounded laws whose extenders only converge toward the
   bound);
 * ``monte_carlo_many`` is bit-identical on every backend form;
-* golden answers pin every pool form across commits.
+* golden answers pin every pool form across commits, and every pinned
+  ``std_error`` is the two-pass ``np.std(ddof=1) / sqrt(n)`` of the same
+  draws, however the samples were chunked.
 """
 
 from __future__ import annotations
@@ -22,21 +24,25 @@ from repro.core.cost import CostModel
 from repro.core.sequence import ReservationSequence
 from repro.distributions.lognormal import LogNormal
 from repro.distributions.registry import PAPER_ORDER, paper_distribution
+from repro.distributions.uniform import Uniform
 from repro.platforms.spot import (
     ConstantHazard,
     ConstantPrice,
     SpotScenario,
     spot_monte_carlo_cost,
 )
+from repro.platforms.spot.evaluator import _simulate_spot_paths
 from repro.service.pool import (
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
     ThreadBackend,
+    chunk_sizes,
 )
 from repro.simulation.batch import monte_carlo_many
-from repro.simulation.monte_carlo import monte_carlo_expected_cost
+from repro.simulation.monte_carlo import costs_for_times, monte_carlo_expected_cost
 from repro.strategies.registry import PAPER_STRATEGY_ORDER, make_strategy
+from repro.utils.rng import as_generator, spawn_seed_sequences
 
 CM = CostModel()
 
@@ -178,11 +184,11 @@ def test_every_backend_form_matches_the_reference(kernel, form):
 GOLDEN_MC = {
     "lognormal": (
         ("0x1.81585249b5096p+5", "0x1.586c59ea1b0e0p-1", 9),
-        ("0x1.8215b34d90db4p+5", "0x1.632f45a9f9c61p-1", 11),
+        ("0x1.8215b34d90db4p+5", "0x1.632f45a9f9c62p-1", 11),
     ),
     "weibull": (
         ("0x1.7599bee327c8bp+2", "0x1.7b855dddcffdcp-3", 8),
-        ("0x1.73d677f34fa0bp+2", "0x1.a66ba1413f320p-3", 10),
+        ("0x1.73d677f34fa0bp+2", "0x1.a66ba1413f322p-3", 10),
     ),
     "uniform": (
         ("0x1.0beb0a3d70a3dp+5", "0x1.873a139c27e9dp-2", 12),
@@ -194,16 +200,16 @@ GOLDEN_MC = {
 #: samples each, seed 5: one triple per sequence, on every backend.
 GOLDEN_MANY_STRATEGIES = ("mean_by_mean", "mean_doubling", "median_by_median")
 GOLDEN_MANY = [
-    ("0x1.87190976361d0p+5", "0x1.1f5227462c0c3p+0", 10),
+    ("0x1.87190976361d0p+5", "0x1.1f5227462c0c4p+0", 10),
     ("0x1.653d43a466efbp+5", "0x1.88bc3c0a6000ep-1", 4),
-    ("0x1.c97c4dc752847p+5", "0x1.703e6bdd3ad4cp+0", 11),
+    ("0x1.c97c4dc752847p+5", "0x1.703e6bdd3ad4ep+0", 11),
 ]
 
 #: Checkpointed spot estimate: ``(mean_cost, std_error, mean_busy_time,
 #: mean_interruptions)`` as ``float.hex()``.
 GOLDEN_SPOT = (
     "0x1.ae875bc833de1p-2",
-    "0x1.13cfed5011c76p-7",
+    "0x1.13cfed5011c73p-7",
     "0x1.66c621d1808e5p+0",
     "0x1.2666666666666p+0",
 )
@@ -215,6 +221,25 @@ def _golden(result):
         result.std_error.hex(),
         result.max_reservations_hit,
     )
+
+
+def _two_pass_std_error(costs) -> float:
+    return float(np.std(costs, ddof=1) / np.sqrt(costs.size))
+
+
+def _chunked_costs(sequence, law, n_samples, seed, n_chunks, cost_model=CM):
+    """The draws a pooled estimate costs: chunk ``i`` from spawned stream ``i``."""
+    sizes = chunk_sizes(n_samples, n_chunks)
+    return np.concatenate([
+        costs_for_times(
+            sequence, law.rvs(size, seed=np.random.default_rng(child)), cost_model
+        )
+        for size, child in zip(sizes, spawn_seed_sequences(seed, len(sizes)))
+    ])
+
+
+def assert_two_pass(std_error: float, costs) -> None:
+    assert std_error == pytest.approx(_two_pass_std_error(costs), rel=1e-12, abs=0)
 
 
 class TestGoldenAnswers:
@@ -237,6 +262,13 @@ class TestGoldenAnswers:
         pooled = form in ("ThreadBackend", "ProcessBackend")
         assert _golden(result) == GOLDEN_MC[law][pooled]
 
+        seq, d = _planned(law, "mean_by_mean"), paper_distribution(law)
+        if pooled:
+            costs = _chunked_costs(seq, d, 5000, 2019, backend.jobs)
+        else:
+            costs = costs_for_times(seq, d.rvs(5000, seed=as_generator(2019)), CM)
+        assert_two_pass(result.std_error, costs)
+
     @pytest.mark.parametrize("pooled", [False, True])
     def test_many(self, pooled, pools):
         results = monte_carlo_many(
@@ -246,12 +278,20 @@ class TestGoldenAnswers:
         )
         assert [_golden(r) for r in results] == GOLDEN_MANY
 
+        d = paper_distribution("lognormal")
+        children = spawn_seed_sequences(5, len(GOLDEN_MANY_STRATEGIES))
+        for strategy, child, result in zip(GOLDEN_MANY_STRATEGIES, children, results):
+            times = d.rvs(2000, seed=np.random.default_rng(child))
+            costs = costs_for_times(_planned("lognormal", strategy), times, CM)
+            assert_two_pass(result.std_error, costs)
+
     def test_checkpointed_spot(self):
         scenario = SpotScenario(
             price=ConstantPrice(0.3), hazard=ConstantHazard(0.8), step=0.05
         )
+        job = LogNormal(0.0, 0.3)
         result = spot_monte_carlo_cost(
-            LogNormal(0.0, 0.3), scenario, recovery="checkpoint",
+            job, scenario, recovery="checkpoint",
             checkpoint_interval=0.5, n_paths=400, seed=17,
         )
         assert (
@@ -260,6 +300,30 @@ class TestGoldenAnswers:
             result.mean_busy_time.hex(),
             result.mean_interruptions.hex(),
         ) == GOLDEN_SPOT
+
+        rng = as_generator(spawn_seed_sequences(17, 1)[0])
+        lengths = np.asarray(job.rvs(400, seed=rng), dtype=float)
+        costs, *_ = _simulate_spot_paths(lengths, scenario, 0.5, rng)
+        assert_two_pass(result.std_error, costs)
+
+
+def test_pooled_std_error_survives_a_spread_far_below_the_mean():
+    """Costs near 2e7 that spread over 0.01: a raw ``sum_sq - n * mean**2``
+    merge cancels to exactly 0, the two-pass form keeps every digit that
+    matters."""
+    law = Uniform(1e7, 1e7 + 0.01)
+    cost_model = CostModel(alpha=1.0, beta=1.0)
+    seq = ReservationSequence([1e7 + 0.01])
+    exact = 0.01 / np.sqrt(12.0) / np.sqrt(100_000)
+    serial = monte_carlo_expected_cost(seq, law, cost_model, n_samples=100_000, seed=1)
+    with ThreadBackend(2) as pool:
+        pooled = monte_carlo_expected_cost(
+            seq, law, cost_model, n_samples=100_000, seed=1, backend=pool
+        )
+    assert serial.std_error == pytest.approx(exact, rel=0.01)
+    assert pooled.std_error == pytest.approx(exact, rel=0.01)
+    costs = _chunked_costs(seq, law, 100_000, 1, 2, cost_model)
+    assert pooled.std_error == pytest.approx(_two_pass_std_error(costs), rel=1e-6)
 
 
 # ----------------------------------------------------------------------

@@ -1,35 +1,13 @@
 """Tests for repro.utils.numeric."""
 
-import math
-
 import numpy as np
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.utils.numeric import (
-    bracketed_minimize,
-    clip_probability,
     first_nonincreasing_index,
-    geometric_grid,
     is_strictly_increasing,
-    trapezoid_integral,
 )
-
-
-class TestClipProbability:
-    def test_inside_unchanged(self):
-        assert clip_probability(0.5) == 0.5
-
-    def test_clips_below(self):
-        assert clip_probability(-1e-12) == 0.0
-
-    def test_clips_above(self):
-        assert clip_probability(1.0 + 1e-12) == 1.0
-
-    def test_vectorized(self):
-        out = clip_probability(np.array([-0.1, 0.3, 1.2]))
-        np.testing.assert_allclose(out, [0.0, 0.3, 1.0])
 
 
 class TestMonotonicity:
@@ -56,63 +34,3 @@ class TestMonotonicity:
         arr = sorted(set(xs))
         if len(arr) >= 2 and min(np.diff(arr)) > 1e-9:
             assert is_strictly_increasing(arr)
-
-
-class TestTrapezoidIntegral:
-    def test_constant(self):
-        assert trapezoid_integral(lambda x: np.ones_like(x), 0.0, 2.0) == pytest.approx(2.0)
-
-    def test_linear(self):
-        assert trapezoid_integral(lambda x: x, 0.0, 1.0) == pytest.approx(0.5)
-
-    def test_empty_interval(self):
-        assert trapezoid_integral(lambda x: x, 1.0, 1.0) == 0.0
-        assert trapezoid_integral(lambda x: x, 2.0, 1.0) == 0.0
-
-    def test_sin_matches_closed_form(self):
-        got = trapezoid_integral(np.sin, 0.0, math.pi, num=4097)
-        assert got == pytest.approx(2.0, rel=1e-6)
-
-
-class TestBracketedMinimize:
-    def test_parabola(self):
-        x, v = bracketed_minimize(lambda t: (t - 2.0) ** 2, 0.0, 4.0, num=4001)
-        assert x == pytest.approx(2.0, abs=2e-3)
-        assert v == pytest.approx(0.0, abs=1e-5)
-
-    def test_ignores_nan_and_inf(self):
-        def fn(t):
-            return float("inf") if t < 1.0 else (t - 1.5) ** 2
-
-        x, v = bracketed_minimize(fn, 0.0, 3.0, num=601)
-        assert x == pytest.approx(1.5, abs=0.01)
-
-    def test_all_infeasible(self):
-        x, v = bracketed_minimize(lambda t: float("nan"), 0.0, 1.0)
-        assert math.isnan(x) and math.isinf(v)
-
-    def test_inverted_bracket_raises(self):
-        with pytest.raises(ValueError, match="empty bracket"):
-            bracketed_minimize(lambda t: t, 2.0, 1.0)
-
-
-class TestGeometricGrid:
-    def test_endpoints_positive_lo(self):
-        g = geometric_grid(1.0, 100.0, 5)
-        assert g[0] == pytest.approx(1.0)
-        assert g[-1] == pytest.approx(100.0)
-
-    def test_strictly_increasing(self):
-        g = geometric_grid(0.5, 50.0, 64)
-        assert np.all(np.diff(g) > 0)
-
-    def test_zero_lo_handled(self):
-        g = geometric_grid(0.0, 10.0, 16)
-        assert g[0] > 0.0
-        assert g[-1] == pytest.approx(10.0)
-
-    def test_bad_args(self):
-        with pytest.raises(ValueError):
-            geometric_grid(1.0, 0.5, 4)
-        with pytest.raises(ValueError):
-            geometric_grid(0.0, 1.0, 1)
