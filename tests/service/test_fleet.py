@@ -71,8 +71,10 @@ class FakeFleet(ShardFleet):
         self.spawned: list = []
         self.spawn_errors: list = []
         self.spawn_gate: threading.Event | None = None
+        self.spawn_calls = 0
 
     def _spawn(self, shard_id):
+        self.spawn_calls += 1
         if self.spawn_gate is not None:
             self.spawn_gate.wait(5.0)
         if self.spawn_errors:
@@ -223,6 +225,116 @@ def test_probe_loop_runs_until_shutdown(tmp_path, monkeypatch, enabled_obs):
     pings = client.pings
     time.sleep(0.05)
     assert client.pings == pings  # no probes after shutdown
+
+
+def test_restarts_are_unlimited_and_each_death_counts_once(fleet):
+    for n in range(1, 6):
+        proc, _ = fleet.worker()
+        proc.kill()
+        fleet.check_once()
+        fleet.check_once()  # still down, or already back: never a 2nd death
+        assert restarted(fleet, n)
+        fleet.check_once()
+        assert fleet.cache.down_shards() == []
+    assert counter("shard.deaths") == 5
+    assert len(fleet.spawned) == 6
+    assert fleet.cache.client(0) is fleet.worker()[1]
+
+
+def test_only_the_failed_shard_fails_over(tmp_path, monkeypatch, enabled_obs):
+    monkeypatch.setattr(router, "RESTART_BACKOFF_S", 0.0)
+    fleet = FakeFleet(tmp_path, n_shards=3)
+    fleet.start()
+    try:
+        clients = [fleet.cache.client(sid) for sid in range(3)]
+        fleet.spawned[1][0].kill()
+        fleet.check_once()
+        assert fleet.cache.down_shards() == [1]
+        assert metrics.get_registry().gauge("shard.up").value == 2
+        assert restarted(fleet, 1)
+        fleet.check_once()
+        assert fleet.cache.down_shards() == []
+        assert metrics.get_registry().gauge("shard.up").value == 3
+        assert fleet.pids() == {0: 1, 1: 4, 2: 3}
+        assert fleet.cache.client(1) is fleet.spawned[3][1]
+        assert fleet.cache.client(0) is clients[0]
+        assert fleet.cache.client(2) is clients[2]
+        assert counter("shard.deaths") == 1
+    finally:
+        fleet.shutdown()
+
+
+def test_ping_runs_outside_the_fleet_lock(fleet):
+    _, client = fleet.worker()
+    held = []
+
+    def ping() -> bool:
+        held.append(fleet._lock.locked())
+        return True
+
+    client.ping = ping
+    fleet.check_once()
+    assert held == [False]
+
+
+def test_shutdown_stops_every_worker(tmp_path, enabled_obs):
+    fleet = FakeFleet(tmp_path, n_shards=3)
+    fleet.start()
+    assert fleet.pids() == {0: 1, 1: 2, 2: 3}
+    fleet.shutdown()
+    assert fleet.pids() == {}
+    assert all(proc.returncode is not None for proc, _ in fleet.spawned)
+
+
+def test_start_failure_stops_the_workers_that_booted(tmp_path, enabled_obs):
+    fleet = FakeFleet(tmp_path, n_shards=3)
+    spawn = fleet._spawn
+
+    def spawn_until_shard_2(shard_id):
+        if shard_id == 2:
+            raise RuntimeError("no banner")
+        return spawn(shard_id)
+
+    fleet._spawn = spawn_until_shard_2
+    with pytest.raises(RuntimeError, match="no banner"):
+        fleet.start()
+    assert len(fleet.spawned) == 2
+    assert all(proc.returncode is not None for proc, _ in fleet.spawned)
+    assert fleet.pids() == {}
+
+
+def test_restart_still_in_backoff_at_shutdown_boots_nothing(fleet, monkeypatch):
+    monkeypatch.setattr(router, "RESTART_BACKOFF_S", 30.0)
+    proc, _ = fleet.worker()
+    proc.kill()
+    fleet.check_once()
+    assert fleet._restarting
+    began = time.monotonic()
+    fleet.shutdown()
+    assert time.monotonic() - began < 5.0  # the backoff wait ends at once
+    assert not fleet._restarting
+    assert fleet.spawn_calls == 1
+    assert counter("shard.restarts") == 0
+
+
+@pytest.mark.parametrize("timeout", [5.0, 0.0])
+def test_worker_booted_during_shutdown_is_stopped(fleet, timeout):
+    """Whether shutdown waits for the restart (5 s) or gives up on it at
+    once (0 s), the worker that restart boots is stopped, never served."""
+    fleet.spawn_gate = threading.Event()
+    proc, old_client = fleet.worker()
+    proc.kill()
+    fleet.check_once()
+    assert wait_until(lambda: fleet.spawn_calls == 2)  # the restart is booting
+    threading.Timer(0.2, fleet.spawn_gate.set).start()
+    fleet.shutdown(timeout)
+    assert wait_until(
+        lambda: len(fleet.spawned) == 2 and fleet.spawned[1][0].returncode is not None
+    )
+    assert wait_until(lambda: not fleet._restarting)
+    assert fleet.pids() == {}
+    assert fleet.cache.client(0) is old_client
+    assert counter("shard.restarts") == 0
 
 
 # ----------------------------------------------------------------------

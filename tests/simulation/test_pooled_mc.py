@@ -40,7 +40,12 @@ from repro.service.pool import (
     chunk_sizes,
 )
 from repro.simulation.batch import monte_carlo_many
-from repro.simulation.monte_carlo import costs_for_times, monte_carlo_expected_cost
+from repro.simulation.monte_carlo import (
+    _partial,
+    _result_from_partials,
+    costs_for_times,
+    monte_carlo_expected_cost,
+)
 from repro.strategies.registry import PAPER_STRATEGY_ORDER, make_strategy
 from repro.utils.rng import as_generator, spawn_seed_sequences
 
@@ -324,6 +329,39 @@ def test_pooled_std_error_survives_a_spread_far_below_the_mean():
     assert pooled.std_error == pytest.approx(exact, rel=0.01)
     costs = _chunked_costs(seq, law, 100_000, 1, 2, cost_model)
     assert pooled.std_error == pytest.approx(_two_pass_std_error(costs), rel=1e-6)
+
+
+@pytest.mark.parametrize("n_chunks", [1, 2, 3, 7, 64])
+def test_chunk_partials_merge_to_the_two_pass_estimate(n_chunks):
+    """However costs of the paper's scale are chunked, the merged partials
+    give the plain mean and the two-pass standard error of all of them."""
+    rng = np.random.default_rng(n_chunks)
+    costs = rng.lognormal(3.0, 0.5, size=1001)
+    indices = rng.integers(0, 20, size=costs.size)
+    partials = [
+        _partial(c, k)
+        for c, k in zip(
+            np.array_split(costs, n_chunks), np.array_split(indices, n_chunks)
+        )
+    ]
+    result = _result_from_partials(partials, 20)
+    assert result.n_samples == costs.size
+    assert result.n_reservations_used == 20
+    assert result.max_reservations_hit == int(indices.max()) + 1
+    assert result.mean_cost == pytest.approx(costs.mean(), rel=1e-12, abs=0)
+    assert_two_pass(result.std_error, costs)
+
+
+def test_a_single_sample_has_zero_std_error_serial_and_pooled():
+    seq = _sequences(1)[0]
+    serial = monte_carlo_expected_cost(seq, LAW, CM, n_samples=1, seed=3)
+    with ThreadBackend(JOBS) as pool:
+        pooled = monte_carlo_expected_cost(
+            seq, LAW, CM, n_samples=1, seed=3, backend=pool
+        )
+    assert serial.std_error == pooled.std_error == 0.0
+    assert serial.n_samples == pooled.n_samples == 1
+    assert serial.mean_cost == pooled.mean_cost
 
 
 # ----------------------------------------------------------------------

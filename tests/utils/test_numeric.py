@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.utils.numeric import (
+    MONOTONE_ATOL,
     first_nonincreasing_index,
     is_strictly_increasing,
 )
@@ -28,6 +29,18 @@ class TestMonotonicity:
         assert first_nonincreasing_index([1.0, 2.0, 2.0, 3.0]) == 2
         assert first_nonincreasing_index([1.0, 0.5]) == 1
         assert first_nonincreasing_index([1.0, 2.0, 3.0]) == -1
+
+    def test_steps_within_atol_count_as_flat(self):
+        near_tie = [1.0, 1.0 + MONOTONE_ATOL / 2, 2.0]
+        assert not is_strictly_increasing(near_tie)
+        assert first_nonincreasing_index(near_tie) == 1
+        assert is_strictly_increasing(near_tie, atol=0.0)
+        assert first_nonincreasing_index(near_tie, atol=0.0) == -1
+
+    def test_first_nonincreasing_index_of_short_inputs(self):
+        assert first_nonincreasing_index([]) == -1
+        assert first_nonincreasing_index([5.0]) == -1
+        assert first_nonincreasing_index([2.0, 1.0, 0.0]) == 1
 
     @given(st.lists(st.floats(min_value=0, max_value=1e6), min_size=2, max_size=30))
     def test_sorted_unique_always_increasing(self, xs):
