@@ -7,14 +7,14 @@ sequence for a LogNormal workload, and then read back three artifacts:
 
 1. the span tree of the run (where did the wall time go?),
 2. the metrics registry (how many recurrence iterations / MC samples?),
-3. a JSONL trace file suitable for offline analysis.
+3. the spans of one build, kept apart in a ring buffer of their own and
+   exported as JSON for offline analysis.
 
 Run:  python examples/profiling_observability.py [--seed N]
 """
 
 import argparse
 import json
-import tempfile
 
 from repro import CostModel, LogNormal, make_strategy
 from repro import observability as obs
@@ -28,10 +28,10 @@ SEED = parser.parse_args().seed
 distribution = LogNormal(mu=3.0, sigma=0.5)
 cost_model = CostModel.reservation_only()
 
-# 1. Switch instrumentation on for this process (or: REPRO_OBSERVE=1).
-#    enable(profiling=True) would additionally activate @profiled hooks.
-obs.enable(profiling=True)
-obs.reset_metrics()
+# 1. Switch instrumentation on for this process (enable() is the one
+#    switch) and start from an empty registry.
+obs.enable()
+obs.get_registry().reset()
 
 # 2. Do ordinary planning work under a root span.  Strategy builds,
 #    Monte-Carlo kernels, and the Eq. (11) recurrence all record
@@ -62,16 +62,17 @@ print()
 print(format_table(["timer", "count", "total s", "mean ms", "p95 ms"],
                    list(registry.timer_rows()), title="Timers"))
 
-# 6. Ship traces to a file instead: one JSON object per root span.
-with tempfile.NamedTemporaryFile(mode="r", suffix=".jsonl") as fh:
-    old_sink = obs.set_sink(obs.JsonlSink(fh.name))
-    try:
-        with obs.span("cookbook.traced_build"):
-            make_strategy("mean_by_mean").sequence(distribution, cost_model)
-    finally:
-        obs.set_sink(old_sink)
-    doc = json.loads(fh.read().splitlines()[0])
-    print(f"\nJSONL trace: root span {doc['name']!r} with "
-          f"{len(doc['children'])} child span(s)")
+# 6. Keep one build's spans apart: completed root spans go to the sink,
+#    an in-memory ring buffer; swap in a fresh one, then export as JSON.
+sink = obs.RingBufferSink(capacity=16)
+old_sink = obs.set_sink(sink)
+try:
+    with obs.span("cookbook.traced_build"):
+        make_strategy("mean_by_mean").sequence(distribution, cost_model)
+finally:
+    obs.set_sink(old_sink)
+doc = sink.spans[0].to_dict()
+print(f"\nJSON trace ({len(json.dumps(doc))} bytes): root span {doc['name']!r} "
+      f"with {len(doc['children'])} child span(s)")
 
 obs.disable()

@@ -20,6 +20,7 @@ import numpy as np
 
 from repro import observability as obs
 from repro.core.cost import CostModel
+from repro.core.sequence import ReservationSequence
 from repro.distributions.fitting import fit_lognormal
 from repro.distributions.registry import make_distribution
 from repro.simulation.statistics import cost_statistics, reservation_count_pmf
@@ -187,19 +188,20 @@ def _run(args, registry) -> int:
         sequence = strategy.sequence(dist, cost_model)
         with obs.span("plan.coverage"), registry.timer("cli.coverage"):
             sequence.ensure_covers(float(dist.quantile(args.coverage)))
+        # The plan is the coverage-extended prefix: the evaluations below
+        # extend ``sequence`` further (deterministically) as they need.
+        plan = ReservationSequence(sequence.values)
 
-        pmf_seq = strategy.sequence(dist, cost_model)
-        stats_seq = strategy.sequence(dist, cost_model)
         with obs.span("evaluate.statistics"), registry.timer("cli.evaluation"):
             stats = cost_statistics(
-                stats_seq, dist, cost_model, n_samples=5000, seed=args.seed
+                sequence, dist, cost_model, n_samples=5000, seed=args.seed
             )
         with obs.span("evaluate.pmf"), registry.timer("cli.evaluation"):
-            pmf = reservation_count_pmf(pmf_seq, dist)
+            pmf = reservation_count_pmf(sequence, dist)
 
     rows = []
     cum = 0.0
-    for i, t in enumerate(sequence.values):
+    for i, t in enumerate(plan.values):
         p_here = pmf[i] if i < len(pmf) else 0.0
         cum += p_here
         rows.append(
@@ -268,7 +270,7 @@ def _run(args, registry) -> int:
         from repro.io import PlanDocument, plan_to_json
 
         doc = PlanDocument.from_sequence(
-            sequence,
+            plan,
             cost_model,
             strategy=strategy.name,
             distribution={"name": dist.name, "describe": dist.describe()},

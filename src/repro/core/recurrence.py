@@ -22,7 +22,6 @@ import numpy as np
 from repro.core.cost import CostModel
 from repro.core.sequence import ReservationSequence, SequenceError
 from repro.observability import metrics
-from repro.observability.profiling import profiled
 from repro.utils.numeric import MONOTONE_ATOL
 
 __all__ = [
@@ -71,7 +70,6 @@ def next_reservation(
     return sf_prev2 / f + (b / a) * (sf_prev1 / f - t_prev1) - g / a
 
 
-@profiled(name="recurrence.generate_optimal_sequence")
 def generate_optimal_sequence(
     t1: float,
     distribution,
@@ -132,7 +130,6 @@ def generate_optimal_sequence(
             return values
 
 
-@profiled(name="recurrence.generate_sequence_grid")
 def generate_sequence_grid(
     t1s: np.ndarray,
     distribution,

@@ -1,23 +1,20 @@
-"""Dependency-free instrumentation: metrics, tracing, and profiling hooks.
+"""Dependency-free instrumentation: metrics and tracing.
 
-Three pieces, all off by default and cheap enough to leave compiled into hot
+Two pieces, both off by default and cheap enough to leave compiled into hot
 paths (the disabled fast path is a bool check; see
 ``tests/observability/test_overhead.py``):
 
 - **metrics** — process-local counters, gauges, and timer histograms with
   p50/p95/p99 summaries and JSON export (:class:`Registry`, :func:`inc`,
-  :func:`timer`, ...).
-- **tracing** — hierarchical spans (:func:`span`) with an in-memory ring
-  buffer by default and a :class:`JsonlSink` for experiments;
-  :func:`format_span_tree` renders the ``repro-plan --trace`` view.
-- **profiling** — the :func:`profiled` decorator, activated by
-  ``REPRO_PROFILE=1`` or ``enable(profiling=True)``.
+  :func:`set_gauge`, :func:`observe`, ``with`` :func:`timer`).
+- **tracing** — hierarchical spans (:func:`span`) delivered to an in-memory
+  :class:`RingBufferSink`; :func:`format_span_tree` renders the
+  ``repro-plan --trace`` view.
 
-Switches: ``enable()`` / ``disable()`` programmatically, or the
-``REPRO_OBSERVE=1`` / ``REPRO_PROFILE=1`` environment variables at import.
+The one switch is ``enable()`` / ``disable()``.
 """
 
-from repro.observability._state import disable, enable, is_enabled, is_profiling
+from repro.observability._state import disable, enable, is_enabled
 from repro.observability.metrics import (
     Counter,
     Gauge,
@@ -26,19 +23,15 @@ from repro.observability.metrics import (
     get_registry,
     inc,
     observe,
-    reset_metrics,
     set_gauge,
     set_registry,
     timer,
 )
-from repro.observability.profiling import profiled
 from repro.observability.tracing import (
-    JsonlSink,
     RingBufferSink,
     Span,
     current_span,
     format_span_tree,
-    get_sink,
     record_event,
     set_sink,
     span,
@@ -49,7 +42,6 @@ __all__ = [
     "enable",
     "disable",
     "is_enabled",
-    "is_profiling",
     # metrics
     "Counter",
     "Gauge",
@@ -57,7 +49,6 @@ __all__ = [
     "Registry",
     "get_registry",
     "set_registry",
-    "reset_metrics",
     "inc",
     "set_gauge",
     "observe",
@@ -68,10 +59,6 @@ __all__ = [
     "record_event",
     "current_span",
     "RingBufferSink",
-    "JsonlSink",
-    "get_sink",
     "set_sink",
     "format_span_tree",
-    # profiling
-    "profiled",
 ]

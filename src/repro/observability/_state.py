@@ -5,59 +5,38 @@ disabled fast path in every hot-site helper is a single attribute read plus a
 bool check — cheap enough to leave the calls compiled into the hot loops
 (verified by ``tests/observability/test_overhead.py``).
 
-Two independent levels:
-
-``enabled``
-    Metrics and tracing record anything at all.  Off by default; flipped by
-    :func:`enable` or the ``REPRO_OBSERVE=1`` environment variable.
-``profiling``
-    The :func:`repro.observability.profiled` hooks fire (they imply
-    ``enabled``).  Off by default; flipped by ``enable(profiling=True)`` or
-    ``REPRO_PROFILE=1``.
+Metrics and tracing record anything at all only while ``enabled`` is set.
+It is off by default; :func:`enable` / :func:`disable` are the one switch,
+and every entry point that records (``repro-serve``, ``repro-plan``,
+``repro-verify``, ``repro-experiments``) calls :func:`enable` itself.
 """
 
 from __future__ import annotations
 
-import os
-
-__all__ = ["STATE", "enable", "disable", "is_enabled", "is_profiling"]
-
-_FALSY = ("", "0", "false", "no", "off")
-
-
-def _env_truthy(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() not in _FALSY
+__all__ = ["STATE", "enable", "disable", "is_enabled"]
 
 
 class _State:
-    """Mutable singleton holding the instrumentation switches."""
+    """Mutable singleton holding the instrumentation switch."""
 
-    __slots__ = ("enabled", "profiling")
+    __slots__ = ("enabled",)
 
     def __init__(self) -> None:
-        self.profiling = _env_truthy("REPRO_PROFILE")
-        self.enabled = self.profiling or _env_truthy("REPRO_OBSERVE")
+        self.enabled = False
 
 
 STATE = _State()
 
 
-def enable(profiling: bool = False) -> None:
-    """Turn instrumentation on (optionally including ``@profiled`` hooks)."""
+def enable() -> None:
+    """Turn instrumentation on."""
     STATE.enabled = True
-    if profiling:
-        STATE.profiling = True
 
 
 def disable() -> None:
     """Turn all instrumentation off (the zero-overhead default)."""
     STATE.enabled = False
-    STATE.profiling = False
 
 
 def is_enabled() -> bool:
     return STATE.enabled
-
-
-def is_profiling() -> bool:
-    return STATE.profiling

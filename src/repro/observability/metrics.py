@@ -2,10 +2,11 @@
 
 A :class:`Registry` maps names to metric objects and renders the whole set as
 a JSON document (``repro-plan --metrics-out``, the experiment harness's
-``<name>.metrics.json`` side files).  Module-level helpers (:func:`inc`,
-:func:`set_gauge`, :func:`observe`, :func:`timer`) write into a swappable
-default registry and no-op when instrumentation is disabled — the disabled
-path is one attribute read + bool check, so the calls can stay in hot loops.
+``<name>.metrics.json`` side files).  The module-level helpers (:func:`inc`,
+:func:`set_gauge`, :func:`observe`, ``with`` :func:`timer`) are the one
+recording API: they write into a swappable default registry and no-op when
+instrumentation is disabled — the disabled path is one attribute read + bool
+check, so the calls can stay in hot loops.
 
 Every metric object carries its own lock and the registry locks its name
 maps, so concurrent recording from the ``repro.service`` worker pools and
@@ -18,13 +19,12 @@ No external dependencies; everything is plain stdlib.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import threading
 import time as _time
 from collections import deque
-from typing import Callable, Dict, Iterable, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.observability._state import STATE
 
@@ -35,7 +35,6 @@ __all__ = [
     "Registry",
     "get_registry",
     "set_registry",
-    "reset_metrics",
     "inc",
     "set_gauge",
     "observe",
@@ -98,6 +97,14 @@ class Gauge:
         }
 
 
+def _nearest_rank(ordered: List[float], q: float) -> float:
+    """Nearest-rank percentile of an already sorted list (q in [0, 100])."""
+    if not ordered:
+        return math.nan
+    rank = max(0, min(len(ordered) - 1, math.ceil(q / 100.0 * len(ordered)) - 1))
+    return ordered[rank]
+
+
 class ValueHistogram:
     """Streaming summary of observed values (durations, queue depths, ...).
 
@@ -135,24 +142,29 @@ class ValueHistogram:
     def percentile(self, q: float) -> float:
         """Nearest-rank percentile over the retained window (q in [0, 100])."""
         with self._lock:  # snapshot: sorting a live deque races with observe()
-            ordered = sorted(self._window)
-        if not ordered:
-            return math.nan
-        rank = max(0, min(len(ordered) - 1, math.ceil(q / 100.0 * len(ordered)) - 1))
-        return ordered[rank]
+            window = list(self._window)
+        return _nearest_rank(sorted(window), q)
 
     def to_dict(self) -> Dict[str, float]:
-        if self.count == 0:
+        # One consistent snapshot under the lock (a copy is ~30x cheaper than
+        # a sort of the full window); the single sort runs outside it so a
+        # scrape never stalls observe().
+        with self._lock:
+            count, total = self.count, self.total
+            lo, hi = self.min, self.max
+            window = list(self._window)
+        if count == 0:
             return {"count": 0}
+        ordered = sorted(window)
         out = {
-            "count": self.count,
-            "total": self.total,
-            "mean": self.mean,
-            "min": self.min,
-            "max": self.max,
-            "p50": self.percentile(50),
-            "p95": self.percentile(95),
-            "p99": self.percentile(99),
+            "count": count,
+            "total": total,
+            "mean": total / count,
+            "min": lo,
+            "max": hi,
+            "p50": _nearest_rank(ordered, 50),
+            "p95": _nearest_rank(ordered, 95),
+            "p99": _nearest_rank(ordered, 99),
         }
         if self.unit:
             out["unit"] = self.unit
@@ -160,24 +172,18 @@ class ValueHistogram:
 
 
 class _TimerHandle:
-    """Context manager *and* decorator recording wall time into a registry.
+    """Context manager recording wall time into a registry.
 
-    ``__enter__`` short-circuits to a no-op when instrumentation is disabled;
-    as a decorator a fresh timing is taken per call, so one handle is safe to
-    share across threads and reentrant calls.  ``registry=None`` resolves the
-    process default at record time, so import-time decorations keep working
-    after :func:`set_registry`.
+    ``__enter__`` short-circuits to a no-op when instrumentation is disabled.
+    A handle holds one timing at a time: take a fresh one per ``with``.
     """
 
     __slots__ = ("_registry", "_name", "_start")
 
-    def __init__(self, registry: Optional["Registry"], name: str):
+    def __init__(self, registry: "Registry", name: str):
         self._registry = registry
         self._name = name
         self._start: Optional[float] = None
-
-    def _resolve(self) -> "Registry":
-        return self._registry if self._registry is not None else _REGISTRY
 
     def __enter__(self) -> "_TimerHandle":
         self._start = _time.perf_counter() if STATE.enabled else None
@@ -185,27 +191,11 @@ class _TimerHandle:
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         if self._start is not None:
-            self._resolve().observe_timer(
+            self._registry.observe_timer(
                 self._name, _time.perf_counter() - self._start
             )
             self._start = None
         return False
-
-    def __call__(self, fn: Callable) -> Callable:
-        name = self._name
-        resolve = self._resolve
-
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            if not STATE.enabled:
-                return fn(*args, **kwargs)
-            start = _time.perf_counter()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                resolve().observe_timer(name, _time.perf_counter() - start)
-
-        return wrapper
 
 
 class Registry:
@@ -241,25 +231,9 @@ class Registry:
         return h
 
     def timer(self, name: str) -> _TimerHandle:
-        """Handle usable as ``with registry.timer("x"): ...`` or as a
-        decorator; durations land in the ``timers`` section as seconds."""
+        """Handle for ``with registry.timer("x"): ...``; durations land in
+        the ``timers`` section as seconds."""
         return _TimerHandle(self, name)
-
-    # -- recording (no-op when disabled) -------------------------------
-    def inc(self, name: str, n: float = 1.0) -> None:
-        if not STATE.enabled:
-            return
-        self.counter(name).inc(n)
-
-    def set_gauge(self, name: str, value: float) -> None:
-        if not STATE.enabled:
-            return
-        self.gauge(name).set(value)
-
-    def observe(self, name: str, value: float, unit: str = "") -> None:
-        if not STATE.enabled:
-            return
-        self.histogram(name, unit=unit).observe(value)
 
     def observe_timer(self, name: str, seconds: float) -> None:
         """Record an already-measured duration (always records; the enabled
@@ -332,11 +306,6 @@ def set_registry(registry: Registry) -> Registry:
     return old
 
 
-def reset_metrics() -> None:
-    """Clear every metric in the default registry."""
-    _REGISTRY.reset()
-
-
 # -- module-level hot-site helpers (default registry) ------------------
 def inc(name: str, n: float = 1.0) -> None:
     """Increment a counter in the default registry (no-op when disabled)."""
@@ -358,14 +327,9 @@ def observe(name: str, value: float, unit: str = "") -> None:
 
 
 def timer(name: str) -> _TimerHandle:
-    """Timer handle against the default registry.
-
-    Usable as a context manager or a decorator::
+    """Timer handle against the default registry::
 
         with timer("evaluator.monte_carlo"):
             ...
-
-        @timer("strategy.brute_force.scan")
-        def scan(...): ...
     """
-    return _TimerHandle(None, name)
+    return _TimerHandle(_REGISTRY, name)

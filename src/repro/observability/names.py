@@ -10,7 +10,7 @@ Conventions:
 * dotted lowercase, ``<subsystem>.<event>`` (``plancache.hits``);
 * counters are plural events, timers name the measured region;
 * runtime-built families (one name per HTTP status, per strategy, per
-  profiled function) declare their static prefix in
+  fault site, ...) declare their static prefix in
   :data:`DYNAMIC_PREFIXES`.
 
 Modules under ``service/`` and ``observability/`` import these constants;
@@ -31,7 +31,6 @@ DP_POINTS = "dp.points"
 MC_SAMPLES = "mc.samples"
 MC_KERNEL_CALLS = "mc.kernel_calls"
 MC_KERNEL = "mc.kernel"
-MC_SEARCHSORTED_REUSED = "mc.searchsorted_reused"
 MC_PARALLEL_CHUNKS = "mc.parallel_chunks"
 MC_CHUNK_FALLBACKS = "mc.chunk_fallbacks"
 
@@ -152,7 +151,6 @@ SERVER_RESPONSES_PREFIX = "server.responses."
 DYNAMIC_PREFIXES = (
     "server.responses.",       # one counter per HTTP status code
     "strategy.created.",       # one counter per strategy key
-    "profile.",                # one timer per @profiled function
     "resilience.fault.",       # one counter per fault-injection site
     "resilience.evaluator.",   # one counter per degradation-ladder rung
     "mc.batch.backend.",       # one counter per selected batch backend kind

@@ -9,9 +9,9 @@ spans::
             sp.set("iterations", n)
 
 Spans nest through a :mod:`contextvars` stack (thread- and async-safe); a
-completed *root* span is delivered to the configured sink.  The default sink
-is an in-memory ring buffer; :class:`JsonlSink` appends one JSON object per
-root span for experiment post-processing.
+completed *root* span is delivered to the sink: an in-memory
+:class:`RingBufferSink` (``set_sink`` swaps in another one, e.g. to read
+back one test's spans).
 
 When instrumentation is disabled (the default), ``span(...)`` yields ``None``
 and records nothing — call sites guard attribute writes with
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-import json
 import time as _time
 from collections import deque
 from dataclasses import dataclass, field
@@ -36,8 +35,6 @@ __all__ = [
     "record_event",
     "current_span",
     "RingBufferSink",
-    "JsonlSink",
-    "get_sink",
     "set_sink",
     "format_span_tree",
 ]
@@ -61,14 +58,6 @@ class Span:
     def self_time(self) -> float:
         """Duration not attributed to any child."""
         return max(0.0, self.duration - sum(c.duration for c in self.children))
-
-    def total_named(self, *names: str) -> float:
-        """Summed duration of all descendant spans with one of ``names``."""
-        total = sum(c.duration for c in self.children if c.name in names)
-        for c in self.children:
-            if c.name not in names:  # avoid double-counting nested matches
-                total += c.total_named(*names)
-        return total
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -98,25 +87,10 @@ class RingBufferSink:
         self._spans.clear()
 
 
-class JsonlSink:
-    """Appends each completed root span as one JSON line to ``path``."""
-
-    def __init__(self, path: str):
-        self.path = path
-
-    def emit(self, span_: Span) -> None:
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(span_.to_dict()) + "\n")
-
-
 _SINK = RingBufferSink()
 _CURRENT: contextvars.ContextVar[Optional[Span]] = contextvars.ContextVar(
     "repro_current_span", default=None
 )
-
-
-def get_sink():
-    return _SINK
 
 
 def set_sink(sink) -> object:

@@ -33,8 +33,9 @@ Activation:
 * **environment** — ``REPRO_FAULTS=<spec>`` where ``<spec>`` is a compact
   string (``"seed=7;pool.worker:error:0.3;mc.chunk:hang:1:seconds=12"``),
   inline JSON, or the path of a JSON plan file.  The environment is read
-  once, lazily, on the first :func:`fire` — which is how a ``repro-serve``
-  subprocess (and its process-pool children) picks a drill up;
+  once, lazily, on the first :func:`fire` — which is how process-pool
+  children pick a drill up.  ``repro-serve`` calls :func:`get_plan` at
+  boot, so a malformed spec stops the server before it binds;
 * **programmatic** — :func:`install` / :func:`uninstall`, or the
   :func:`installed` context manager in tests.
 

@@ -95,7 +95,7 @@ class ReservationSession:
 
         Each entry carries ``index``, ``requested``, ``outcome`` (the string
         value), ``cost``, and the running ``cumulative_cost`` — everything a
-        caller or the observability JSONL sink needs without reaching into
+        caller or a JSON export needs without reaching into
         :class:`Attempt` internals.
         """
         out: List[Dict[str, object]] = []

@@ -28,10 +28,10 @@ socket closes (new connections are refused), and in-flight requests are
 threads are daemons and would otherwise be abandoned mid-response.
 
 Resilience: every admitted POST passes the ``server.request``
-fault-injection site, and ``--fault-spec`` installs a
-:class:`repro.resilience.faults.FaultPlan` at boot (equivalent to setting
-``REPRO_FAULTS``); the breaker / deadline knobs feed the planner's
-:class:`~repro.service.planner.ResilienceOptions`.  See
+fault-injection site.  A ``REPRO_FAULTS`` plan is parsed at boot, before
+the port is bound: a malformed spec exits with status 2 instead of failing
+every request at its first fault site.  The breaker / deadline knobs feed
+the planner's :class:`~repro.service.planner.ResilienceOptions`.  See
 ``docs/RESILIENCE.md``.
 
 Protocol: the handler parses and answers HTTP/1.1 itself on
@@ -68,7 +68,6 @@ from repro import observability as obs
 from repro.observability import metrics
 from repro.observability import names
 from repro.resilience import faults
-from repro.resilience.faults import FaultPlan
 from repro.service.plancache import PlanCache
 from repro.service.planner import PlannerService, ResilienceOptions, ServiceError
 from repro.service.pool import get_backend
@@ -402,13 +401,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--seed", type=int, default=0, help="default RNG seed")
     parser.add_argument(
-        "--fault-spec",
-        metavar="SPEC",
-        default=None,
-        help="install a fault-injection plan (compact spec, inline JSON, or "
-        "a .json file; same grammar as REPRO_FAULTS — see docs/RESILIENCE.md)",
-    )
-    parser.add_argument(
         "--request-deadline",
         type=float,
         default=None,
@@ -450,11 +442,14 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    obs.enable()
-    if args.fault_spec:
-        plan = FaultPlan.from_spec(args.fault_spec)
-        faults.install(plan)
+    try:
+        plan = faults.get_plan()
+    except (ValueError, OSError) as exc:
+        print(f"repro-serve: bad {faults.ENV_VAR}: {exc}", file=sys.stderr)
+        return 2
+    if plan is not None:
         print(f"Fault plan installed: {plan!r}", file=sys.stderr)
+    obs.enable()
     fleet = None
     store = None
     if args.workers > 0:

@@ -43,7 +43,6 @@ import numpy as np
 from repro.core.cost import CostModel
 from repro.core.sequence import ReservationSequence
 from repro.observability import metrics
-from repro.observability.profiling import profiled
 from repro.resilience import faults
 from repro.service.pool import ExecutionBackend, SerialBackend, chunk_sizes
 from repro.utils.rng import SeedLike, as_generator, spawn_seed_sequences
@@ -124,7 +123,7 @@ def _costs_and_indices(
     Computing the covering indices ``k`` once and returning them alongside
     the costs lets :func:`monte_carlo_expected_cost` report
     ``max_reservations_hit`` without a second ``searchsorted`` over the same
-    samples (previously a duplicated kernel call).
+    samples.
     """
     times = np.asarray(times, dtype=float)
     if times.size == 0:
@@ -141,7 +140,6 @@ def _costs_and_indices(
     return costs, k
 
 
-@profiled(name="mc.costs_for_times")
 def costs_for_times(
     sequence: ReservationSequence,
     times: np.ndarray,
@@ -259,7 +257,6 @@ def monte_carlo_expected_cost(
         rng = as_generator(seed)
         times = distribution.rvs(n_samples, seed=rng)
         costs, k = _costs_and_indices(sequence, times, cost_model)
-        metrics.inc("mc.searchsorted_reused")  # one kernel call where there were two
         return MonteCarloResult(
             mean_cost=float(costs.mean()),
             std_error=float(costs.std(ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0,

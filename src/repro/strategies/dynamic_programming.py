@@ -37,7 +37,6 @@ from repro.core.cost import CostModel
 from repro.core.sequence import ReservationSequence
 from repro.distributions.discrete import DiscreteDistribution
 from repro.observability import metrics
-from repro.observability.profiling import profiled
 
 __all__ = ["DiscreteDPResult", "LineFamily", "solve_lower_envelope",
            "backtrack_picks", "suffix_and_prefix_sums", "solve_discrete_dp",
@@ -131,7 +130,6 @@ class DiscreteDPResult:
     level_choices: np.ndarray
 
 
-@profiled(name="dp.solve_discrete_dp")
 def solve_discrete_dp(
     discrete: DiscreteDistribution, cost_model: CostModel
 ) -> DiscreteDPResult:

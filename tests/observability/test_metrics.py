@@ -56,6 +56,33 @@ class TestHistograms:
         assert h["p95"] == pytest.approx(95.0, abs=1.0)
         assert h["p99"] == pytest.approx(99.0, abs=1.0)
 
+    def test_nearest_rank_summary_on_a_known_window(self):
+        h = ValueHistogram("x", unit="ms")
+        values = [float(v) for v in range(1, 1001)]
+        for v in values[::-1]:  # arrival order must not matter
+            h.observe(v)
+        d = h.to_dict()
+        # Nearest rank: the ceil(q/100 * n)-th smallest value.
+        assert (d["p50"], d["p95"], d["p99"]) == (500.0, 950.0, 990.0)
+        assert [d[f"p{q}"] for q in (50, 95, 99)] == [
+            h.percentile(q) for q in (50, 95, 99)
+        ]
+        assert d["count"] == 1000 and d["total"] == sum(values)
+        assert d["mean"] == d["total"] / d["count"] == 500.5
+        assert (d["min"], d["max"], d["unit"]) == (1.0, 1000.0, "ms")
+
+    def test_percentiles_cover_only_the_window(self):
+        from repro.observability.metrics import HISTOGRAM_WINDOW
+
+        h = ValueHistogram("x")
+        n = HISTOGRAM_WINDOW + 1000
+        for v in range(n):
+            h.observe(float(v))
+        d = h.to_dict()
+        assert d["min"] == 0.0  # exact over everything observed
+        assert d["p50"] == 1000.0 + HISTOGRAM_WINDOW // 2 - 1
+        assert d["p99"] == h.percentile(99)
+
     def test_percentile_of_empty_is_nan(self):
         h = ValueHistogram("x")
         assert math.isnan(h.percentile(50))
@@ -79,17 +106,6 @@ class TestTimers:
         t = registry.timers["work"]
         assert t.count == 1
         assert 0.0 <= t.total < 1.0
-
-    def test_decorator_records_per_call(self, enabled_obs):
-        registry, _ = enabled_obs
-
-        @obs.timer("fn")
-        def fn(x):
-            return x * 2
-
-        assert fn(2) == 4
-        assert fn(3) == 6
-        assert registry.timers["fn"].count == 2
 
     def test_disabled_timer_records_nothing(self, isolated_obs):
         registry, _ = isolated_obs

@@ -108,3 +108,27 @@ def test_percentile_while_observing_does_not_crash(registry):
     finally:
         stop.set()
         writer.join()
+
+
+def test_histogram_snapshot_is_one_moment_while_observing(registry):
+    stop = threading.Event()
+
+    def observe():
+        i = 0
+        while not stop.is_set():
+            metrics.observe("svc.latency", float(i % 100))
+            i += 1
+
+    writer = threading.Thread(target=observe)
+    writer.start()
+    try:
+        h = registry.histogram("svc.latency")
+        for _ in range(200):
+            d = h.to_dict()
+            if d["count"]:
+                # count, total and the window are read under one lock hold.
+                assert d["mean"] == d["total"] / d["count"]
+                assert d["min"] <= d["p50"] <= d["p95"] <= d["p99"] <= d["max"]
+    finally:
+        stop.set()
+        writer.join()

@@ -6,7 +6,8 @@ completes, new connections are refused, and — because ``--shard-dir``
 journals every plan when it is cached — a reboot on the same directory
 serves the plan that was in flight at SIGTERM from its journal.  A store
 whose base is unreadable must not keep the server from booting: it starts
-cold and answers.
+cold and answers.  A malformed ``REPRO_FAULTS`` spec, on the other hand,
+stops the boot before the port is bound.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ def post_plan(port, results, index):
         results[index] = ("error", repr(exc))
 
 
-def boot(shard_dir, faults=None):
-    """Start ``repro-serve --shard-dir``; returns (proc, port, boot lines)."""
+def _serve_command(shard_dir, faults=None):
+    """``repro-serve --shard-dir`` argv and environment for a boot."""
     env = dict(os.environ)
     env.pop("REPRO_FAULTS", None)
     if faults:
@@ -57,12 +58,19 @@ def boot(shard_dir, faults=None):
     env["PYTHONPATH"] = (
         os.path.join(ROOT, "src") + os.pathsep + env.get("PYTHONPATH", "")
     )
+    argv = [
+        sys.executable, "-m", "repro.service.server",
+        "--port", "0", "--backend", "serial", "--jobs", "1",
+        "--n-samples", "200", "--shard-dir", shard_dir,
+    ]
+    return argv, env
+
+
+def boot(shard_dir, faults=None):
+    """Start ``repro-serve --shard-dir``; returns (proc, port, boot lines)."""
+    argv, env = _serve_command(shard_dir, faults)
     proc = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro.service.server",
-            "--port", "0", "--backend", "serial", "--jobs", "1",
-            "--n-samples", "200", "--shard-dir", shard_dir,
-        ],
+        argv,
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
@@ -165,3 +173,43 @@ def test_unreadable_base_boots_cold_and_answers(tmp_path):
             assert proc.wait(timeout=30) == 0
         finally:
             stop(proc)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "spec, named",
+    [
+        ("pool.worker", "pool.worker"),  # a segment with no mode
+        ("{not json", "REPRO_FAULTS"),
+        ("missing-drill.json", "missing-drill.json"),  # OSError, not ValueError
+    ],
+)
+def test_malformed_faults_env_stops_the_boot(tmp_path, spec, named):
+    # Parsed lazily, a bad spec would fail every admitted POST with a 500.
+    argv, env = _serve_command(str(tmp_path / "shards"), faults=spec)
+    done = subprocess.run(
+        argv, capture_output=True, text=True, env=env, cwd=ROOT, timeout=60
+    )
+    assert done.returncode == 2, (done.stdout, done.stderr)
+    assert "REPRO_FAULTS" in done.stderr and named in done.stderr
+    assert "listening" not in done.stdout
+    assert "Fault plan installed" not in done.stderr
+    assert not (tmp_path / "shards").exists()  # nothing was opened
+
+
+@pytest.mark.slow
+def test_valid_faults_env_prints_the_banner(tmp_path):
+    spec = "seed=3;server.request:delay:1:seconds=0.01"
+    proc, port, banner = boot(str(tmp_path / "shards"), faults=spec)
+    try:
+        assert "Fault plan installed" in banner, banner
+        results = {}
+        post_plan(port, results, 0)
+        assert results[0][0] == 200, results
+    finally:
+        proc.send_signal(signal.SIGTERM)
+        try:
+            assert proc.wait(timeout=30) == 0
+        finally:
+            stop(proc)
+

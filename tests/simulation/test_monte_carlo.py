@@ -64,6 +64,14 @@ class TestCostsForTimes:
         assert out.shape == times.shape
         assert np.all(out > 0)
 
+    def test_records_one_kernel_call_when_instrumented(self, enabled_obs):
+        registry, _ = enabled_obs
+        seq = ReservationSequence([1.0], extend=constant_extender(1.0))
+        costs_for_times(seq, np.array([0.5, 2.5]), CostModel.reservation_only())
+        assert registry.timers["mc.kernel"].count == 1
+        counters = registry.to_dict()["counters"]
+        assert (counters["mc.kernel_calls"], counters["mc.samples"]) == (1, 2)
+
 
 class TestMonteCarloExpectedCost:
     def test_converges_to_series(self):

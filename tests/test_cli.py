@@ -113,6 +113,34 @@ class TestObservabilityFlags:
         assert counters["brute_force.candidates"] > 0
         assert payload["timers"]  # at least the evaluation timers
 
+    @pytest.mark.parametrize("strategy", ["brute_force", "mean_doubling",
+                                          "equal_time_dp"])
+    def test_plans_once_and_writes_the_coverage_prefix(self, tmp_path, capsys,
+                                                       isolated_obs, strategy):
+        import json
+
+        from repro import CostModel, make_strategy
+
+        metrics_path, plan_path = tmp_path / "m.json", tmp_path / "plan.json"
+        argv = ["--distribution", "lognormal", "--param", "mu=3",
+                "--param", "sigma=0.5", "--strategy", strategy,
+                "--metrics-out", str(metrics_path), "--output", str(plan_path)]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        counters = json.loads(metrics_path.read_text())["counters"]
+        assert counters["strategy.sequences_built"] == 1
+        assert "over 1 builds" in out
+        # The plan is the fresh build extended to the coverage quantile, not
+        # the longer sequence the statistics pass extended it to.
+        dist = LogNormal(3.0, 0.5)
+        kwargs = {"seed": 0} if strategy == "brute_force" else {}
+        fresh = make_strategy(strategy, **kwargs).sequence(
+            dist, CostModel.reservation_only()
+        )
+        fresh.ensure_covers(float(dist.quantile(0.999)))
+        plan = json.loads(plan_path.read_text())
+        assert plan["reservations"] == [float(v) for v in fresh.values]
+
     def test_flags_leave_observability_disabled_after(self, capsys,
                                                       isolated_obs):
         from repro import observability as obs
