@@ -13,6 +13,7 @@ is the paper's exact hyperparameters (a full run takes a few minutes).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from typing import Callable, Dict
@@ -235,16 +236,7 @@ def main(argv=None) -> int:
         default=None,
         help="also write each artifact to DIR/<experiment>.txt",
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker threads across experiments (with 'all'); 1 (default) "
-        "preserves the exact serial behavior and per-experiment metrics",
-    )
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
 
     cfg = QUICK if args.quick else PAPER
     if args.seed is not None:
@@ -256,47 +248,11 @@ def main(argv=None) -> int:
         print(fig3_csv(run_fig3(cfg), args.csv))
         return 0
 
-    save_dir = None
-    if args.save is not None:
-        import os
-
-        save_dir = args.save
+    save_dir = args.save
+    if save_dir is not None:
         os.makedirs(save_dir, exist_ok=True)
 
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-
-    if args.jobs > 1 and len(names) > 1:
-        # Parallel mode: the metrics registry is process-global, so the
-        # per-experiment reset/summary/snapshot would interleave across
-        # workers; run with shared instrumentation and skip the per-name
-        # metrics artifacts.  Outputs are printed in deterministic order.
-        from repro import observability as obs
-        from repro.service.pool import get_backend
-
-        obs.enable()
-        obs.get_registry().reset()
-
-        def run_one(name: str):
-            start = time.perf_counter()
-            output = EXPERIMENTS[name](cfg)
-            return output, time.perf_counter() - start
-
-        with get_backend("thread", args.jobs) as backend:
-            results = backend.map(run_one, names)
-        for name, (output, elapsed) in zip(names, results):
-            print(output)
-            print(f"[{name}: {elapsed:.1f}s]\n")
-            if save_dir is not None:
-                import os
-
-                path = os.path.join(save_dir, f"{name}.txt")
-                with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(output + "\n")
-        print(
-            f"[parallel run, jobs={args.jobs}: per-experiment metrics "
-            "summaries skipped (shared registry)]"
-        )
-        return 0
 
     for name in names:
         start = time.perf_counter()
@@ -307,8 +263,6 @@ def main(argv=None) -> int:
         print(f"[{name}: {elapsed:.1f}s]")
         print(metrics_summary_line(name) + "\n")
         if save_dir is not None:
-            import os
-
             path = os.path.join(save_dir, f"{name}.txt")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(output + "\n")

@@ -14,9 +14,9 @@ A site is marked one way only, by a ``faults.fire("<site>")`` call, and
 every site is listed in :func:`known_sites`; a plan naming any other site
 is rejected.
 
-A :class:`FaultPlan` is a list of :class:`FaultRule`\\ s, each matching one
-site (or a ``prefix.*`` family) with a trigger probability, an optional
-trigger budget, and a mode:
+A :class:`FaultPlan` is a list of :class:`FaultRule`\\ s, each matching
+exactly one site with a trigger probability, an optional trigger budget,
+and a mode:
 
 * ``error`` — raise :class:`InjectedFault`;
 * ``hang``  — sleep ``seconds`` (default 30, long enough to blow any
@@ -145,8 +145,6 @@ class FaultRule:
             )
 
     def matches(self, site: str) -> bool:
-        if self.site.endswith(".*"):
-            return site.startswith(self.site[:-1]) or site == self.site[:-2]
         return site == self.site
 
     def describe(self) -> str:
@@ -179,10 +177,7 @@ class FaultPlan:
     ) -> None:
         rules = list(rules)
         for rule in rules:
-            base = rule.site[:-2] if rule.site.endswith(".*") else rule.site
-            if rule.site not in _SITES and not any(
-                s == base or s.startswith(base + ".") for s in _SITES
-            ):
+            if rule.site not in _SITES:
                 raise ValueError(
                     f"fault rule targets unknown site {rule.site!r}; "
                     f"known sites: {sorted(_SITES)}"

@@ -215,7 +215,10 @@ def _parse_strategy(request) -> Tuple[str, dict]:
 
 
 def _parse_coverage(request) -> float:
-    coverage = float(request.get("coverage", DEFAULT_COVERAGE))
+    try:
+        coverage = float(request.get("coverage", DEFAULT_COVERAGE))
+    except (TypeError, ValueError) as exc:
+        raise ServiceError(f"bad coverage: {exc}") from None
     if not 0.0 < coverage < 1.0:
         raise ServiceError("'coverage' must lie strictly between 0 and 1")
     return coverage
@@ -229,6 +232,8 @@ def _parse_evaluation(request, default_n: int, default_seed: int) -> Tuple[int, 
         raise ServiceError(f"bad evaluation settings: {exc}") from None
     if not 0 < n_samples <= MAX_N_SAMPLES:
         raise ServiceError(f"'n_samples' must be in (0, {MAX_N_SAMPLES}]")
+    if seed < 0:
+        raise ServiceError("'seed' must be >= 0")
     return n_samples, seed
 
 

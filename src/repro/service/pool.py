@@ -1,9 +1,7 @@
 """Pluggable execution backends: serial, thread pool, process pool.
 
-Everything embarrassingly parallel in this library — Monte-Carlo chunk
-costing (Eq. 13), the verification sweep's (cost model x distribution)
-cells, the experiment harness's artifact list — funnels through one small
-interface::
+The embarrassingly parallel work in this library — Monte-Carlo chunk
+costing (Eq. 13) — funnels through one small interface::
 
     backend = get_backend("process", jobs=4)
     results = backend.map(fn, items)            # ordered, like map()
@@ -14,9 +12,8 @@ Design choices:
 * The library never creates or closes a pool.  A kernel takes
   ``backend=None`` or an :class:`ExecutionBackend` that its caller built
   and owns; a backend *name* becomes a pool only in :func:`get_backend`,
-  at the command-line edge (``repro-serve --backend/--jobs``,
-  ``repro-experiments --jobs``, ``repro-verify --jobs``).  There is no
-  size-based choice: a kernel runs serially or on the pool it is given.
+  at the command-line edge (``repro-serve --backend/--jobs``).  There is
+  no size-based choice: a kernel runs serially or on the pool it is given.
 * ``SerialBackend`` runs tasks inline in submission order; it is what
   every ``jobs <= 1`` request gets, and the Monte-Carlo kernels treat it
   like no backend at all, preserving the library's bit-identical seeded
@@ -33,20 +30,17 @@ Design choices:
 * ``timeout`` is per task attempt.  Thread workers cannot be interrupted
   mid-flight, so a timed-out attempt may keep running in the background
   while its retry proceeds — acceptable for the pure compute tasks used
-  here.  Threads remain the backend for work that cannot be pickled
-  (closures in the experiment runner and ``repro-verify --jobs``) and for
-  fault drills that count triggers in-process.
+  here.  Threads remain the backend for work that cannot be pickled and
+  for fault drills that count triggers in-process.
 * every task attempt passes through the ``pool.worker`` fault-injection
   site (:mod:`repro.resilience.faults`), so chaos drills can make any
   fraction of workers raise or hang without touching this module.
 * The process backend requires picklable functions and arguments
   (module-level functions; reservation sequences holding extender closures
   are *not* picklable — sample/extend first, then ship arrays).
-* ``jobs=0`` means two things, depending on the entry point.
-  ``ThreadBackend(0)`` and ``ProcessBackend(0)`` size the pool from
-  :func:`effective_cpu_count`, so a restricted CPU affinity (taskset,
-  cpusets) is honored.  :func:`get_backend` with ``jobs=0`` returns
-  :class:`SerialBackend`, like any ``jobs <= 1``: that is what
+* ``jobs`` is the pool size the caller asked for: ``ThreadBackend(jobs)``
+  and ``ProcessBackend(jobs)`` reject ``jobs < 1``.  :func:`get_backend`
+  returns :class:`SerialBackend` for any ``jobs <= 1``; that is what
   ``repro-serve``'s default ``--jobs 0`` gets.
 
 Metrics (``pool.*``): tasks, retries, timeouts, failures, and a ``pool.map``
@@ -233,8 +227,8 @@ class ThreadBackend(_ExecutorBackend):
 
     kind = "thread"
 
-    def __init__(self, jobs: int = 0):
-        jobs = _resolve_jobs(jobs)
+    def __init__(self, jobs: int):
+        _check_jobs(jobs)
         super().__init__(
             concurrent.futures.ThreadPoolExecutor(
                 max_workers=jobs, thread_name_prefix="repro-pool"
@@ -248,24 +242,21 @@ class ProcessBackend(_ExecutorBackend):
 
     kind = "process"
 
-    def __init__(self, jobs: int = 0):
-        jobs = _resolve_jobs(jobs)
+    def __init__(self, jobs: int):
+        _check_jobs(jobs)
         super().__init__(concurrent.futures.ProcessPoolExecutor(max_workers=jobs), jobs)
 
 
-def _resolve_jobs(jobs: int) -> int:
-    if jobs < 0:
-        raise ValueError(f"jobs must be >= 0 (0 = one per CPU), got {jobs}")
-    return jobs or effective_cpu_count()
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
 
 
 def get_backend(kind: Optional[str] = "serial", jobs: int = 1) -> ExecutionBackend:
     """Instantiate a backend by name.
 
     ``jobs <= 1`` (or ``kind in (None, "serial")``) always yields the
-    serial backend — ``jobs=0`` included: unlike ``ThreadBackend(0)`` and
-    ``ProcessBackend(0)``, this never sizes a pool from
-    :func:`effective_cpu_count`.
+    serial backend, ``jobs=0`` included.
     """
     if kind is not None and kind not in BACKEND_KINDS:
         raise KeyError(f"unknown backend {kind!r}; known: {BACKEND_KINDS}")

@@ -125,6 +125,8 @@ class BruteForce(Strategy):
             raise ValueError(f"n_samples must be >= 1, got {n_samples}")
         if evaluation not in ("monte_carlo", "series"):
             raise ValueError(f"unknown evaluation mode {evaluation!r}")
+        if isinstance(seed, (int, np.integer)) and seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
         self.m_grid = m_grid
         self.n_samples = n_samples
         self.evaluation = evaluation

@@ -42,13 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=0, help="RNG seed for MC routes")
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker threads for the sweep's (cost model x distribution) "
-        "cells; 1 (default) preserves the exact serial behavior",
-    )
-    parser.add_argument(
         "--distribution",
         action="append",
         choices=PAPER_ORDER,
@@ -102,15 +95,12 @@ def main(argv=None) -> int:
 
 
 def _run(args, registry) -> int:
-    if args.jobs < 1:
-        raise SystemExit("--jobs must be >= 1")
     config = SweepConfig(
         quick=args.quick,
         seed=args.seed,
         distributions=args.distribution,
         oracles=args.oracle,
         include_invariant_spot_checks=not args.no_invariants,
-        jobs=args.jobs,
     )
     with obs.span("repro-verify", quick=args.quick) as root:
         report = run_oracle_sweep(config)

@@ -53,14 +53,8 @@ class SweepConfig:
     quick: bool = False
     seed: int = 0
     distributions: Optional[Sequence[str]] = None  # None = all nine
-    cost_models: Optional[Dict[str, CostModel]] = None  # None = both platforms
     oracles: Optional[Sequence[str]] = None  # None = all registered
     include_invariant_spot_checks: bool = True
-    #: Worker threads for the (cost model x distribution) cells.  1 (the
-    #: default) runs the historical serial loop bit-identically; each cell
-    #: is seeded independently, so parallel results match serial ones and
-    #: only the wall clock changes.
-    jobs: int = 1
 
     def resolve_distributions(self) -> Dict[str, object]:
         all_laws = paper_distributions()
@@ -70,9 +64,6 @@ class SweepConfig:
         if unknown:
             raise KeyError(f"unknown distributions {sorted(unknown)}; known: {PAPER_ORDER}")
         return {name: all_laws[name] for name in self.distributions}
-
-    def resolve_cost_models(self) -> Dict[str, CostModel]:
-        return dict(self.cost_models) if self.cost_models is not None else dict(DEFAULT_COST_MODELS)
 
 
 def _invariant_record(
@@ -139,57 +130,36 @@ def _spot_check_invariants(
 def run_oracle_sweep(config: SweepConfig = SweepConfig()) -> ConformanceReport:
     """Run all registered oracles across the distribution registry."""
     distributions = config.resolve_distributions()
-    cost_models = config.resolve_cost_models()
     report = ConformanceReport(
         metadata={
             "quick": config.quick,
             "seed": config.seed,
             "distributions": list(distributions),
             "cost_models": [
-                {"name": name, "describe": cm.describe()} for name, cm in cost_models.items()
+                {"name": name, "describe": cm.describe()}
+                for name, cm in DEFAULT_COST_MODELS.items()
             ],
             "oracles": sorted(config.oracles) if config.oracles is not None else "all",
-            "jobs": config.jobs,
         }
     )
-    cells = [
-        (cm_name, cost_model, dist_name, distribution)
-        for cm_name, cost_model in cost_models.items()
-        for dist_name, distribution in distributions.items()
-    ]
-
-    def run_cell(cell) -> List[CheckRecord]:
-        cm_name, cost_model, dist_name, distribution = cell
-        ctx = context_for(
-            distribution, cost_model, cm_name, quick=config.quick, seed=config.seed
-        )
-        records = list(iter_oracles(ctx, names=config.oracles))
-        if config.include_invariant_spot_checks:
-            records.extend(
-                _spot_check_invariants(
-                    distribution, cost_model, dist_name, cm_name, config.seed
-                )
-            )
-        return records
-
     with tracing.span(
         "verification.sweep",
         quick=config.quick,
         n_distributions=len(distributions),
-        n_cost_models=len(cost_models),
-        jobs=config.jobs,
+        n_cost_models=len(DEFAULT_COST_MODELS),
     ), metrics.timer("verification.sweep"):
-        if config.jobs > 1:
-            # Cells are independent (each seeds its own RNGs), so the thread
-            # pool changes only wall-clock; the ordered map keeps the report
-            # identical to the serial sweep.
-            from repro.service.pool import get_backend
-
-            with get_backend("thread", config.jobs) as backend:
-                per_cell = backend.map(run_cell, cells)
-        else:
-            per_cell = [run_cell(cell) for cell in cells]
-        for records in per_cell:
-            report.extend(records)
+        for cm_name, cost_model in DEFAULT_COST_MODELS.items():
+            for dist_name, distribution in distributions.items():
+                ctx = context_for(
+                    distribution, cost_model, cm_name,
+                    quick=config.quick, seed=config.seed,
+                )
+                report.extend(iter_oracles(ctx, names=config.oracles))
+                if config.include_invariant_spot_checks:
+                    report.extend(
+                        _spot_check_invariants(
+                            distribution, cost_model, dist_name, cm_name, config.seed
+                        )
+                    )
     report.metadata["n_checks"] = report.n_checks
     return report

@@ -64,7 +64,7 @@ def make_sequence(distribution):
 
 
 def make_backend(kind, jobs):
-    """A ``kind`` backend of ``jobs`` workers (0: one per CPU)."""
+    """A ``kind`` backend of ``jobs`` workers."""
     if kind == "serial":
         return SerialBackend()
     return (ThreadBackend if kind == "thread" else ProcessBackend)(jobs)
@@ -84,7 +84,7 @@ class TestSeedDeterminismMatrix:
     """A fixed seed on a fixed pool must reproduce exactly on every kind."""
 
     @pytest.mark.parametrize("kind", ["serial", "thread", "process"])
-    @pytest.mark.parametrize("jobs", [0, 2, 4])
+    @pytest.mark.parametrize("jobs", [2, 4])
     def test_repeat_call_is_bit_identical(self, registry, kind, jobs):
         with make_backend(kind, jobs) as backend:
             a = estimate(backend)
@@ -110,7 +110,7 @@ class TestSeedDeterminismMatrix:
         d = make_distribution()
         cm = CostModel.reservation_only()
         reference = None
-        for jobs in (0, 2, 4):
+        for jobs in (1, 2, 4):
             seqs = [make_sequence(d) for _ in range(3)]
             with make_backend(kind, jobs) as backend:
                 results = monte_carlo_many(

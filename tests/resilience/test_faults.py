@@ -36,19 +36,13 @@ class TestFaultRule:
         exact = error_rule("shard.journal.append")
         assert exact.matches("shard.journal.append")
         assert not exact.matches("shard.compact")
-        family = error_rule("shard.*")
-        assert family.matches("shard.journal.append")
-        assert family.matches("shard.compact")
-        assert not family.matches("pool.worker")
 
 
 class TestFaultPlan:
     def test_strict_sites_rejects_typos(self):
-        with pytest.raises(ValueError, match="unknown site"):
-            FaultPlan([error_rule("pool.wroker")])
-
-    def test_strict_sites_accepts_families(self):
-        FaultPlan([error_rule("shard.*")])  # must not raise
+        for site in ("pool.wroker", "shard.*"):
+            with pytest.raises(ValueError, match="unknown site"):
+                FaultPlan([error_rule(site)])
 
     def test_strict_sites_rejects_retired_snapshot_site(self):
         # The JSON snapshot path is gone; a stale chaos spec naming its

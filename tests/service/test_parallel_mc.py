@@ -1,13 +1,11 @@
-"""Parallel Monte-Carlo and parallel sweep: determinism and agreement.
+"""Parallel Monte-Carlo: determinism and agreement.
 
 The acceptance bar for the pooled paths:
 
 * a serial backend stays bit-identical to the historical serial call;
 * a pool is deterministic for a fixed seed and worker count;
 * the parallel estimate agrees with the serial one within the combined
-  Monte-Carlo confidence interval;
-* the parallel verification sweep reproduces the serial report check for
-  check.
+  Monte-Carlo confidence interval.
 """
 
 from __future__ import annotations
@@ -114,24 +112,3 @@ class TestParallelPath:
         assert int(reg.counter("mc.parallel_chunks").value) == 4
         assert int(reg.counter("mc.samples").value) == 1000
 
-
-class TestParallelSweep:
-    def test_parallel_sweep_matches_serial_report(self):
-        from repro.verification.sweep import SweepConfig, run_oracle_sweep
-
-        kwargs = dict(
-            quick=True,
-            seed=0,
-            distributions=["exponential", "uniform"],
-            include_invariant_spot_checks=False,
-        )
-        serial = run_oracle_sweep(SweepConfig(**kwargs, jobs=1))
-        parallel = run_oracle_sweep(SweepConfig(**kwargs, jobs=2))
-        assert serial.n_checks == parallel.n_checks > 0
-        for left, right in zip(serial.records, parallel.records):
-            assert left.oracle == right.oracle
-            assert left.distribution == right.distribution
-            assert left.passed == right.passed
-            assert left.discrepancy == pytest.approx(
-                right.discrepancy, rel=1e-12, abs=1e-15
-            )

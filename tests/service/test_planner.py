@@ -6,6 +6,7 @@ import pytest
 
 from repro import observability as obs
 from repro.distributions.registry import PAPER_ORDER, paper_distribution
+from repro.resilience.breaker import CLOSED
 from repro.service.plancache import PlanCache
 from repro.service.planner import (
     PAYLOAD_VERSION,
@@ -134,11 +135,34 @@ class TestValidation:
                                         "knobs": {"backend": "process"}}),
                 "bad strategy knobs",
             ),
+            # numpy rejects a negative seed; the request must not reach it.
+            (dict(REQUEST, seed=-1), "'seed' must be >= 0"),
+            (
+                dict(REQUEST, strategy={"name": "brute_force",
+                                        "knobs": {"seed": -1}}),
+                "bad strategy knobs",
+            ),
+            (dict(REQUEST, coverage="x"), "bad coverage"),
+            (dict(REQUEST, coverage=None), "bad coverage"),
+            (dict(REQUEST, coverage=[0.5]), "bad coverage"),
+            (dict(REQUEST, coverage={}), "bad coverage"),
         ],
     )
     def test_bad_requests_raise_service_error(self, service, request_, match):
-        with pytest.raises(ServiceError, match=match):
+        with pytest.raises(ServiceError, match=match) as err:
             service.plan(request_)
+        assert err.value.status == 400
+
+    def test_negative_seeds_leave_the_breaker_closed(self, service):
+        """A bad seed is the caller's fault, not the Monte-Carlo backend's:
+        it must neither open the breaker nor degrade the next answer."""
+        for coverage in (0.99, 0.995, 0.999):
+            with pytest.raises(ServiceError, match="seed"):
+                service.plan(dict(REQUEST, seed=-1, coverage=coverage))
+        assert service.breaker.state == CLOSED
+        response = service.plan(REQUEST)
+        assert response["evaluator"] == "mc"
+        assert response["degraded"] is False
 
     def test_service_error_status_defaults_to_400(self):
         assert ServiceError("nope").status == 400

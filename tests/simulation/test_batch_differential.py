@@ -293,7 +293,7 @@ class TestMonteCarloMany:
             backend=SerialBackend(),
         )
         for make_pool, jobs in (
-            (ThreadBackend, 2), (ProcessBackend, 2), (ProcessBackend, 0)
+            (ThreadBackend, 2), (ProcessBackend, 2), (ProcessBackend, 4)
         ):
             with make_pool(jobs) as pool:
                 other = monte_carlo_many(

@@ -15,7 +15,7 @@ from repro import (
 class TestConstruction:
     @pytest.mark.parametrize(
         "kwargs",
-        [{"m_grid": 0}, {"n_samples": 0}, {"evaluation": "magic"}],
+        [{"m_grid": 0}, {"n_samples": 0}, {"evaluation": "magic"}, {"seed": -1}],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):

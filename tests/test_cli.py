@@ -81,8 +81,8 @@ class TestObservabilityFlags:
         assert main(self.ARGS + ["--trace"]) == 0
         out = capsys.readouterr().out
         match = re.search(
-            r"Planning wall time:\s+([\d.]+)s \(strategy ([\d.]+)s over \d+ "
-            r"builds, evaluation ([\d.]+)s\)",
+            r"Planning wall time:\s+([\d.]+)s \(strategy ([\d.]+)s, "
+            r"evaluation ([\d.]+)s\)",
             out,
         )
         assert match, out
@@ -126,10 +126,8 @@ class TestObservabilityFlags:
                 "--param", "sigma=0.5", "--strategy", strategy,
                 "--metrics-out", str(metrics_path), "--output", str(plan_path)]
         assert main(argv) == 0
-        out = capsys.readouterr().out
         counters = json.loads(metrics_path.read_text())["counters"]
         assert counters["strategy.sequences_built"] == 1
-        assert "over 1 builds" in out
         # The plan is the fresh build extended to the coverage quantile, not
         # the longer sequence the statistics pass extended it to.
         dist = LogNormal(3.0, 0.5)
