@@ -32,7 +32,7 @@ from repro.core.cost import CostModel
 from repro.distributions.registry import make_distribution
 from repro.service.journal import ShardJournal
 from repro.service.plancache import PlanCache
-from repro.service.planner import PlannerService, ResilienceOptions
+from repro.service.planner import PlannerService
 from repro.service.pool import (
     ProcessBackend,
     SerialBackend,
@@ -239,36 +239,40 @@ def test_mc_10k_process_vs_serial(fresh_registry):
 
 
 def test_resilience_overhead(fresh_registry):
-    """Policies enabled but no faults: the resilience layer must be ~free.
+    """Policies armed but no faults: the resilience layer must be ~free.
 
-    The degradation ladder, breaker check, and retry wrapper all sit on the
+    The degradation ladder, breaker check, and retry loop all sit on the
     evaluate hot path; with ``REPRO_FAULTS`` unset they should cost a guard
-    clause each.  Asserts enabled-path timings stay within 5% of the
-    ``ResilienceOptions.disabled()`` baseline (plus a 2ms epsilon so
-    sub-millisecond jitter on shared runners can't flip the verdict).
-    Both paths are warmed first and timed as a min-of-medians — a single
+    clause each.  Asserts that ``PlannerService._mc_stats`` (the ladder an
+    evaluate runs) stays within 5% of a bare ``monte_carlo_expected_cost``
+    call on the same sequence and backend (plus a 2ms epsilon so
+    sub-millisecond jitter on shared runners can't flip the verdict).  Both
+    paths are warmed first and timed as a min-of-medians — a single
     10-repeat median rode scheduler noise into false ~20% "overheads".
     """
-    request = {**REQUEST, "strategy": "mean_by_mean"}
+    dist = make_distribution("lognormal", mu=3.0, sigma=0.5)
+    cm = CostModel.reservation_only()
+    sequence = make_strategy("mean_by_mean").sequence(dist, cm)
+    service = PlannerService()
 
-    def evaluate_with(resilience):
-        service = PlannerService(
-            cache=PlanCache(maxsize=32), n_samples=2000, resilience=resilience
-        )
-        service.plan(request)  # warm the plan cache: time only the MC path
-        for _ in range(3):  # warm the evaluate path itself (lazy imports, allocator)
-            service.evaluate(request)
-        return _min_of_medians(
-            lambda: service.evaluate(request), repeats=20, passes=3
+    def raw():
+        return monte_carlo_expected_cost(
+            sequence, dist, cm, n_samples=2000, seed=0, backend=service.backend
         )
 
-    raw_s = evaluate_with(ResilienceOptions.disabled())
-    res_s = evaluate_with(None)  # defaults: policies armed, no faults
+    def laddered():
+        return service._mc_stats(sequence, dist, cm, 2000, 0)
+
+    for _ in range(3):  # warm both paths (lazy imports, allocator, extension)
+        raw()
+        laddered()
+    raw_s = _min_of_medians(raw, repeats=20, passes=3)
+    res_s = _min_of_medians(laddered, repeats=20, passes=3)
 
     overhead = res_s / raw_s - 1.0 if raw_s > 0 else 0.0
     _TIMINGS["resilience_overhead"] = {
-        "disabled_min_median_s": raw_s,
-        "enabled_min_median_s": res_s,
+        "raw_min_median_s": raw_s,
+        "laddered_min_median_s": res_s,
         "overhead_fraction": overhead,
     }
     assert res_s <= raw_s * 1.05 + 0.002, (

@@ -14,9 +14,10 @@ This rule walks the *reverse* call graph from each fault-injection site:
   re-raising, and demonstrably using the error — stops propagation
   (``run_ladder``'s rung handler, the server's top-level request
   handler);
-* a guard that catches but **re-raises** (``RetryPolicy`` exhausting its
-  attempts, the journal compactor's ``BaseException``+``raise`` cleanup) is
-  a waypoint, not a stop — ascent continues through its callers;
+* a guard that catches but **re-raises** (a retry loop exhausting its
+  attempts, such as ``ExecutionBackend.map`` raising ``PoolError``, or the
+  journal compactor's ``BaseException``+``raise`` cleanup) is a waypoint,
+  not a stop — ascent continues through its callers;
 * a broad guard that catches and **ignores** the error is a swallow — worse
   than a crash, because chaos CI can no longer see the fault at all;
 * reaching a function with **no callers** without ever meeting a
@@ -158,7 +159,7 @@ class ExceptionFlowRule(GraphRule):
                 fault.lineno,
                 fault.col,
                 f"fault site '{fault.site}' can propagate uncaught to "
-                f"{roots}; no RetryPolicy/degradation-ladder handler "
+                f"{roots}; no retry-loop/degradation-ladder handler "
                 "dominates this path",
             )
 

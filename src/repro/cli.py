@@ -221,11 +221,14 @@ def _run(args, registry) -> int:
     )
 
     # The content-hash key under which repro-serve would cache this plan
-    # (pure function of law params, cost model, strategy and coverage).
+    # (pure function of law params, cost model, strategy, knobs and
+    # coverage).  The brute-force seed is a knob: without it the key names
+    # the plan repro-serve seeds from the key, not this one.
     from repro.service.keys import plan_key
 
     cache_key = plan_key(
-        dist, cost_model, args.strategy, coverage=args.coverage
+        dist, cost_model, args.strategy, knobs=strategy_kwargs,
+        coverage=args.coverage,
     )
 
     omniscient = cost_model.omniscient_expected_cost(dist)

@@ -6,7 +6,7 @@ HTTP requests can all fail; this package supplies the machinery that keeps
 it answering anyway:
 
 * :mod:`repro.resilience.faults` — deterministic, seedable fault-injection
-  harness (``REPRO_FAULTS`` env spec, ``faults.fire`` sites);
+  harness (``REPRO_FAULTS`` JSON plan, ``faults.fire`` sites);
 * :mod:`repro.resilience.policies` — :class:`RetryPolicy` (bounded
   attempts, exponential backoff with full jitter), :class:`Deadline`
   (wall-clock budget for one computation);
@@ -18,7 +18,7 @@ it answering anyway:
 The shard workers are supervised by their own fleet
 (:class:`repro.service.router.ShardFleet`).
 
-See ``docs/RESILIENCE.md`` for the fault-spec format, the policy knobs,
+See ``docs/RESILIENCE.md`` for the fault-plan format, the policy knobs,
 and the planner's degradation ladder.
 """
 

@@ -30,12 +30,13 @@ identically under threads.
 
 Activation:
 
-* **environment** — ``REPRO_FAULTS=<spec>`` where ``<spec>`` is a compact
-  string (``"seed=7;pool.worker:error:0.3;mc.chunk:hang:1:seconds=12"``),
-  inline JSON, or the path of a JSON plan file.  The environment is read
-  once, lazily, on the first :func:`fire` — which is how process-pool
-  children pick a drill up.  ``repro-serve`` calls :func:`get_plan` at
-  boot, so a malformed spec stops the server before it binds;
+* **environment** — ``REPRO_FAULTS=<plan>`` where ``<plan>`` is a JSON
+  plan document, inline
+  (``'{"seed": 7, "faults": [{"site": "pool.worker", "rate": 0.3}]}'``)
+  or the path of a file holding one.  The environment is read once,
+  lazily, on the first :func:`fire` — which is how process-pool children
+  pick a drill up.  ``repro-serve`` calls :func:`get_plan` at boot, so a
+  malformed plan stops the server before it binds;
 * **programmatic** — :func:`install` / :func:`uninstall`, or the
   :func:`installed` context manager in tests.
 
@@ -190,90 +191,32 @@ class FaultPlan:
 
     # -- construction --------------------------------------------------
     @classmethod
-    def from_dict(cls, doc: dict, **kwargs) -> "FaultPlan":
-        if not isinstance(doc, dict):
-            raise ValueError("fault plan document must be a JSON object")
-        rules = []
-        for entry in doc.get("faults", []):
-            if not isinstance(entry, dict) or "site" not in entry:
-                raise ValueError(f"bad fault entry {entry!r}: needs a 'site'")
-            rules.append(
-                FaultRule(
-                    site=str(entry["site"]),
-                    mode=str(entry.get("mode", "error")),
-                    rate=float(entry.get("rate", 1.0)),
-                    seconds=(
-                        None
-                        if entry.get("seconds") is None
-                        else float(entry["seconds"])
-                    ),
-                    max_triggers=(
-                        None
-                        if entry.get("max_triggers") is None
-                        else int(entry["max_triggers"])
-                    ),
-                )
-            )
-        return cls(rules, seed=int(doc.get("seed", 0)), **kwargs)
+    def from_spec(cls, spec: str) -> "FaultPlan":
+        """Build a plan from a JSON plan document, inline or in a file.
 
-    @classmethod
-    def from_spec(cls, spec: str, **kwargs) -> "FaultPlan":
-        """Build a plan from a compact string, inline JSON, or a file path.
-
-        Compact grammar (segments separated by ``;``)::
-
-            seed=<int>
-            <site>:<mode>[:<rate>][:key=value[,key=value...]]
-
-        with keys ``seconds`` and ``max`` (trigger budget), e.g.
-        ``"seed=7;pool.worker:error:0.3;mc.chunk:hang:1:seconds=12,max=1"``.
+        ``spec`` starting with ``{`` is the document itself; anything else
+        is the path of a file holding it.  Every malformed document raises
+        ``ValueError`` (a missing file, ``OSError``).
         """
         spec = spec.strip()
         if not spec:
             raise ValueError("empty fault spec")
-        if spec.startswith("{"):
-            return cls.from_dict(json.loads(spec), **kwargs)
-        if spec.endswith(".json") or os.path.isfile(spec):
+        if not spec.startswith("{"):
             with open(spec, "r", encoding="utf-8") as fh:
-                return cls.from_dict(json.load(fh), **kwargs)
-        seed = 0
-        rules = []
-        for segment in spec.split(";"):
-            segment = segment.strip()
-            if not segment:
-                continue
-            if segment.startswith("seed="):
-                seed = int(segment[len("seed="):])
-                continue
-            parts = segment.split(":")
-            if len(parts) < 2:
-                raise ValueError(
-                    f"bad fault segment {segment!r}; expected site:mode[:rate][:opts]"
-                )
-            site, mode = parts[0], parts[1]
-            rate = float(parts[2]) if len(parts) > 2 and parts[2] else 1.0
-            seconds = None
-            max_triggers = None
-            if len(parts) > 3 and parts[3]:
-                for opt in parts[3].split(","):
-                    key, _, value = opt.partition("=")
-                    key = key.strip()
-                    if key == "seconds":
-                        seconds = float(value)
-                    elif key in ("max", "max_triggers"):
-                        max_triggers = int(value)
-                    else:
-                        raise ValueError(f"unknown fault option {key!r} in {segment!r}")
-            rules.append(
-                FaultRule(
-                    site=site,
-                    mode=mode,
-                    rate=rate,
-                    seconds=seconds,
-                    max_triggers=max_triggers,
-                )
-            )
-        return cls(rules, seed=seed, **kwargs)
+                spec = fh.read()
+        doc = json.loads(spec)
+        if not isinstance(doc, dict):
+            raise ValueError("fault plan document must be a JSON object")
+        try:
+            # A rule's keys are FaultRule's fields: an unknown or misspelt
+            # key is refused, never ignored into an unbounded drill.
+            rules = [
+                FaultRule(**{"mode": "error", **entry})
+                for entry in doc.get("faults", [])
+            ]
+            return cls(rules, seed=int(doc.get("seed", 0)))
+        except TypeError as exc:  # no site, an unknown key, a null number
+            raise ValueError(f"bad fault plan: {exc}") from None
 
     # -- introspection --------------------------------------------------
     @property

@@ -6,7 +6,8 @@ serving stack's own failures:
 
 * :class:`RetryPolicy` — bounded attempts with exponential backoff and
   *full jitter* (each sleep is drawn uniformly from ``[0, cap]``, the
-  AWS-style variant that decorrelates synchronized retry storms).  Jitter
+  AWS-style variant that decorrelates synchronized retry storms), the
+  backoff of :class:`repro.service.client.ServiceClient`.  Jitter
   randomness comes from :mod:`repro.utils.rng`, so drills are seedable and
   a policy that never retries never draws — the no-failure path stays
   bit-identical.
@@ -54,9 +55,8 @@ class RetryPolicy:
     """Exponential backoff with full jitter and bounded attempts.
 
     ``max_attempts`` counts the first try: ``max_attempts=3`` means at most
-    two retries.  The backoff cap doubles per retry up to ``max_delay``.
-    ``base_delay=0`` (see :meth:`immediate`) reproduces the historical
-    hot-loop retry exactly — no sleeping, no RNG draws.  The caller decides
+    two retries.  The backoff cap doubles per retry up to ``max_delay``;
+    ``base_delay=0`` never sleeps and never draws.  The caller decides
     which failures are retryable.
     """
 
@@ -78,11 +78,6 @@ class RetryPolicy:
         self._sleep = sleep
         self._rng = as_generator(seed)
         self._lock = threading.Lock()
-
-    @classmethod
-    def immediate(cls, retries: int) -> "RetryPolicy":
-        """``retries`` immediate resubmissions — the pre-policy pool behavior."""
-        return cls(max_attempts=retries + 1, base_delay=0.0)
 
     def should_retry(self, attempt: int) -> bool:
         """May attempt number ``attempt`` (1-based, just failed) be retried?"""

@@ -26,8 +26,8 @@ the parallel pool).  Samples beyond the plan's coverage horizon are served
 by a doubling tail extension — by construction less than ``1 - coverage``
 of the probability mass.
 
-**Graceful degradation** (see ``docs/RESILIENCE.md``): the Monte-Carlo
-evaluation runs through a fallback ladder — parallel MC on the configured
+**Graceful degradation** (see ``docs/RESILIENCE.md``): every Monte-Carlo
+evaluation runs through one fallback ladder — parallel MC on the configured
 backend, then serial MC with fewer samples, then the Eq. 3 quadrature,
 then the Theorem 1 series — stepping down when the backend's circuit
 breaker is open, a rung fails, or the computation's deadline has expired
@@ -39,6 +39,7 @@ bounded-degraded one.
 
 from __future__ import annotations
 
+import numbers
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -111,14 +112,12 @@ DEGRADED_MIN_SAMPLES = 500
 class ResilienceOptions:
     """Knobs for the planner's degradation ladder and backend breaker.
 
-    The defaults keep the no-failure path bit-identical to the raw
-    planner: no deadline, a generous per-chunk timeout that only matters
-    when a chunk hangs, and retries that only run after a failure.
-    ``ResilienceOptions.disabled()`` removes the ladder entirely (used by
-    the overhead benchmark as the raw-path baseline).
+    The defaults keep the no-failure path bit-identical to a bare
+    :func:`~repro.simulation.monte_carlo.monte_carlo_expected_cost` call:
+    no deadline, a generous per-chunk timeout that only matters when a
+    chunk hangs, and retries that only run after a failure.
     """
 
-    enabled: bool = True
     #: Wall-clock budget per plan or evaluation computation, checked
     #: between ladder rungs; ``None`` = unbounded.
     request_deadline_s: Optional[float] = None
@@ -131,10 +130,6 @@ class ResilienceOptions:
     breaker_failure_threshold: int = 3
     #: Seconds the breaker stays open before half-opening a probe.
     breaker_recovery_s: float = 5.0
-
-    @classmethod
-    def disabled(cls) -> "ResilienceOptions":
-        return cls(enabled=False)
 
 
 class ServiceError(ValueError):
@@ -224,12 +219,20 @@ def _parse_coverage(request) -> float:
     return coverage
 
 
-def _parse_evaluation(request, default_n: int, default_seed: int) -> Tuple[int, int]:
-    try:
-        n_samples = int(request.get("n_samples", default_n))
-        seed = int(request.get("seed", default_seed))
-    except (TypeError, ValueError) as exc:
-        raise ServiceError(f"bad evaluation settings: {exc}") from None
+def _parse_integer(request, field: str, default) -> int:
+    """``request[field]`` as an int; a bool or a fractional number is refused
+    rather than truncated, so a caller never gets another value than it sent."""
+    value = request.get(field, default)
+    if type(value) is int or (isinstance(value, float) and value.is_integer()):
+        return int(value)
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)  # numpy integers from in-process callers
+    raise ServiceError(f"{field!r} must be an integer, got {value!r}")
+
+
+def _parse_evaluation(request, default_n, default_seed) -> Tuple[int, int]:
+    n_samples = _parse_integer(request, "n_samples", default_n)
+    seed = _parse_integer(request, "seed", default_seed)
     if not 0 < n_samples <= MAX_N_SAMPLES:
         raise ServiceError(f"'n_samples' must be in (0, {MAX_N_SAMPLES}]")
     if seed < 0:
@@ -281,17 +284,16 @@ class PlannerService:
     ):
         self.cache = cache if cache is not None else PlanCache()
         self.backend = backend if backend is not None else SerialBackend()
-        self.default_n_samples = int(n_samples)
-        self.default_seed = int(seed)
+        # The defaults answer every request that carries no value of its
+        # own, so they pass the same check a request's values do.
+        self.default_n_samples, self.default_seed = _parse_evaluation(
+            {}, n_samples, seed
+        )
         self.resilience = resilience if resilience is not None else ResilienceOptions()
-        self.breaker: Optional[CircuitBreaker] = (
-            CircuitBreaker(
-                failure_threshold=self.resilience.breaker_failure_threshold,
-                recovery_time=self.resilience.breaker_recovery_s,
-                name="mc-backend",
-            )
-            if self.resilience.enabled
-            else None
+        self.breaker = CircuitBreaker(
+            failure_threshold=self.resilience.breaker_failure_threshold,
+            recovery_time=self.resilience.breaker_recovery_s,
+            name="mc-backend",
         )
         # Wall-clock epoch for display; monotonic origin for uptime_s —
         # NTP steps / DST jumps must never produce negative or inflated
@@ -308,10 +310,8 @@ class PlannerService:
     # ------------------------------------------------------------------
     def _request_deadline(self) -> Optional[Deadline]:
         """One deadline per computation: a plan, or one evaluation run."""
-        opts = self.resilience
-        if not opts.enabled or opts.request_deadline_s is None:
-            return None
-        return Deadline(opts.request_deadline_s)
+        seconds = self.resilience.request_deadline_s
+        return None if seconds is None else Deadline(seconds)
 
     def _mc_stats(
         self,
@@ -324,12 +324,12 @@ class PlannerService:
     ) -> Tuple[dict, LadderReport]:
         """Expected-cost statistics through the degradation ladder.
 
-        Rung 1 is the exact historical evaluation — same arguments, same
-        backend — so with no faults and a serial backend the numbers are
-        bit-identical to the pre-ladder planner.  The later rungs trade
-        fidelity for availability: reduced serial MC, then the Eq. 3
-        quadrature, then the Theorem 1 series (always attempted, even past
-        the deadline, because a late answer beats none).
+        Rung 1 is a bare :func:`monte_carlo_expected_cost` call on the
+        service's backend, so with no faults and a serial backend the
+        numbers are bit-identical to calling the kernel directly.  The later
+        rungs trade fidelity for availability: reduced serial MC, then the
+        Eq. 3 quadrature, then the Theorem 1 series (always attempted, even
+        past the deadline, because a late answer beats none).
         """
         opts = self.resilience
 
@@ -341,21 +341,10 @@ class PlannerService:
                 n_samples=n_samples,
                 seed=seed,
                 backend=self.backend,
-                task_timeout=opts.mc_task_timeout_s if opts.enabled else None,
-                task_retries=opts.mc_task_retries if opts.enabled else 0,
+                task_timeout=opts.mc_task_timeout_s,
+                task_retries=opts.mc_task_retries,
             )
             return _stats_from_mc(mc, seed)
-
-        if not opts.enabled:
-            return full_mc(), LadderReport(
-                evaluator="mc",
-                degraded=False,
-                attempts=[{"evaluator": "mc", "outcome": "ok"}],
-            )
-
-        def guarded_mc() -> dict:
-            assert self.breaker is not None
-            return self.breaker.call(full_mc)
 
         def serial_reduced() -> dict:
             n_reduced = min(
@@ -380,7 +369,7 @@ class PlannerService:
 
         return run_ladder(
             [
-                ("mc", guarded_mc),
+                ("mc", lambda: self.breaker.call(full_mc)),
                 ("mc_serial_reduced", serial_reduced),
                 ("quadrature", quadrature),
                 ("series", series),
@@ -554,8 +543,7 @@ class PlannerService:
             "backend": self.backend.kind,
             "cache": self.cache.stats(),
             "resilience": {
-                "enabled": self.resilience.enabled,
-                "breaker": self.breaker.stats() if self.breaker is not None else None,
+                "breaker": self.breaker.stats(),
                 "faults": fault_plan.stats() if fault_plan is not None else None,
             },
         }
@@ -564,6 +552,6 @@ class PlannerService:
         return {
             "metrics": metrics.get_registry().to_dict(),
             "cache": self.cache.stats(),
-            "breaker": self.breaker.stats() if self.breaker is not None else None,
+            "breaker": self.breaker.stats(),
             "uptime_s": self.uptime_s(),
         }

@@ -19,9 +19,8 @@ Design choices:
   like no backend at all, preserving the library's bit-identical seeded
   behavior.
 * ``map`` preserves input order and is strict: a task that still fails
-  after ``retries`` immediate resubmissions
-  (:meth:`repro.resilience.policies.RetryPolicy.immediate`) raises
-  :class:`PoolError` (partial results are never silently dropped).  Every
+  after ``retries`` immediate resubmissions raises :class:`PoolError`
+  (partial results are never silently dropped).  Every
   backend runs the same attempt → collect → resubmit loop and differs
   only in how an attempt starts and how its result is awaited: the serial
   backend runs an attempt inline when it is collected (so nothing after
@@ -44,7 +43,9 @@ Design choices:
   ``repro-serve``'s default ``--jobs 0`` gets.
 
 Metrics (``pool.*``): tasks, retries, timeouts, failures, and a ``pool.map``
-timer, all no-ops unless observability is enabled.
+timer; each resubmission and each exhausted task also counts as
+``resilience.retries`` / ``resilience.retry_exhausted``.  All are no-ops
+unless observability is enabled.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ from typing import Callable, List, Optional, Sequence, TypeVar
 from repro.observability import metrics
 from repro.observability import names
 from repro.resilience import faults
-from repro.resilience.policies import RetryPolicy
 
 __all__ = [
     "PoolError",
@@ -113,7 +113,7 @@ def _run_task(fn: Callable[[T], R], item: T) -> R:
     Module-level so the process backend can pickle it; child processes
     pick chaos drills up through the inherited ``REPRO_FAULTS`` variable.
     """
-    faults.fire("pool.worker")  # repro-lint: disable=RS203 -- an attempt only runs inside map's RetryPolicy handler (_start merely wraps or submits it), and every backend.map caller rides the degradation ladder
+    faults.fire("pool.worker")  # repro-lint: disable=RS203 -- an attempt only runs inside map's retry loop (_start merely wraps or submits it), and every backend.map caller rides the degradation ladder
     return fn(item)
 
 
@@ -136,7 +136,6 @@ class ExecutionBackend:
         retries: int = 0,
     ) -> List[R]:
         """Apply ``fn`` to every item, returning results in input order."""
-        policy = RetryPolicy.immediate(retries)
         items = list(items)
         metrics.inc(names.POOL_TASKS, len(items))
         results: List = [None] * len(items)
@@ -149,7 +148,8 @@ class ExecutionBackend:
                         results[i] = self._collect(attempts[i], timeout)
                         break
                     except Exception as exc:
-                        if not policy.should_retry(tries):
+                        if tries > retries:
+                            metrics.inc(names.RESILIENCE_RETRY_EXHAUSTED)
                             metrics.inc(names.POOL_FAILURES)
                             self._cancel(attempts[i:])
                             raise PoolError(
@@ -157,7 +157,7 @@ class ExecutionBackend:
                                 f"{exc!r}"
                             ) from exc
                         metrics.inc(names.POOL_RETRIES)
-                        policy.backoff(tries)
+                        metrics.inc(names.RESILIENCE_RETRIES)
                         tries += 1
                         attempts[i] = self._start(fn, item)
         return results

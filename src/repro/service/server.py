@@ -29,9 +29,11 @@ threads are daemons and would otherwise be abandoned mid-response.
 
 Resilience: every admitted POST passes the ``server.request``
 fault-injection site.  A ``REPRO_FAULTS`` plan is parsed at boot, before
-the port is bound: a malformed spec exits with status 2 instead of failing
-every request at its first fault site.  The breaker / deadline knobs feed
-the planner's :class:`~repro.service.planner.ResilienceOptions`.  See
+the port is bound: a malformed plan exits with status 2 instead of failing
+every request at its first fault site.  A ``--seed`` or ``--n-samples``
+that the planner would refuse in a request exits 2 the same way.  The
+breaker / deadline knobs feed the planner's
+:class:`~repro.service.planner.ResilienceOptions`.  See
 ``docs/RESILIENCE.md``.
 
 Protocol: the handler parses and answers HTTP/1.1 itself on
@@ -69,7 +71,12 @@ from repro.observability import metrics
 from repro.observability import names
 from repro.resilience import faults
 from repro.service.plancache import PlanCache
-from repro.service.planner import PlannerService, ResilienceOptions, ServiceError
+from repro.service.planner import (
+    PlannerService,
+    ResilienceOptions,
+    ServiceError,
+    _parse_evaluation,
+)
 from repro.service.pool import get_backend
 from repro.service.router import ShardFleet
 from repro.service.shard import ShardStore, recover_or_cold
@@ -446,6 +453,11 @@ def main(argv=None) -> int:
         plan = faults.get_plan()
     except (ValueError, OSError) as exc:
         print(f"repro-serve: bad {faults.ENV_VAR}: {exc}", file=sys.stderr)
+        return 2
+    try:
+        _parse_evaluation({}, args.n_samples, args.seed)
+    except ServiceError as exc:
+        print(f"repro-serve: bad --n-samples/--seed: {exc}", file=sys.stderr)
         return 2
     if plan is not None:
         print(f"Fault plan installed: {plan!r}", file=sys.stderr)

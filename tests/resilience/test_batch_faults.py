@@ -164,7 +164,7 @@ class TestProcessChunkFaultDrill:
     def test_env_plan_reaches_spawned_children(self, registry, clean_fault_env):
         """The documented child path: workers bootstrap the plan from the
         inherited REPRO_FAULTS variable on their first fire."""
-        clean_fault_env.setenv(faults.ENV_VAR, "mc.chunk:error")
+        clean_fault_env.setenv(faults.ENV_VAR, '{"faults": [{"site": "mc.chunk"}]}')
         faults.reset_env_cache()
         with ProcessBackend(2) as backend:
             with pytest.raises(PoolError) as excinfo:

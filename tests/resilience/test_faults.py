@@ -127,14 +127,18 @@ class TestFaultPlan:
 
 
 class TestSpecParsing:
-    def test_compact_spec(self):
-        plan = FaultPlan.from_spec(
-            "seed=7;pool.worker:error:0.3;mc.chunk:hang:1:seconds=12,max=1"
-        )
-        assert plan.seed == 7
-        worker, chunk = plan.rules
-        assert (worker.site, worker.mode, worker.rate) == ("pool.worker", "error", 0.3)
-        assert (chunk.mode, chunk.seconds, chunk.max_triggers) == ("hang", 12.0, 1)
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "seed=7;pool.worker:error:0.3;mc.chunk:hang:1:seconds=12,max=1",
+            "pool.worker:error",
+            "pool.worker",
+        ],
+    )
+    def test_compact_spec_rejected(self, spec):
+        # Only a JSON document is a plan; anything else names a file.
+        with pytest.raises(FileNotFoundError):
+            FaultPlan.from_spec(spec)
 
     def test_inline_json_spec(self):
         plan = FaultPlan.from_spec(
@@ -149,11 +153,18 @@ class TestSpecParsing:
         plan = FaultPlan.from_spec(str(path))
         assert plan.rules[0].site == "mc.chunk"
 
-    def test_bad_segment_rejected(self):
-        with pytest.raises(ValueError, match="bad fault segment"):
-            FaultPlan.from_spec("pool.worker")
-        with pytest.raises(ValueError, match="unknown fault option"):
-            FaultPlan.from_spec("pool.worker:error:1:bogus=1")
+    def test_bad_document_rejected(self):
+        with pytest.raises(ValueError):
+            FaultPlan.from_spec("{not json")
+        # Every malformed document is a ValueError, so repro-serve's boot
+        # check reports it instead of crashing; a misspelt key (the compact
+        # form's "max") is refused rather than ignored.
+        for doc in ('{"seed": null}', '{"faults": 5}',
+                    '{"faults": [{"mode": "error"}]}',
+                    '{"faults": [{"site": "pool.worker", "rate": null}]}',
+                    '{"faults": [{"site": "pool.worker", "max": 3}]}'):
+            with pytest.raises(ValueError, match="bad fault plan"):
+                FaultPlan.from_spec(doc)
         with pytest.raises(ValueError, match="empty"):
             FaultPlan.from_spec("   ")
 
@@ -180,7 +191,9 @@ class TestActivation:
         assert faults.get_plan() is None
 
     def test_env_bootstrap(self, monkeypatch):
-        monkeypatch.setenv(faults.ENV_VAR, "pool.worker:error:1")
+        monkeypatch.setenv(
+            faults.ENV_VAR, '{"faults": [{"site": "pool.worker", "mode": "error"}]}'
+        )
         faults.reset_env_cache()
         try:
             with pytest.raises(InjectedFault):
@@ -190,7 +203,9 @@ class TestActivation:
             faults.reset_env_cache()
 
     def test_explicit_install_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(faults.ENV_VAR, "pool.worker:error:1")
+        monkeypatch.setenv(
+            faults.ENV_VAR, '{"faults": [{"site": "pool.worker", "mode": "error"}]}'
+        )
         faults.reset_env_cache()
         try:
             with faults.installed(FaultPlan([error_rule("mc.chunk")])):

@@ -38,10 +38,9 @@ class TestDeadline:
 
 
 class TestRetryPolicy:
-    def test_immediate_reproduces_hot_loop(self):
+    def test_zero_base_delay_never_sleeps(self):
         slept = []
-        policy = RetryPolicy.immediate(2)
-        policy._sleep = slept.append
+        policy = RetryPolicy(max_attempts=3, base_delay=0.0, sleep=slept.append)
         assert policy.should_retry(1)
         assert policy.should_retry(2)
         assert not policy.should_retry(3)
@@ -91,7 +90,7 @@ class TestRetryPolicy:
 
     def test_retry_metrics(self, enabled_obs):
         reg, _ = enabled_obs
-        policy = RetryPolicy.immediate(1)
+        policy = RetryPolicy(max_attempts=2, base_delay=0.0)
         assert policy.should_retry(1)
         policy.backoff(1)
         assert not policy.should_retry(2)

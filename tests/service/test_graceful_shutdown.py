@@ -1,12 +1,13 @@
 """Boot and graceful shutdown of ``repro-serve --shard-dir`` (one process).
 
-A ``server.request:delay`` fault keeps requests in flight long enough to
+A ``server.request`` delay fault keeps requests in flight long enough to
 SIGTERM the server mid-response.  The contract: every admitted request
 completes, new connections are refused, and — because ``--shard-dir``
 journals every plan when it is cached — a reboot on the same directory
 serves the plan that was in flight at SIGTERM from its journal.  A store
 whose base is unreadable must not keep the server from booting: it starts
-cold and answers.  A malformed ``REPRO_FAULTS`` spec, on the other hand,
+cold and answers.  A malformed ``REPRO_FAULTS`` plan, or a default
+``--seed``/``--n-samples`` the planner would refuse, on the other hand,
 stops the boot before the port is bound.
 """
 
@@ -99,7 +100,9 @@ def stop(proc):
 def test_sigterm_mid_flight_drains_then_reboot_serves_journaled_plan(tmp_path):
     shard_dir = str(tmp_path / "shards")
     # Every admitted request is delayed ~1.2s — the SIGTERM window.
-    delay = "server.request:delay:1:seconds=1.2"
+    delay = json.dumps({"faults": [
+        {"site": "server.request", "mode": "delay", "seconds": 1.2}
+    ]})
     proc, port, banner = boot(shard_dir, faults=delay)
     try:
         assert "recovered=0" in banner, banner
@@ -179,8 +182,10 @@ def test_unreadable_base_boots_cold_and_answers(tmp_path):
 @pytest.mark.parametrize(
     "spec, named",
     [
-        ("pool.worker", "pool.worker"),  # a segment with no mode
+        ("pool.worker", "pool.worker"),  # neither JSON nor a file
+        ("seed=7;pool.worker:error:0.3", "REPRO_FAULTS"),  # no compact form
         ("{not json", "REPRO_FAULTS"),
+        ('{"seed": null}', "REPRO_FAULTS"),  # TypeError inside, not a crash
         ("missing-drill.json", "missing-drill.json"),  # OSError, not ValueError
     ],
 )
@@ -197,9 +202,27 @@ def test_malformed_faults_env_stops_the_boot(tmp_path, spec, named):
     assert not (tmp_path / "shards").exists()  # nothing was opened
 
 
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [("--seed", "-1", "'seed'"), ("--n-samples", "0", "'n_samples'")],
+)
+def test_bad_default_stops_the_boot(tmp_path, capsys, flag, value, field):
+    # Booted, it would answer every request without its own value with 400.
+    from repro.service.server import main
+
+    shard_dir = tmp_path / "shards"
+    argv = ["--port", "0", "--workers", "2", "--shard-dir", str(shard_dir),
+            flag, value]
+    assert main(argv) == 2
+    assert field in capsys.readouterr().err
+    assert not shard_dir.exists()  # no shard spawned, no store opened
+
+
 @pytest.mark.slow
 def test_valid_faults_env_prints_the_banner(tmp_path):
-    spec = "seed=3;server.request:delay:1:seconds=0.01"
+    spec = json.dumps({"seed": 3, "faults": [
+        {"site": "server.request", "mode": "delay", "seconds": 0.01}
+    ]})
     proc, port, banner = boot(str(tmp_path / "shards"), faults=spec)
     try:
         assert "Fault plan installed" in banner, banner

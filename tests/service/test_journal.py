@@ -168,7 +168,7 @@ def test_injected_append_fault_never_corrupts_committed_records(
     with open(store.journal.journal_path, "rb") as fh:
         before = fh.read()
 
-    plan = faults.FaultPlan.from_spec("shard.journal.append:error")
+    plan = faults.FaultPlan([faults.FaultRule("shard.journal.append", "error")])
     faults.install(plan)
     try:
         with pytest.raises(faults.InjectedFault):
@@ -237,7 +237,7 @@ def test_injected_compact_fault_preserves_base_and_journal(tmp_path, clock):
         {"key": k, "created_at": ts, "payload": payload}
         for k, (ts, payload) in live.items()
     ]
-    faults.install(faults.FaultPlan.from_spec("shard.compact:error"))
+    faults.install(faults.FaultPlan([faults.FaultRule("shard.compact", "error")]))
     try:
         with pytest.raises(faults.InjectedFault):
             journal.compact(entries)
@@ -252,7 +252,7 @@ def test_injected_compact_fault_preserves_base_and_journal(tmp_path, clock):
     with open(journal.journal_path, "rb") as fh:
         journal_before = fh.read()
 
-    faults.install(faults.FaultPlan.from_spec("shard.compact:error"))
+    faults.install(faults.FaultPlan([faults.FaultRule("shard.compact", "error")]))
     try:
         with pytest.raises(faults.InjectedFault):
             journal.compact(entries)

@@ -164,6 +164,31 @@ class TestValidation:
         assert response["evaluator"] == "mc"
         assert response["degraded"] is False
 
+    @pytest.mark.parametrize("method", ["plan", "evaluate"])
+    @pytest.mark.parametrize(
+        "field, value",
+        [("seed", 2.9), ("n_samples", 400.7), ("seed", True),
+         ("n_samples", False), ("seed", "7"), ("n_samples", None)],
+    )
+    def test_non_integers_are_refused_not_truncated(
+        self, service, method, field, value
+    ):
+        with pytest.raises(ServiceError, match=f"'{field}' must be an integer"
+                           ) as err:
+            getattr(service, method)(dict(REQUEST, **{field: value}))
+        assert err.value.status == 400
+
+    def test_integral_floats_are_integers(self, service):
+        evaluation = service.evaluate(dict(REQUEST, seed=3.0, n_samples=600.0))
+        assert evaluation["evaluation"]["seed"] == 3
+        assert evaluation["evaluation"]["n_samples"] == 600
+
+    @pytest.mark.parametrize("defaults", [{"seed": -1}, {"n_samples": 0},
+                                          {"seed": 0.5}])
+    def test_bad_defaults_are_refused_at_construction(self, defaults):
+        with pytest.raises(ServiceError):
+            PlannerService(**defaults)
+
     def test_service_error_status_defaults_to_400(self):
         assert ServiceError("nope").status == 400
         assert ServiceError("big", status=413).status == 413

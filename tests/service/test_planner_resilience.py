@@ -63,17 +63,29 @@ class TestBitCompatibility:
         assert response["statistics"]["expected_cost"] == mc.mean_cost
         assert response["statistics"]["std_error"] == mc.std_error
 
-    def test_enabled_equals_disabled_without_faults(self, registry):
-        enabled = PlannerService().plan(REQUEST)
-        disabled = PlannerService(resilience=ResilienceOptions.disabled()).plan(
-            REQUEST
+    def test_evaluate_matches_raw_kernel_without_faults(self, registry):
+        """/evaluate's first rung is the same bare kernel call, on the
+        cached reservations with the doubling tail."""
+        service = PlannerService()
+        request = {**REQUEST, "n_samples": 600, "seed": 9}
+        response = service.evaluate(request)
+        assert response["degraded"] is False
+        assert response["evaluator"] == "mc"
+
+        plan = service.plan(request)
+        sequence = ReservationSequence(
+            plan["plan"]["reservations"],
+            extend=lambda values: float(values[-1]) * 2.0,
         )
-        assert (
-            enabled["statistics"]["expected_cost"]
-            == disabled["statistics"]["expected_cost"]
+        mc = monte_carlo_expected_cost(
+            sequence,
+            make_distribution("lognormal", mu=3.0, sigma=0.5),
+            CostModel(alpha=1.0, beta=0.0, gamma=0.0),
+            n_samples=600,
+            seed=9,
         )
-        assert disabled["degraded"] is False
-        assert disabled["evaluator"] == "mc"
+        assert response["evaluation"]["expected_cost"] == mc.mean_cost
+        assert response["evaluation"]["std_error"] == mc.std_error
 
 
 class TestPooledPlans:
@@ -165,11 +177,5 @@ class TestBreakerIntegration:
     def test_health_and_metrics_expose_resilience(self, registry):
         service = PlannerService()
         health = service.health()
-        assert health["resilience"]["enabled"] is True
         assert health["resilience"]["breaker"]["state"] == "closed"
         assert service.metrics_payload()["breaker"]["name"] == "mc-backend"
-
-    def test_disabled_resilience_has_no_breaker(self, registry):
-        service = PlannerService(resilience=ResilienceOptions.disabled())
-        assert service.breaker is None
-        assert service.health()["resilience"]["breaker"] is None

@@ -17,7 +17,7 @@ from collections import Counter
 import pytest
 
 from repro.resilience import faults
-from repro.resilience.faults import FaultPlan
+from repro.resilience.faults import FaultPlan, FaultRule
 from repro.service.plancache import PlanCache
 from repro.service.router import HashRing, ShardedPlanCache
 from repro.service.shard import (
@@ -302,7 +302,7 @@ def test_stale_pooled_socket_reconnects_once(tmp_path, enabled_obs):
     accepted = count_accepts(second)
     thread = threading.Thread(target=second.serve_forever, daemon=True)
     thread.start()
-    plan = FaultPlan.from_spec("shard.rpc:delay:1:seconds=0")
+    plan = FaultPlan([FaultRule("shard.rpc", "delay", seconds=0.0)])
     calls_before = registry.counter("shard.rpc_calls").value
     try:
         with faults.installed(plan):

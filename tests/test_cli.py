@@ -58,6 +58,36 @@ class TestPlanCli:
         with pytest.raises(SystemExit):
             main([])
 
+    def test_printed_cache_key_names_the_seeded_plan(self, tmp_path, capsys):
+        """The brute-force seed is one of the key's knobs, so repro-serve
+        answers the printed key with the plan ``--output`` wrote."""
+        import json
+
+        from repro import CostModel
+        from repro.distributions.weibull import Weibull
+        from repro.service.keys import plan_key
+        from repro.service.planner import PlannerService
+
+        plans = {}
+        for seed in (0, 3):
+            path = tmp_path / f"plan-{seed}.json"
+            assert main(["--distribution", "weibull", "--param", "scale=1",
+                         "--param", "shape=0.5", "--seed", str(seed),
+                         "--output", str(path)]) == 0
+            key = plan_key(Weibull(1.0, 0.5), CostModel.reservation_only(),
+                           "brute_force", knobs={"seed": seed}, coverage=0.999)
+            assert f"Plan cache key:       {key[:16]}…" in capsys.readouterr().out
+            reservations = json.loads(path.read_text())["reservations"]
+            served = PlannerService().plan({
+                "distribution": {"law": "weibull",
+                                 "params": {"scale": 1.0, "shape": 0.5}},
+                "strategy": {"name": "brute_force", "knobs": {"seed": seed}},
+            })
+            assert served["key"] == key
+            assert served["plan"]["reservations"] == reservations
+            plans[seed] = reservations
+        assert plans[0] != plans[3]  # one key per plan, not per request
+
 
 class TestObservabilityFlags:
     ARGS = ["--distribution", "exponential", "--param", "rate=1.0",
