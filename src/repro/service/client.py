@@ -15,8 +15,8 @@ backoff).  Retryable failures are connection errors (``URLError``) and the
 transient statuses 429/500/502/503; for a 429 the server's ``Retry-After``
 hint is honored (capped at ``max_retry_after`` seconds) instead of the
 policy's own backoff — the server knows when capacity frees up better than
-the client's jitter does.  Pass ``retry=None`` to restore the historical
-fail-fast behavior.
+the client's jitter does.  Pass ``retry=RetryPolicy(max_attempts=1)`` to
+fail fast.
 
 Errors: non-2xx responses raise :class:`ServiceHTTPError` carrying the
 status code, the server's ``error`` message, and (for a 429) the parsed
@@ -51,10 +51,6 @@ class ServiceHTTPError(RuntimeError):
         self.retry_after = retry_after
 
 
-def _default_retry_policy() -> RetryPolicy:
-    return RetryPolicy(max_attempts=3, base_delay=0.1, max_delay=2.0)
-
-
 class ServiceClient:
     """HTTP client for the planner service."""
 
@@ -62,14 +58,17 @@ class ServiceClient:
         self,
         base_url: str,
         timeout: float = 30.0,
-        retry: Optional[RetryPolicy] = "default",  # type: ignore[assignment]
+        retry: Optional[RetryPolicy] = None,
         max_retry_after: float = 5.0,
     ):
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
-        # The sentinel keeps ``retry=None`` available as the explicit
-        # "never retry" opt-out while defaulting everyone else to backoff.
-        self.retry = _default_retry_policy() if retry == "default" else retry
+        # ``None`` is the default policy: at most two retries.
+        self.retry = (
+            RetryPolicy(max_attempts=3, base_delay=0.1, max_delay=2.0)
+            if retry is None
+            else retry
+        )
         self.max_retry_after = float(max_retry_after)
 
     # -- transport -----------------------------------------------------
@@ -105,8 +104,6 @@ class ServiceClient:
 
     def _request(self, path: str, body: Optional[dict] = None) -> dict:
         policy = self.retry
-        if policy is None:
-            return self._request_once(path, body)
         attempt = 0
         while True:
             attempt += 1

@@ -17,9 +17,9 @@ Record grammar (``op`` selects the shape)::
 
     {"op": "segment", "version": 1, "created_at": <ts>}      # header
     {"op": "put", "key": k, "created_at": <ts>, "payload": {...}}
-    {"op": "invalidate", "key": k}
-    {"op": "evict", "key": k}       # capacity eviction, same replay effect
-    {"op": "clear"}                 # replay-only: older journals may hold one
+    {"op": "evict", "key": k}       # capacity eviction
+    {"op": "invalidate", "key": k}  # replay-only: older journals may hold one
+    {"op": "clear"}                 # replay-only, likewise
 
 Durability discipline:
 
@@ -73,6 +73,11 @@ JOURNAL_FILENAME = "journal.jsonl"
 
 #: Ops applied during replay (anything else is skipped for forward compat).
 _REPLAY_OPS = ("put", "invalidate", "evict", "clear")
+
+
+def _encode(record: dict) -> bytes:
+    """One compact JSON line, as every journal and base file holds it."""
+    return json.dumps(record, separators=(",", ":")).encode("utf-8") + b"\n"
 
 
 class JournalCorrupt(RuntimeError):
@@ -158,7 +163,7 @@ class ShardJournal:
         ``__init__``/``compact``) hold ``_lock``.
         """
         assert self._fh is not None
-        line = json.dumps(record, separators=(",", ":")).encode("utf-8") + b"\n"
+        line = _encode(record)
         self._fh.write(line)
         self._fh.flush()
         if self._fsync:
@@ -186,7 +191,7 @@ class ShardJournal:
         with self._lock:
             if self._fh is None:
                 raise RuntimeError("journal is closed")
-            faults.fire("shard.journal.append")  # repro-lint: disable=RS203 -- raising out of ShardStore's mutators is the torn-write contract (the cache is only mutated after the record is durable); the serving path terminates in the shard RPC handler's structured-error guard, and the remaining routes are name-based CHA conflating ShardStore.put/invalidate with unrelated caches'
+            faults.fire("shard.journal.append")  # repro-lint: disable=RS203 -- raising out of ShardStore's mutators is the torn-write contract (the cache is only mutated after the record is durable); the serving path terminates in the shard RPC handler's structured-error guard, and the remaining routes are name-based CHA conflating ShardStore.put with unrelated caches'
             written = self._write_line(record)
             self._appends += 1
         metrics.inc(names.SHARD_JOURNAL_APPENDS)
@@ -215,51 +220,43 @@ class ShardJournal:
         with self._lock:
             if self._fh is None:
                 raise RuntimeError("journal is closed")
-            fd, tmp_path = tempfile.mkstemp(
-                prefix=BASE_FILENAME + ".", suffix=".tmp", dir=self.directory
-            )
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    json.dump(doc, fh, separators=(",", ":"))
-                    fh.write("\n")
-                    # The fault window: base staged but not yet published.
-                    faults.fire("shard.compact")
-                    fh.flush()
-                    os.fsync(fh.fileno())  # repro-lint: disable=RS202 -- durability barrier: the base must be on disk before the segment is reset, and appends must not interleave with the swap
-                durable_replace(tmp_path, self.base_path)
-            except BaseException:
-                try:
-                    os.unlink(tmp_path)
-                except OSError:
-                    pass
-                raise
+            self._publish(self.base_path, _encode(doc), fault_window=True)
             # Base is durable; now reset the segment the same way.
             self._fh.close()
             self._fh = None
-            header = self._segment_header()
-            fd, tmp_path = tempfile.mkstemp(
-                prefix=JOURNAL_FILENAME + ".", suffix=".tmp", dir=self.directory
-            )
             try:
-                with os.fdopen(fd, "wb") as fh_bytes:
-                    fh_bytes.write(
-                        json.dumps(header, separators=(",", ":")).encode("utf-8")
-                        + b"\n"
-                    )
-                    fh_bytes.flush()
-                    os.fsync(fh_bytes.fileno())  # repro-lint: disable=RS202 -- durability barrier: the fresh segment must be on disk before it replaces the old one; appends must not interleave
-                durable_replace(tmp_path, self.journal_path)
-            except BaseException:
-                try:
-                    os.unlink(tmp_path)
-                except OSError:
-                    pass
-                self._open_segment()  # reattach to whatever segment survived
-                raise
-            self._fh = open(self.journal_path, "ab")  # repro-lint: disable=RS202 -- reattach before releasing the lock, or a concurrent append would race the swap
-            self._segment_bytes = os.path.getsize(self.journal_path)
+                self._publish(self.journal_path, _encode(self._segment_header()))
+            finally:
+                # The fresh segment, or whichever survived a failed reset.
+                self._open_segment()
             self._compactions += 1
         metrics.inc(names.SHARD_COMPACTIONS)
+
+    def _publish(self, path: str, data: bytes, fault_window: bool = False) -> None:
+        """Durably replace ``path`` with ``data``: temp file, fsync, rename.
+
+        With ``fault_window`` the ``shard.compact`` site fires after
+        ``data`` is staged and before it is published.  On any failure the
+        temp file is removed and ``path`` is untouched.  Private helper: ``compact`` holds ``_lock``, so no
+        append interleaves with the swap.
+        """
+        fd, tmp_path = tempfile.mkstemp(
+            prefix=os.path.basename(path) + ".", suffix=".tmp", dir=self.directory
+        )
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
+                if fault_window:
+                    faults.fire("shard.compact")
+                fh.flush()
+                os.fsync(fh.fileno())
+            durable_replace(tmp_path, path)
+        except BaseException:
+            try:
+                os.unlink(tmp_path)
+            except OSError:
+                pass
+            raise
 
     # -- replay ---------------------------------------------------------
     def replay(self) -> ReplayResult:

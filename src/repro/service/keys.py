@@ -140,14 +140,13 @@ def plan_key(
     strategy: str,
     knobs: Optional[Mapping] = None,
     coverage: Optional[float] = None,
-    extra: Optional[Mapping] = None,
 ) -> str:
     """SHA-256 content hash identifying one reservation plan.
 
     ``coverage`` is the quantile the materialized sequence is extended to
     cover (it changes the concrete reservation list, so it is part of the
-    identity); ``extra`` is an escape hatch for callers with additional
-    discretization knobs.
+    identity).  The hashed document keeps an empty ``extra`` field so keys
+    stay those of ``KEY_VERSION`` 1.
     """
     payload = {
         "version": KEY_VERSION,
@@ -155,6 +154,6 @@ def plan_key(
         "cost_model": cost_model_token(cost_model),
         "strategy": strategy_token(strategy, knobs),
         "coverage": coverage,
-        "extra": dict(extra or {}),
+        "extra": {},
     }
     return hashlib.sha256(canonical_json(payload).encode("ascii")).hexdigest()

@@ -15,6 +15,12 @@ of :mod:`repro.service.keys`.  Three properties matter for the service:
 ``get_or_compute`` is single-flight per key: concurrent requests for the
 same uncached plan serialize on a striped key lock, so an expensive DP runs
 once instead of once per waiter (different keys still compute in parallel).
+:class:`SingleFlight` holds those locks; the sharded facade
+(:class:`~repro.service.router.ShardedPlanCache`) uses it too.
+
+No operation removes an entry: a plan is a function of its content-hash
+key, so an entry cannot go stale — it only ages out (``ttl``) or is
+evicted.
 
 The cache itself is memory-only.  Persistence is the journaled subclass
 :class:`~repro.service.shard.ShardStore`: it records every mutation in a
@@ -27,17 +33,54 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.observability import metrics
 from repro.observability import names
 from repro.service.keys import stable_key_hash
 
-__all__ = ["PlanCache"]
+__all__ = ["PlanCache", "SingleFlight"]
 
 #: Number of striped single-flight locks (bounds memory; collisions only
 #: serialize two *different* cold keys, never corrupt anything).
 _N_STRIPES = 64
+
+
+class SingleFlight:
+    """Striped per-key locks: concurrent misses on one key compute once."""
+
+    def __init__(self) -> None:
+        self._stripes = [threading.Lock() for _ in range(_N_STRIPES)]
+
+    def __call__(
+        self,
+        key: str,
+        lookup: Callable[[str], Tuple[Optional[dict], Any]],
+        factory: Callable[[], dict],
+        store: Callable[[str, dict], Any],
+    ) -> Tuple[dict, Any, bool]:
+        """Return ``(payload, where, was_cached)``.
+
+        ``lookup(key)`` answers ``(payload-or-None, where)``; on a miss
+        ``factory`` runs outside any cache lock (it may take seconds for a
+        DP plan) but inside the key's stripe lock, and ``store(key,
+        payload)`` answers ``where`` it was put.  A warm hit is one lookup
+        and touches no stripe.
+        """
+        payload, where = lookup(key)
+        if payload is not None:
+            return payload, where, True
+        # Stripe selection must be process-independent: builtin hash() is
+        # randomized per interpreter (PYTHONHASHSEED), which would assign
+        # the same key to different stripes in different workers.  The
+        # content-hash key already carries uniform bits — use those.
+        with self._stripes[stable_key_hash(key) % _N_STRIPES]:
+            payload, where = lookup(key)  # a waiter finds the winner's entry
+            if payload is not None:
+                return payload, where, True
+            with metrics.timer(names.PLANCACHE_COMPUTE):
+                payload = factory()
+            return payload, store(key, payload), False
 
 
 class PlanCache:
@@ -58,15 +101,12 @@ class PlanCache:
         self._clock = clock
         self._data: "OrderedDict[str, Tuple[float, dict]]" = OrderedDict()
         self._lock = threading.Lock()
-        self._stripes = [threading.Lock() for _ in range(_N_STRIPES)]
+        self._single_flight = SingleFlight()
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         with self._lock:
             return len(self._data)
-
-    def __contains__(self, key: str) -> bool:
-        return self.get(key) is not None
 
     def _expired(self, created_at: float) -> bool:
         return self.ttl is not None and self._clock() - created_at > self.ttl
@@ -110,35 +150,14 @@ class PlanCache:
     def get_or_compute(
         self, key: str, factory: Callable[[], dict]
     ) -> Tuple[dict, bool]:
-        """Return ``(payload, was_cached)``, computing at most once per key.
+        """Return ``(payload, was_cached)``, computing at most once per key."""
+        payload, _, cached = self._single_flight(
+            key, self._lookup, factory, self.put
+        )
+        return payload, cached
 
-        The factory runs outside the cache lock (it may take seconds for a
-        DP plan) but inside a per-key stripe lock, so concurrent identical
-        requests wait for one computation instead of duplicating it.
-        """
-        payload = self.get(key)
-        if payload is not None:
-            return payload, True
-        # Stripe selection must be process-independent: builtin hash() is
-        # randomized per interpreter (PYTHONHASHSEED), which would assign
-        # the same key to different stripes in different workers.  The
-        # content-hash key already carries uniform bits — use those.
-        stripe = self._stripes[stable_key_hash(key) % _N_STRIPES]
-        with stripe:
-            payload = self.get(key)  # a waiter finds the winner's entry here
-            if payload is not None:
-                return payload, True
-            with metrics.timer(names.PLANCACHE_COMPUTE):
-                payload = factory()
-            self.put(key, payload)
-            return payload, False
-
-    def invalidate(self, key: str) -> bool:
-        with self._lock:
-            removed = self._data.pop(key, None) is not None
-            if removed:
-                metrics.set_gauge(names.PLANCACHE_SIZE, len(self._data))
-            return removed
+    def _lookup(self, key: str) -> Tuple[Optional[dict], None]:
+        return self.get(key), None
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, object]:

@@ -92,8 +92,6 @@ class PlanCacheLike(Protocol):
         self, key: str, factory: Callable[[], dict]
     ) -> Tuple[dict, bool]: ...
 
-    def invalidate(self, key: str) -> bool: ...
-
     def stats(self) -> Dict[str, object]: ...
 
 PAYLOAD_VERSION = 1

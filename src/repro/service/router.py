@@ -9,13 +9,13 @@ Three layers, bottom-up:
   to the same shard, and adding/removing one shard moves only ~1/N of
   the keyspace.
 * :class:`ShardedPlanCache` — the front-end facade that speaks the
-  :class:`~repro.service.plancache.PlanCache` protocol
-  (``get_or_compute`` / ``invalidate`` / ``stats``) but serves every key
-  from its ring shard over RPC.  When a shard is down (marked by the
-  fleet's probe loop, or discovered via a failed RPC) the key fails over
-  to the next shard on its preference list; when *all* shards are down
-  the plan is computed and returned uncached (``shard.put_drops``) — a
-  dead cache tier degrades latency, never availability.
+  planner's cache protocol (``get_or_compute`` / ``stats``) but serves
+  every key from its ring shard over RPC.  When a shard is down (marked
+  by the fleet's probe loop, or discovered via a failed RPC) the key
+  fails over to the next shard on its preference list; when *all*
+  shards are down the plan is computed and returned uncached
+  (``shard.put_drops``) — a dead cache tier degrades latency, never
+  availability.
 * :class:`ShardFleet` — spawns the ``python -m repro.service.shard``
   worker processes, parses their banners, and supervises them with one
   probe thread (SIGKILL a worker and its keys fail over within a ping
@@ -38,7 +38,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.observability import metrics
 from repro.observability import names
 from repro.service.keys import stable_key_hash
-from repro.service.shard import ShardClient, ShardError, ShardUnavailable
+from repro.service.plancache import SingleFlight
+from repro.service.shard import LOOPBACK, ShardClient, ShardError, ShardUnavailable
 
 __all__ = ["HashRing", "ShardedPlanCache", "ShardFleet", "BANNER_RE"]
 
@@ -61,9 +62,6 @@ MAX_PING_FAILURES = 3
 
 #: Delay before a restart starts (lets a crash loop breathe).
 RESTART_BACKOFF_S = 0.25
-
-#: Striped single-flight locks for cold keys (same rationale as PlanCache).
-_N_STRIPES = 64
 
 #: Worker banner: ``repro-shard 2 listening on 127.0.0.1:45123 pid=77 recovered=9``
 BANNER_RE = re.compile(
@@ -88,9 +86,6 @@ class HashRing:
         points.sort()
         self._points = points
         self._tokens = [token for token, _ in points]
-
-    def __len__(self) -> int:
-        return len(self.shard_ids)
 
     def primary(self, key: str) -> int:
         """The shard that owns ``key`` when every shard is healthy."""
@@ -119,7 +114,7 @@ class HashRing:
 
 
 class ShardedPlanCache:
-    """PlanCache-protocol facade that routes keys across shard workers.
+    """Planner cache tier that routes keys across shard workers.
 
     The planner talks to this exactly like it talks to a local
     :class:`~repro.service.plancache.PlanCache`; the extra
@@ -142,13 +137,9 @@ class ShardedPlanCache:
         self.ttl = ttl
         self._down: set = set()
         self._state_lock = threading.Lock()
-        self._stripes = [threading.Lock() for _ in range(_N_STRIPES)]
+        self._single_flight = SingleFlight()
 
     # -- shard liveness (router view; the fleet's probe loop drives it) --
-    @property
-    def n_shards(self) -> int:
-        return len(self._clients)
-
     def client(self, shard_id: int) -> ShardClient:
         return self._clients[shard_id]
 
@@ -245,15 +236,7 @@ class ShardedPlanCache:
             "down": self.down_shards(),
         }
 
-    # -- PlanCache protocol ---------------------------------------------
-    def get(self, key: str) -> Optional[dict]:
-        payload, _ = self._get_routed(key)
-        metrics.inc(names.SHARD_HITS if payload is not None else names.SHARD_MISSES)
-        return payload
-
-    def put(self, key: str, payload: dict) -> None:
-        self._put_routed(key, payload)
-
+    # -- planner cache protocol -----------------------------------------
     def get_or_compute(
         self, key: str, factory: Callable[[], dict]
     ) -> Tuple[dict, bool]:
@@ -265,51 +248,18 @@ class ShardedPlanCache:
     ) -> Tuple[dict, bool, Dict[str, object]]:
         """``(payload, was_cached, route)`` — the planner stamps ``route``.
 
-        Single-flight per key within this front end (striped locks, same
-        discipline as ``PlanCache.get_or_compute``); shard workers are
-        shared state across front ends, so a second front end racing the
-        same cold key costs one duplicate compute, never corruption.
+        Single-flight per key within this front end (the same
+        :class:`~repro.service.plancache.SingleFlight` a local cache uses);
+        shard workers are shared state across front ends, so a second front
+        end racing the same cold key costs one duplicate compute, never
+        corruption.
         """
         primary = self._ring.primary(key)
-        payload, served_by = self._get_routed(key)
-        if payload is not None:
-            metrics.inc(names.SHARD_HITS)
-            return payload, True, self._route_info(primary, served_by)
-        stripe = self._stripes[stable_key_hash(key) % _N_STRIPES]
-        with stripe:
-            payload, served_by = self._get_routed(key)
-            if payload is not None:
-                metrics.inc(names.SHARD_HITS)
-                return payload, True, self._route_info(primary, served_by)
-            metrics.inc(names.SHARD_MISSES)
-            with metrics.timer(names.PLANCACHE_COMPUTE):
-                payload = factory()
-            served_by = self._put_routed(key, payload)
-            return payload, False, self._route_info(primary, served_by)
-
-    def invalidate(self, key: str) -> bool:
-        """Broadcast the invalidate: failover may have cached ``key`` on any
-        shard, so only the shard that never saw it may skip the record."""
-        removed = False
-        with self._state_lock:
-            clients = dict(self._clients)
-            down = set(self._down)
-        for sid, client in sorted(clients.items()):
-            if sid in down:
-                continue
-            try:
-                removed = client.invalidate(key) or removed
-            except (ShardUnavailable, ShardError):
-                self.mark_down(sid)
-        return removed
-
-    def __len__(self) -> int:
-        total = 0
-        for shard in self.stats()["shards"].values():  # type: ignore[union-attr]
-            size = shard.get("size") if isinstance(shard, dict) else None
-            if isinstance(size, int):
-                total += size
-        return total
+        payload, served_by, cached = self._single_flight(
+            key, self._get_routed, factory, self._put_routed
+        )
+        metrics.inc(names.SHARD_HITS if cached else names.SHARD_MISSES)
+        return payload, cached, self._route_info(primary, served_by)
 
     def stats(self) -> Dict[str, object]:
         """Fleet stats for ``/healthz``: per-shard size/pid/journal + ring."""
@@ -359,7 +309,6 @@ class ShardFleet:
         maxsize_per_shard: int = 4096,
         ttl: Optional[float] = None,
         journal_max_bytes: int = 1 << 20,
-        host: str = "127.0.0.1",
     ):
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
@@ -368,7 +317,6 @@ class ShardFleet:
         self.maxsize_per_shard = int(maxsize_per_shard)
         self.ttl = ttl
         self.journal_max_bytes = int(journal_max_bytes)
-        self.host = host
         self._procs: Dict[int, subprocess.Popen] = {}
         self._lock = threading.Lock()
         self.cache: Optional[ShardedPlanCache] = None
@@ -422,8 +370,6 @@ class ShardFleet:
             str(shard_id),
             "--data-dir",
             self._shard_dir(shard_id),
-            "--host",
-            self.host,
             "--port",
             "0",
             "--maxsize",
@@ -447,7 +393,7 @@ class ShardFleet:
             proc.kill()
             proc.wait()
             raise
-        return proc, ShardClient(self.host, port, shard_id, timeout=RPC_TIMEOUT_S)
+        return proc, ShardClient(LOOPBACK, port, shard_id, timeout=RPC_TIMEOUT_S)
 
     def _read_banner(self, proc: subprocess.Popen) -> int:
         """Wait for the worker's banner; returns its bound port."""
@@ -466,12 +412,19 @@ class ShardFleet:
         thread.start()
         thread.join(BOOT_TIMEOUT_S)
         port = result.get("port")
-        if not isinstance(port, int):
+        if isinstance(port, int):
+            return port
+        if result.get("eof"):
+            # It closed stdout without a banner: it is exiting, so wait
+            # for the status rather than report a still-running process.
             raise RuntimeError(
-                "shard worker did not print its banner within "
-                f"{BOOT_TIMEOUT_S}s (exit={proc.poll()})"
+                "shard worker exited before printing its banner "
+                f"(exit={proc.wait(RPC_TIMEOUT_S)})"
             )
-        return port
+        raise RuntimeError(
+            "shard worker did not print its banner within "
+            f"{BOOT_TIMEOUT_S}s (exit={proc.poll()})"
+        )
 
     # -- probe loop -----------------------------------------------------
     def _probe_loop(self) -> None:

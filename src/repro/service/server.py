@@ -31,7 +31,11 @@ Resilience: every admitted POST passes the ``server.request``
 fault-injection site.  A ``REPRO_FAULTS`` plan is parsed at boot, before
 the port is bound: a malformed plan exits with status 2 instead of failing
 every request at its first fault site.  A ``--seed`` or ``--n-samples``
-that the planner would refuse in a request exits 2 the same way.  The
+that the planner would refuse in a request exits 2 the same way, as does
+a negative ``--workers`` or ``--max-inflight``, a ``--cache-size`` or
+``--shard-journal-bytes`` below 1 and a ``--ttl`` that is not positive.
+The port is bound before any shard worker is spawned, and a boot that
+fails after the spawn stops the fleet before it exits.  The
 breaker / deadline knobs feed the planner's
 :class:`~repro.service.planner.ResilienceOptions`.  See
 ``docs/RESILIENCE.md``.
@@ -64,7 +68,7 @@ import threading
 import time
 from email.utils import formatdate
 from http import HTTPStatus
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro import observability as obs
 from repro.observability import metrics
@@ -103,9 +107,9 @@ class PlanServer(socketserver.ThreadingTCPServer):
         service: PlannerService,
         max_inflight: int = 8,
     ):
-        super().__init__(address, _Handler)
-        if max_inflight < 0:
+        if max_inflight < 0:  # before the bind, so no listener leaks
             raise ValueError(f"max_inflight must be >= 0, got {max_inflight}")
+        super().__init__(address, _Handler)
         self.service = service
         self.max_inflight = max_inflight
         self._admission = threading.Semaphore(max_inflight)
@@ -341,6 +345,23 @@ def serve(
     return PlanServer((host, port), service, max_inflight=max_inflight)
 
 
+def _bad_numeric_flag(args: argparse.Namespace) -> Optional[str]:
+    """The first numeric flag no component would accept, as one line."""
+    if args.workers < 0:
+        return f"--workers must be >= 0, got {args.workers}"
+    if args.cache_size < 1:
+        return f"--cache-size must be >= 1, got {args.cache_size}"
+    if args.ttl is not None and not args.ttl > 0:
+        return f"--ttl must be positive, got {args.ttl}"
+    if args.max_inflight < 0:
+        return f"--max-inflight must be >= 0, got {args.max_inflight}"
+    if args.shard_journal_bytes < 1:
+        return (
+            f"--shard-journal-bytes must be >= 1, got {args.shard_journal_bytes}"
+        )
+    return None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-serve",
@@ -459,12 +480,18 @@ def main(argv=None) -> int:
     except ServiceError as exc:
         print(f"repro-serve: bad --n-samples/--seed: {exc}", file=sys.stderr)
         return 2
+    bad = _bad_numeric_flag(args)
+    if bad is not None:
+        print(f"repro-serve: {bad}", file=sys.stderr)
+        return 2
     if plan is not None:
         print(f"Fault plan installed: {plan!r}", file=sys.stderr)
     obs.enable()
     fleet = None
     store = None
     if args.workers > 0:
+        # Spawned once the port is bound; the planner's cache until then
+        # is a placeholder that never serves a request.
         fleet = ShardFleet(
             n_shards=args.workers,
             data_dir=args.shard_dir or "repro-shards",
@@ -472,12 +499,7 @@ def main(argv=None) -> int:
             ttl=args.ttl,
             journal_max_bytes=args.shard_journal_bytes,
         )
-        cache = fleet.start()
-        print(
-            f"Shard fleet up: {args.workers} worker(s), pids="
-            f"{sorted(fleet.pids().values())}, data={fleet.data_dir}",
-            file=sys.stderr,
-        )
+        cache = None
     elif args.shard_dir:
         store = ShardStore(
             os.path.join(args.shard_dir, "shard-0"),
@@ -506,30 +528,47 @@ def main(argv=None) -> int:
             breaker_recovery_s=args.breaker_recovery,
         ),
     )
-    server = serve(
-        service, host=args.host, port=args.port, max_inflight=args.max_inflight
-    )
-
-    def _shutdown(signum, frame):
-        threading.Thread(target=server.shutdown, daemon=True).start()
-
-    for sig in (signal.SIGINT, signal.SIGTERM):
-        signal.signal(sig, _shutdown)
-
-    host = server.server_address[0]
-    print(
-        f"repro-serve listening on http://{host}:{server.port} "
-        f"(backend={service.backend.kind}, cache={service.cache.maxsize}, "
-        f"workers={args.workers}, max_inflight={args.max_inflight})",
-        flush=True,
-    )
     try:
+        server = serve(
+            service, host=args.host, port=args.port, max_inflight=args.max_inflight
+        )
+    except OSError as exc:
+        print(
+            f"repro-serve: cannot bind {args.host}:{args.port}: {exc}",
+            file=sys.stderr,
+        )
+        if store is not None:
+            store.close()
+        return 1
+    try:
+        if fleet is not None:
+            service.cache = fleet.start()
+            print(
+                f"Shard fleet up: {args.workers} worker(s), pids="
+                f"{sorted(fleet.pids().values())}, data={fleet.data_dir}",
+                file=sys.stderr,
+            )
+
+        def _shutdown(signum, frame):
+            threading.Thread(target=server.shutdown, daemon=True).start()
+
+        for sig in (signal.SIGINT, signal.SIGTERM):
+            signal.signal(sig, _shutdown)
+
+        host = server.server_address[0]
+        print(
+            f"repro-serve listening on http://{host}:{server.port} "
+            f"(backend={service.backend.kind}, cache={service.cache.maxsize}, "
+            f"workers={args.workers}, max_inflight={args.max_inflight})",
+            flush=True,
+        )
         server.serve_forever(poll_interval=0.2)
     finally:
         # Ordered shutdown: close the socket first (new connections are
         # refused), then drain admitted requests, then release the cache
         # tier.  Nothing is persisted here: every plan was journaled when
-        # it was put.
+        # it was put.  A boot that failed before serving takes the same
+        # path, so no shard worker outlives it.
         server.server_close()
         if not server.drain(timeout=args.drain_timeout):
             print(

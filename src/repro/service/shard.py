@@ -6,14 +6,15 @@ memory (:class:`~repro.service.plancache.PlanCache`) and on disk
 (:class:`~repro.service.journal.ShardJournal`).  Three pieces live here:
 
 * :class:`ShardStore` — the ``PlanCache`` subclass that journals every
-  ``put`` / ``invalidate`` and capacity eviction *before* the
-  in-memory mutation, so a SIGKILL at any instant recovers to the exact
-  committed state via ``base + journal`` replay
-  (:meth:`ShardStore.recover`).  Single-process ``repro-serve
-  --shard-dir D`` serves from one of these in-process at ``D/shard-0``;
+  ``put`` and capacity eviction *before* the in-memory mutation, so a
+  SIGKILL at any instant recovers to the exact committed state via
+  ``base + journal`` replay (:meth:`ShardStore.recover`).  Single-process
+  ``repro-serve --shard-dir D`` serves from one of these in-process at
+  ``D/shard-0``;
 * :class:`ShardServer` + :func:`main` — the worker process:
   ``python -m repro.service.shard --shard-id K --data-dir D`` binds a
-  localhost TCP port, replays its journal (per-shard warm start), prints a
+  loopback TCP port (the RPC has no authentication, so it never binds
+  another address), replays its journal (per-shard warm start), prints a
   banner the parent parses, and answers newline-delimited JSON requests;
 * :class:`ShardClient` — the router side of that protocol.  Every call
   passes the ``shard.rpc`` fault site; transport failures raise
@@ -28,10 +29,10 @@ connection goes back to the free list only after a complete answer line
 was read from it, so no late or partial answer is ever read by the next
 call.  A pooled connection can go stale (the worker restarted or closed
 it): when a reused connection hits EOF or a reset before a full line
-arrives, the call reconnects once; ``get``, ``put`` (same key and
-payload) and ``invalidate`` are idempotent, so sending the request again
-is safe.  A timeout is never retried — a wedged worker costs one
-``timeout``, not two — and any failure on a fresh connection raises
+arrives, the call reconnects once; ``get`` and ``put`` (same key and
+payload) are idempotent, so sending the request again is safe.  A
+timeout is never retried — a wedged worker costs one ``timeout``, not
+two — and any failure on a fresh connection raises
 :class:`ShardUnavailable`.  :meth:`ShardServer.server_close` shuts its
 open connections down, so a stopped worker stops answering on pooled
 sockets too.
@@ -64,11 +65,14 @@ __all__ = [
     "recover_or_cold",
     "ShardServer",
     "ShardClient",
-    "serve_shard",
+    "LOOPBACK",
     "main",
 ]
 
 MAX_LINE_BYTES = 16 * 1024 * 1024
+
+#: The only address a shard worker binds and the router connects to.
+LOOPBACK = "127.0.0.1"
 
 
 class ShardError(RuntimeError):
@@ -85,12 +89,11 @@ class ShardUnavailable(RuntimeError):
 class ShardStore(PlanCache):
     """A :class:`PlanCache` whose every mutation is journaled first.
 
-    ``put`` / ``invalidate`` / ``clear`` — and each capacity eviction a
-    ``put`` makes room with — append their journal record before the
-    in-memory ``PlanCache`` mutation.  Reads and the single-flight
-    ``get_or_compute`` are inherited unchanged (its ``put`` is this
-    journaled one), and mutations serialize on a writer lock of their own,
-    so a ``get`` never waits on an fsync.
+    ``put`` — and each capacity eviction it makes room with — appends its
+    journal record before the in-memory ``PlanCache`` mutation.  Reads and
+    the single-flight ``get_or_compute`` are inherited unchanged (its
+    ``put`` is this journaled one), and mutations serialize on a writer
+    lock of their own, so a ``get`` never waits on an fsync.
 
     Ordering contract: the journal record is durable *before* the
     in-memory mutation happens.  A crash after the append but before the
@@ -116,18 +119,17 @@ class ShardStore(PlanCache):
         self._write_lock = threading.RLock()
 
     # -- journaled mutations -------------------------------------------
-    def put(
-        self, key: str, payload: dict, created_at: Optional[float] = None
-    ) -> None:
+    def put(self, key: str, payload: dict) -> None:  # type: ignore[override]
+        # Stamped now: only replay (``recover``) restores an older stamp,
+        # through ``PlanCache.put``.
         with self._write_lock:
-            stamp = self._clock() if created_at is None else float(created_at)
+            stamp = self._clock()
             # Make room first, one journaled eviction at a time, so replay
             # removes exactly what the live cache removed and no committed
             # prefix of the journal ever holds more than maxsize entries.
             for victim in self._lru_victims(key):
                 self.journal.append({"op": "evict", "key": victim})
-                if super().invalidate(victim):
-                    metrics.inc(names.PLANCACHE_EVICTIONS)
+                self._evict(victim)
             self.journal.append(
                 {"op": "put", "key": key, "created_at": stamp, "payload": payload}
             )
@@ -140,14 +142,11 @@ class ShardStore(PlanCache):
             excess = len(self._data) + (key not in self._data) - self.maxsize
             return list(itertools.islice(self._data, max(excess, 0)))
 
-    def invalidate(self, key: str) -> bool:
-        with self._write_lock:
-            # Journal first: an invalidate for an absent key replays as a
-            # no-op, but a removed key missing its record would resurrect.
-            self.journal.append({"op": "invalidate", "key": key})
-            removed = super().invalidate(key)
-            self._maybe_compact()
-            return removed
+    def _evict(self, key: str) -> None:
+        with self._lock:
+            if self._data.pop(key, None) is not None:
+                metrics.inc(names.PLANCACHE_EVICTIONS)
+                metrics.set_gauge(names.PLANCACHE_SIZE, len(self._data))
 
     # -- compaction / recovery -----------------------------------------
     def _maybe_compact(self) -> None:
@@ -167,8 +166,9 @@ class ShardStore(PlanCache):
         crash) and already-expired entries are dropped.  Replay applies
         records through a plain dict, so capacity evictions recorded in the
         journal — not the LRU's mood during replay — decide what was
-        removed; the replayed entries go straight into the in-memory cache
-        and are not journaled a second time.
+        removed (as do ``invalidate`` and ``clear`` records that older
+        builds wrote); the replayed entries go straight into the in-memory
+        cache and are not journaled a second time.
         """
         with self._write_lock:
             result = self.journal.replay()
@@ -245,14 +245,9 @@ class ShardServer(socketserver.ThreadingTCPServer):
     daemon_threads = True
     allow_reuse_address = True
 
-    def __init__(
-        self,
-        store: ShardStore,
-        shard_id: int,
-        host: str = "127.0.0.1",
-        port: int = 0,
-    ):
-        super().__init__((host, port), _ShardHandler)
+    def __init__(self, store: ShardStore, shard_id: int, port: int = 0):
+        """Bind ``LOOPBACK:port`` (``port=0`` picks an ephemeral port)."""
+        super().__init__((LOOPBACK, port), _ShardHandler)
         self.store = store
         self.shard_id = int(shard_id)
         self._connections: Set[socket.socket] = set()
@@ -299,29 +294,14 @@ class ShardServer(socketserver.ThreadingTCPServer):
             payload = request["payload"]
             if not isinstance(payload, dict):
                 raise ShardError("put payload must be an object")
-            created_at = request.get("created_at")
-            self.store.put(
-                str(request["key"]),
-                payload,
-                created_at=None if created_at is None else float(created_at),
-            )
+            self.store.put(str(request["key"]), payload)
             return {"ok": True}
-        if op == "invalidate":
-            removed = self.store.invalidate(str(request["key"]))
-            return {"ok": True, "removed": removed}
         if op == "stats":
             stats = self.store.stats()
             stats["shard_id"] = self.shard_id
             stats["pid"] = os.getpid()
             return {"ok": True, "stats": stats}
         raise ShardError(f"unknown shard op {op!r}")
-
-
-def serve_shard(
-    store: ShardStore, shard_id: int, host: str = "127.0.0.1", port: int = 0
-) -> ShardServer:
-    """Bind a :class:`ShardServer` (``port=0`` picks an ephemeral port)."""
-    return ShardServer(store, shard_id, host=host, port=port)
 
 
 # ----------------------------------------------------------------------
@@ -453,15 +433,8 @@ class ShardClient:
         payload = response.get("payload")
         return payload if isinstance(payload, dict) else None
 
-    def put(
-        self, key: str, payload: dict, created_at: Optional[float] = None
-    ) -> None:
-        self.call(
-            {"op": "put", "key": key, "payload": payload, "created_at": created_at}
-        )
-
-    def invalidate(self, key: str) -> bool:
-        return bool(self.call({"op": "invalidate", "key": key}).get("removed"))
+    def put(self, key: str, payload: dict) -> None:
+        self.call({"op": "put", "key": key, "payload": payload})
 
     def stats(self) -> Dict[str, object]:
         stats = self.call({"op": "stats"}).get("stats", {})
@@ -481,13 +454,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-shard",
         description="One plan-cache shard worker: journaled store behind a "
-        "localhost JSON RPC port (spawned by repro-serve --workers N).",
+        "loopback JSON RPC port (spawned by repro-serve --workers N).",
     )
     parser.add_argument("--shard-id", type=int, required=True)
     parser.add_argument(
         "--data-dir", required=True, help="journal + base directory for this shard"
     )
-    parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=0)
     parser.add_argument("--maxsize", type=int, default=4096)
     parser.add_argument("--ttl", type=float, default=None)
@@ -506,7 +478,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         max_segment_bytes=args.journal_max_bytes,
     )
     recovered = recover_or_cold(store, f"shard {args.shard_id}")
-    server = serve_shard(store, args.shard_id, host=args.host, port=args.port)
+    server = ShardServer(store, args.shard_id, port=args.port)
 
     def _shutdown(signum: int, frame: Any) -> None:
         threading.Thread(target=server.shutdown, daemon=True).start()
@@ -516,7 +488,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     print(
         f"repro-shard {args.shard_id} listening on "
-        f"{args.host}:{server.port} pid={os.getpid()} recovered={recovered}",
+        f"{LOOPBACK}:{server.port} pid={os.getpid()} recovered={recovered}",
         flush=True,
     )
     try:

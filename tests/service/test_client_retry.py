@@ -117,9 +117,11 @@ class TestRetryOn429:
         client.healthz()
         assert slept == [0.05]  # server said 120s; the cap won
 
-    def test_retry_none_fails_fast(self, scripted):
+    def test_one_attempt_policy_fails_fast(self, scripted):
         server = scripted([THROTTLE, OK])
-        client = ServiceClient(server.url, timeout=5, retry=None)
+        client = ServiceClient(
+            server.url, timeout=5, retry=RetryPolicy(max_attempts=1)
+        )
         with pytest.raises(ServiceHTTPError) as err:
             client.healthz()
         assert err.value.status == 429
@@ -161,3 +163,8 @@ class TestRetryOnServerErrors:
         with pytest.raises(urllib.error.URLError):
             client.healthz()
         assert len(policy_sleeps) == 2  # two backoffs before giving up
+
+
+def test_default_policy_allows_two_retries():
+    policy = ServiceClient("http://127.0.0.1:9").retry
+    assert (policy.max_attempts, policy.base_delay, policy.max_delay) == (3, 0.1, 2.0)

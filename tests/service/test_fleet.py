@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 
@@ -301,6 +303,20 @@ def test_start_failure_stops_the_workers_that_booted(tmp_path, enabled_obs):
     assert len(fleet.spawned) == 2
     assert all(proc.returncode is not None for proc, _ in fleet.spawned)
     assert fleet.pids() == {}
+
+
+def test_worker_dead_before_its_banner_reports_its_exit_status(tmp_path):
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import sys; sys.exit(3)"],
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        with pytest.raises(RuntimeError, match=r"exited before .*\(exit=3\)"):
+            ShardFleet(1, str(tmp_path))._read_banner(proc)
+    finally:
+        proc.wait()
+        proc.stdout.close()
 
 
 def test_restart_still_in_backoff_at_shutdown_boots_nothing(fleet, monkeypatch):

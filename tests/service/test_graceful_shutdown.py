@@ -17,6 +17,7 @@ import json
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -216,6 +217,84 @@ def test_bad_default_stops_the_boot(tmp_path, capsys, flag, value, field):
     assert main(argv) == 2
     assert field in capsys.readouterr().err
     assert not shard_dir.exists()  # no shard spawned, no store opened
+
+
+@pytest.fixture
+def spawned(monkeypatch):
+    """Every shard worker a boot spawns; any left alive is killed after."""
+    from repro.service import router
+
+    procs = []
+    popen = subprocess.Popen
+
+    def recording(*args, **kwargs):
+        proc = popen(*args, **kwargs)
+        procs.append(proc)
+        return proc
+
+    monkeypatch.setattr(router.subprocess, "Popen", recording)
+    yield procs
+    for proc in procs:
+        if proc.poll() is None:
+            proc.kill()
+        proc.wait()
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--workers", "-1"),
+        ("--cache-size", "0"),
+        ("--max-inflight", "-1"),
+        ("--ttl", "0"),
+        ("--shard-journal-bytes", "0"),
+    ],
+)
+def test_bad_numeric_flag_stops_the_boot(
+    tmp_path, capsys, monkeypatch, spawned, flag, value
+):
+    from repro.service import server
+
+    def no_bind(*args, **kwargs):
+        raise AssertionError("bound the HTTP port")
+
+    monkeypatch.setattr(server, "serve", no_bind)
+    shard_dir = tmp_path / "shards"
+    argv = ["--port", "0", "--workers", "2", "--shard-dir", str(shard_dir),
+            flag, value]
+    assert server.main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and flag in err[0], err
+    assert spawned == [] and not shard_dir.exists()
+
+
+def test_busy_port_spawns_no_worker(tmp_path, capsys, isolated_obs, spawned):
+    from repro.service.server import main
+
+    with socket.create_server(("127.0.0.1", 0)) as busy:
+        port = busy.getsockname()[1]
+        argv = ["--port", str(port), "--workers", "1",
+                "--shard-dir", str(tmp_path / "shards")]
+        assert main(argv) == 1
+    assert "cannot bind" in capsys.readouterr().err
+    assert [proc for proc in spawned if proc.poll() is None] == []
+
+
+def test_boot_failure_after_the_spawn_stops_the_fleet(
+    tmp_path, monkeypatch, isolated_obs, spawned
+):
+    from repro.service.router import ShardFleet
+    from repro.service.server import main
+
+    def broken(self):
+        raise RuntimeError("boot broke after the spawn")
+
+    monkeypatch.setattr(ShardFleet, "pids", broken)
+    argv = ["--port", "0", "--workers", "1", "--shard-dir", str(tmp_path / "s")]
+    with pytest.raises(RuntimeError, match="after the spawn"):
+        main(argv)
+    assert len(spawned) == 1
+    assert spawned[0].poll() is not None
 
 
 @pytest.mark.slow

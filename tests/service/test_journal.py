@@ -173,8 +173,6 @@ def test_injected_append_fault_never_corrupts_committed_records(
     try:
         with pytest.raises(faults.InjectedFault):
             store.put("c" * 64, {"v": 3})
-        with pytest.raises(faults.InjectedFault):
-            store.invalidate("a" * 64)
     finally:
         faults.uninstall()
 
@@ -384,6 +382,38 @@ def test_put_journals_evictions_first_and_recover_does_not_rejournal(
     assert restarted.journal.stats()["appends"] == 0
     assert [e["key"] for e in restarted.entries()] == ["b" * 64, "c" * 64]
     restarted.close()
+
+
+def test_eviction_counts_and_updates_the_size_gauge(tmp_path, clock, enabled_obs):
+    registry, _ = enabled_obs
+    store = ShardStore(str(tmp_path / "s"), maxsize=2, clock=clock, fsync=False)
+    for key in ("a", "b", "c", "d"):
+        store.put(key * 64, {})
+    assert registry.counter("plancache.evictions").value == 2
+    assert registry.gauge("plancache.size").value == 2
+    store.close()
+
+
+def test_recover_applies_invalidate_records_of_older_builds(tmp_path, clock):
+    """Older builds journaled an ``invalidate`` op; replay still drops the key."""
+    directory = tmp_path / "s"
+    directory.mkdir()
+    records = [
+        {"op": "segment", "version": JOURNAL_VERSION, "created_at": 999.0},
+        {"op": "put", "key": "a" * 64, "created_at": 999.0, "payload": {"v": 1}},
+        {"op": "put", "key": "b" * 64, "created_at": 999.5, "payload": {"v": 2}},
+        {"op": "invalidate", "key": "a" * 64},
+    ]
+    (directory / "journal.jsonl").write_bytes(
+        b"".join(
+            json.dumps(r, separators=(",", ":")).encode() + b"\n" for r in records
+        )
+    )
+    store = ShardStore(str(directory), clock=clock, fsync=False)
+    assert store.recover() == 1
+    assert store.get("a" * 64) is None
+    assert store.get("b" * 64) == {"v": 2}
+    store.close()
 
 
 def test_inherited_get_or_compute_journals_one_put(tmp_path, clock):

@@ -152,13 +152,10 @@ class TestKeySensitivity:
             d, CM, "mean_by_mean", knobs={"seed": 2}
         )
 
-    def test_coverage_and_extra_matter(self):
+    def test_coverage_matters(self):
         d = make_distribution("exponential", rate=2.0)
         assert plan_key(d, CM, "mean_by_mean", coverage=0.999) != plan_key(
             d, CM, "mean_by_mean", coverage=0.9999
-        )
-        assert plan_key(d, CM, "mean_by_mean", extra={"n_discrete": 500}) != plan_key(
-            d, CM, "mean_by_mean"
         )
 
     def test_strategy_token_shape(self):
@@ -209,19 +206,27 @@ class TestGoldenKeys:
     def test_all_nine_laws_are_pinned(self):
         assert sorted(case[0] for case in GOLDEN_KEYS) == sorted(PAPER_ORDER)
 
-    def test_numpy_parameters_knobs_and_extra(self):
+    def test_numpy_parameters_and_knobs(self):
         dist = make_distribution(
             "weibull", scale=np.float64(1.0), shape=np.float64(0.5)
         )
-        key = plan_key(
-            dist,
+        knobs = {
+            "m_grid": np.int64(200),
+            "seed": np.int32(3),
+            "grid": np.array([0.5, 1.0]),
+            "flag": True,
+            "none": None,
+        }
+        key = plan_key(dist, CM, "brute_force", knobs=knobs, coverage=np.float64(0.999))
+        assert key == "e3d8cb878bd993114dae1b22ca077ebf6567f1191a706e642caf3f31a48a783c"
+        builtins = {"m_grid": 200, "seed": 3, "grid": [0.5, 1.0]}
+        assert key == plan_key(
+            make_distribution("weibull", scale=1.0, shape=0.5),
             CM,
             "brute_force",
-            knobs={"m_grid": np.int64(200), "seed": np.int32(3)},
-            coverage=np.float64(0.999),
-            extra={"grid": np.array([0.5, 1.0]), "flag": True, "none": None},
+            knobs={**knobs, **builtins},
+            coverage=0.999,
         )
-        assert key == "5ba277402eb844e50b899bfe1296fd97c1e63a79db5c46d83f1b912381097dd8"
 
     def test_empirical_distribution(self):
         dist = EmpiricalDistribution(

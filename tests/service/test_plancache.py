@@ -39,8 +39,8 @@ class TestBasics:
         assert cache.get("k") is None
         cache.put("k", {"v": 1})
         assert cache.get("k") == {"v": 1}
-        assert "k" in cache and len(cache) == 1
-        assert counter(registry, "plancache.hits") == 2  # get + __contains__
+        assert len(cache) == 1
+        assert counter(registry, "plancache.hits") == 1
         assert counter(registry, "plancache.misses") == 1
 
     def test_validation(self):
@@ -48,12 +48,6 @@ class TestBasics:
             PlanCache(maxsize=0)
         with pytest.raises(ValueError, match="ttl"):
             PlanCache(ttl=0.0)
-
-    def test_invalidate(self, registry):
-        cache = PlanCache()
-        cache.put("a", {})
-        assert cache.invalidate("a") is True
-        assert cache.invalidate("a") is False
 
 
 class TestLRU:
@@ -148,16 +142,6 @@ class TestGaugeRegressions:
 
     def gauge(self, registry) -> int:
         return int(registry.gauge("plancache.size").value)
-
-    def test_invalidate_updates_size_gauge(self, registry):
-        cache = PlanCache()
-        cache.put("a", {})
-        cache.put("b", {})
-        assert self.gauge(registry) == 2
-        cache.invalidate("a")
-        assert self.gauge(registry) == 1
-        cache.invalidate("missing")  # no removal: gauge untouched
-        assert self.gauge(registry) == 1
 
     def test_expired_get_updates_size_gauge(self, registry):
         clock = FakeClock()

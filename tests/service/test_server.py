@@ -20,6 +20,7 @@ from email.utils import parsedate_to_datetime
 import pytest
 
 from repro import observability as obs
+from repro.resilience.policies import RetryPolicy
 from repro.service.client import ServiceClient, ServiceHTTPError
 from repro.service.plancache import PlanCache
 from repro.service.planner import PlannerService
@@ -122,10 +123,12 @@ class TestAdmissionControl:
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:
-            # retry=None: this test asserts the *first* 429, not the
+            # One attempt: this test asserts the *first* 429, not the
             # client's default retry-on-429 behavior.
             client = ServiceClient(
-                f"http://127.0.0.1:{server.port}", timeout=10, retry=None
+                f"http://127.0.0.1:{server.port}",
+                timeout=10,
+                retry=RetryPolicy(max_attempts=1),
             )
             with pytest.raises(ServiceHTTPError) as err:
                 client.plan("lognormal", PARAMS)
