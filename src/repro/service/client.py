@@ -52,7 +52,13 @@ class ServiceHTTPError(RuntimeError):
 
 
 class ServiceClient:
-    """HTTP client for the planner service."""
+    """HTTP client for the planner service.
+
+    ``retry`` is the :class:`RetryPolicy` every request goes through.
+    ``None`` (the default) builds a fresh default policy — up to two
+    retries with backoff — per client; it is *not* fail-fast, as it was in
+    older builds.  Fail fast with ``retry=RetryPolicy(max_attempts=1)``.
+    """
 
     def __init__(
         self,
@@ -63,7 +69,6 @@ class ServiceClient:
     ):
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
-        # ``None`` is the default policy: at most two retries.
         self.retry = (
             RetryPolicy(max_attempts=3, base_delay=0.1, max_delay=2.0)
             if retry is None

@@ -237,8 +237,11 @@ class ShardJournal:
 
         With ``fault_window`` the ``shard.compact`` site fires after
         ``data`` is staged and before it is published.  On any failure the
-        temp file is removed and ``path`` is untouched.  Private helper: ``compact`` holds ``_lock``, so no
-        append interleaves with the swap.
+        temp file is removed and ``path`` is untouched.  ``compact`` calls
+        this holding ``_lock``, so no append interleaves with the swap: the
+        fsyncs and the rename block appends by design.  The lint's blocking
+        check is lexical, so it does not report them from here, but they
+        are the same blocking work under the same lock as before.
         """
         fd, tmp_path = tempfile.mkstemp(
             prefix=os.path.basename(path) + ".", suffix=".tmp", dir=self.directory

@@ -255,10 +255,17 @@ class ShardedPlanCache:
         corruption.
         """
         primary = self._ring.primary(key)
+
+        def compute() -> dict:
+            # Counted before the compute runs, so a failed one still counts.
+            metrics.inc(names.SHARD_MISSES)
+            return factory()
+
         payload, served_by, cached = self._single_flight(
-            key, self._get_routed, factory, self._put_routed
+            key, self._get_routed, compute, self._put_routed
         )
-        metrics.inc(names.SHARD_HITS if cached else names.SHARD_MISSES)
+        if cached:
+            metrics.inc(names.SHARD_HITS)
         return payload, cached, self._route_info(primary, served_by)
 
     def stats(self) -> Dict[str, object]:
@@ -312,6 +319,10 @@ class ShardFleet:
     ):
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
+        if journal_max_bytes < 1:  # each worker would refuse it at boot
+            raise ValueError(
+                f"journal_max_bytes must be >= 1, got {journal_max_bytes}"
+            )
         self.n_shards = int(n_shards)
         self.data_dir = os.path.abspath(data_dir)
         self.maxsize_per_shard = int(maxsize_per_shard)

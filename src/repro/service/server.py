@@ -32,8 +32,9 @@ fault-injection site.  A ``REPRO_FAULTS`` plan is parsed at boot, before
 the port is bound: a malformed plan exits with status 2 instead of failing
 every request at its first fault site.  A ``--seed`` or ``--n-samples``
 that the planner would refuse in a request exits 2 the same way, as does
-a negative ``--workers`` or ``--max-inflight``, a ``--cache-size`` or
-``--shard-journal-bytes`` below 1 and a ``--ttl`` that is not positive.
+a negative ``--workers`` or any ``--cache-size``, ``--ttl``,
+``--shard-journal-bytes`` or ``--max-inflight`` the cache, the journal or
+the HTTP server refuses.
 The port is bound before any shard worker is spawned, and a boot that
 fails after the spawn stops the fleet before it exits.  The
 breaker / deadline knobs feed the planner's
@@ -68,7 +69,7 @@ import threading
 import time
 from email.utils import formatdate
 from http import HTTPStatus
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro import observability as obs
 from repro.observability import metrics
@@ -345,23 +346,6 @@ def serve(
     return PlanServer((host, port), service, max_inflight=max_inflight)
 
 
-def _bad_numeric_flag(args: argparse.Namespace) -> Optional[str]:
-    """The first numeric flag no component would accept, as one line."""
-    if args.workers < 0:
-        return f"--workers must be >= 0, got {args.workers}"
-    if args.cache_size < 1:
-        return f"--cache-size must be >= 1, got {args.cache_size}"
-    if args.ttl is not None and not args.ttl > 0:
-        return f"--ttl must be positive, got {args.ttl}"
-    if args.max_inflight < 0:
-        return f"--max-inflight must be >= 0, got {args.max_inflight}"
-    if args.shard_journal_bytes < 1:
-        return (
-            f"--shard-journal-bytes must be >= 1, got {args.shard_journal_bytes}"
-        )
-    return None
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-serve",
@@ -480,41 +464,48 @@ def main(argv=None) -> int:
     except ServiceError as exc:
         print(f"repro-serve: bad --n-samples/--seed: {exc}", file=sys.stderr)
         return 2
-    bad = _bad_numeric_flag(args)
-    if bad is not None:
-        print(f"repro-serve: {bad}", file=sys.stderr)
+    if args.workers < 0:
+        print(
+            f"repro-serve: --workers must be >= 0, got {args.workers}",
+            file=sys.stderr,
+        )
+        return 2
+    store = fleet = None
+    try:
+        # Each component refuses a bad flag before it creates anything.
+        # With --workers, ``cache`` is the planner's only until the fleet
+        # is up: it is spawned once the port is bound.
+        cache = PlanCache(maxsize=args.cache_size, ttl=args.ttl)
+        if args.workers:
+            fleet = ShardFleet(
+                n_shards=args.workers,
+                data_dir=args.shard_dir or "repro-shards",
+                maxsize_per_shard=args.cache_size,
+                ttl=args.ttl,
+                journal_max_bytes=args.shard_journal_bytes,
+            )
+        elif args.shard_dir:
+            store = cache = ShardStore(
+                os.path.join(args.shard_dir, "shard-0"),
+                maxsize=args.cache_size,
+                ttl=args.ttl,
+                max_segment_bytes=args.shard_journal_bytes,
+            )
+    except ValueError as exc:
+        print(
+            f"repro-serve: bad --cache-size/--ttl/--shard-journal-bytes: {exc}",
+            file=sys.stderr,
+        )
         return 2
     if plan is not None:
         print(f"Fault plan installed: {plan!r}", file=sys.stderr)
     obs.enable()
-    fleet = None
-    store = None
-    if args.workers > 0:
-        # Spawned once the port is bound; the planner's cache until then
-        # is a placeholder that never serves a request.
-        fleet = ShardFleet(
-            n_shards=args.workers,
-            data_dir=args.shard_dir or "repro-shards",
-            maxsize_per_shard=args.cache_size,
-            ttl=args.ttl,
-            journal_max_bytes=args.shard_journal_bytes,
-        )
-        cache = None
-    elif args.shard_dir:
-        store = ShardStore(
-            os.path.join(args.shard_dir, "shard-0"),
-            maxsize=args.cache_size,
-            ttl=args.ttl,
-            max_segment_bytes=args.shard_journal_bytes,
-        )
+    if store is not None:
         recovered = recover_or_cold(store, "plan store")
         print(
             f"Plan store: {store.journal.directory} recovered={recovered}",
             flush=True,
         )
-        cache = store
-    else:
-        cache = PlanCache(maxsize=args.cache_size, ttl=args.ttl)
     service = PlannerService(
         cache=cache,
         backend=get_backend(args.backend, args.jobs),
@@ -532,14 +523,17 @@ def main(argv=None) -> int:
         server = serve(
             service, host=args.host, port=args.port, max_inflight=args.max_inflight
         )
+    except ValueError as exc:  # refused before the bind
+        failure, status = f"bad --max-inflight: {exc}", 2
     except OSError as exc:
-        print(
-            f"repro-serve: cannot bind {args.host}:{args.port}: {exc}",
-            file=sys.stderr,
-        )
+        failure, status = f"cannot bind {args.host}:{args.port}: {exc}", 1
+    else:
+        failure = None
+    if failure is not None:
+        print(f"repro-serve: {failure}", file=sys.stderr)
         if store is not None:
             store.close()
-        return 1
+        return status
     try:
         if fleet is not None:
             service.cache = fleet.start()

@@ -1,7 +1,8 @@
 """Property: journal replay reconstructs the shard's in-memory state.
 
-For *any* interleaving of puts (with capacity evictions), TTL expiry,
-and time advances, a fresh :class:`ShardStore` recovering
+For *any* interleaving of puts (with capacity evictions), invalidates
+(as older builds journaled them), TTL expiry, and time advances, a fresh
+:class:`ShardStore` recovering
 from the journal directory must hold entries bit-identical to the live
 store's — same keys, same ``created_at`` stamps, same payloads.  A
 second property tears the final journal record at an arbitrary byte
@@ -27,6 +28,7 @@ _ops = st.lists(
             st.sampled_from(KEYS),
             st.integers(min_value=0, max_value=999),
         ),
+        st.tuples(st.just("invalidate"), st.sampled_from(KEYS)),
         st.tuples(st.just("advance"), st.floats(min_value=0.1, max_value=40.0)),
     ),
     min_size=1,
@@ -52,6 +54,11 @@ def _apply(store: ShardStore, clock: Clock, ops) -> None:
     for op in ops:
         if op[0] == "put":
             store.put(op[1], {"v": op[2]})
+        elif op[0] == "invalidate":
+            # The store no longer writes these; older builds journaled the
+            # record, then dropped the key from memory.
+            store.journal.append({"op": "invalidate", "key": op[1]})
+            store._evict(op[1])
         else:
             clock.now += op[1]
 

@@ -255,10 +255,10 @@ def test_bad_numeric_flag_stops_the_boot(
 ):
     from repro.service import server
 
-    def no_bind(*args, **kwargs):
+    def no_bind(self):
         raise AssertionError("bound the HTTP port")
 
-    monkeypatch.setattr(server, "serve", no_bind)
+    monkeypatch.setattr(server.PlanServer, "server_bind", no_bind)
     shard_dir = tmp_path / "shards"
     argv = ["--port", "0", "--workers", "2", "--shard-dir", str(shard_dir),
             flag, value]

@@ -124,6 +124,19 @@ def test_routed_compute_then_hit(fleet):
     assert calls == [1]
 
 
+def test_a_failed_cold_compute_still_counts_its_miss(fleet, enabled_obs):
+    cache, _ = fleet
+    registry, _ = enabled_obs
+
+    def factory():
+        raise RuntimeError("deadline")
+
+    with pytest.raises(RuntimeError):
+        cache.get_or_compute_routed(sha(1), factory)
+    assert registry.counter("shard.misses").value == 1
+    assert registry.counter("shard.hits").value == 0
+
+
 def test_concurrent_cold_misses_compute_once(fleet):
     cache, _ = fleet
     n_threads = 6
