@@ -9,21 +9,26 @@ cache (the ``plancache.hits`` counter is the proof), then SIGTERMs, reboots
 on the same directory, and checks the server recovered exactly that one
 plan from its journal and serves it ``cached: true``.
 
-``--chaos`` (the `chaos` job) boots the server under the canned
-``scripts/chaos_plan.json`` fault drill — a deterministic burst that opens
-the circuit breaker, a steady 35% pool-worker failure rate, and one hung
-Monte-Carlo chunk — and asserts the resilience contract: every request is
-still answered, degraded answers are marked as such, and the breaker's
-open → half-open arc is visible in ``/metrics``.  It then keeps probing
-after each recovery window until the hung chunk has timed out and been
-resubmitted (``pool.timeouts``, ``pool.retries``) and a full-fidelity
-``mc`` answer arrives.  It then runs the
-**shard-kill drill**: a second server with ``--workers 3`` (sharded plan
-cache, per-shard journals), one shard worker SIGKILLed mid-load, and the
-contract that zero requests fail, the failover is visible in
-``shard.failovers``/``shard.deaths``, the supervisor restarts the worker
-(``shard.restarts``), and the restarted shard answers its keys from its
-replayed journal (cache hit, served by the primary again).
+``--chaos`` (the `chaos` job) boots the server, first holds as many
+stalled POSTs open as it admits at once (``--max-inflight``: a head
+announcing a 100-byte body, and none of the body), and drives everything
+below beside them: a stalled client must hold no admission slot.  The
+server runs under the canned ``scripts/chaos_plan.json`` fault drill — a
+deterministic burst that opens the circuit breaker, a steady 35%
+pool-worker failure rate, and one hung Monte-Carlo chunk — and asserts
+the resilience contract: every request is still answered, degraded
+answers are marked as such, and the breaker's open → half-open arc is
+visible in ``/metrics``.  It then keeps probing after each recovery
+window until the hung chunk has timed out and been resubmitted
+(``pool.timeouts``, ``pool.retries``) and a full-fidelity ``mc`` answer
+arrives.  Beside a fresh set of stalled POSTs, a plan and an evaluate
+still succeed, and SIGTERM exits 0 within the drain timeout.  It then
+runs the **shard-kill drill**: a second server with ``--workers 3``
+(sharded plan cache, per-shard journals), one shard worker SIGKILLed
+mid-load, and the contract that zero requests fail, the failover is
+visible in ``shard.failovers``/``shard.deaths``, the supervisor restarts
+the worker (``shard.restarts``), and the restarted shard answers its keys
+from its replayed journal (cache hit, served by the primary again).
 
 Usage:  python scripts/ci_service_roundtrip.py [--chaos] [repro-serve args...]
 Exit status is 0 iff every step passed.
@@ -33,6 +38,7 @@ import os
 import re
 import shutil
 import signal
+import socket
 import subprocess
 import sys
 import tempfile
@@ -44,6 +50,15 @@ PARAMS = {"mu": 3.0, "sigma": 0.5}
 CHAOS_PLAN = os.path.join(os.path.dirname(__file__), "chaos_plan.json")
 
 BREAKER_RECOVERY_S = 2.0
+
+#: ``--drain-timeout`` of the chaos server; SIGTERM must end it sooner.
+DRAIN_TIMEOUT_S = 10.0
+
+#: A POST head announcing a body that never comes.
+STALLED_HEAD = (
+    b"POST /plan HTTP/1.1\r\nHost: ci\r\nContent-Type: application/json\r\n"
+    b"Content-Length: 100\r\n\r\n"
+)
 
 #: Half-open probes the chaos drill may spend before an mc answer is due.
 MAX_RECOVERY_PROBES = 8
@@ -80,12 +95,24 @@ def boot(extra_args, env=None):
     return proc, int(match.group(1)), output
 
 
-def shutdown(proc):
+def shutdown(proc, within=30.0):
     proc.send_signal(signal.SIGTERM)
-    code = proc.wait(timeout=30)
+    code = proc.wait(timeout=within)
     print(proc.stdout.read(), end="")
     assert code == 0, f"repro-serve exited with {code}"
     print("graceful shutdown ok")
+
+
+def stall(port, banner):
+    """Open one stalled POST per admission slot the banner announces."""
+    slots = int(re.search(r"max_inflight=(\d+)", banner).group(1))
+    stalled = []
+    for _ in range(slots):
+        sock = socket.create_connection(("127.0.0.1", port), timeout=10)
+        sock.sendall(STALLED_HEAD)
+        stalled.append(sock)
+    print(f"holding {slots} stalled POST(s) open")
+    return stalled
 
 
 def roundtrip(extra_args):
@@ -138,8 +165,9 @@ def _roundtrip(server_args):
 def chaos(extra_args):
     env = dict(os.environ)
     env["REPRO_FAULTS"] = CHAOS_PLAN
-    proc, port, _ = boot(
+    proc, port, banner = boot(
         [
+            "--drain-timeout", str(DRAIN_TIMEOUT_S),
             "--mc-task-timeout", "1.0",
             "--mc-task-retries", "2",
             "--breaker-threshold", "2",
@@ -148,6 +176,7 @@ def chaos(extra_args):
         ],
         env=env,
     )
+    stalled = stall(port, banner)
     try:
         print(f"repro-serve up on port {port} (chaos plan: {CHAOS_PLAN})")
         client = ServiceClient(f"http://127.0.0.1:{port}", timeout=60)
@@ -237,8 +266,19 @@ def chaos(extra_args):
         health = client.healthz()
         assert health["resilience"]["faults"]["total_triggered"] > 0
         print("chaos drill ok: every request answered under fault injection")
+
+        # The first stalled POSTs have had their 408 by now: stall afresh,
+        # then a plan/evaluate round trip must still succeed.
+        stalled += stall(port, banner)
+        plan = client.plan("lognormal", PARAMS, n_samples=2000)
+        ev = client.evaluate("lognormal", PARAMS, n_samples=2000, seed=1)
+        assert ev["key"] == plan["key"]
+        assert ev["evaluation"]["expected_cost"] > 0
+        print("round trip ok beside the stalled POSTs")
     finally:
-        shutdown(proc)
+        shutdown(proc, within=DRAIN_TIMEOUT_S)
+        for sock in stalled:
+            sock.close()
     return 0
 
 

@@ -105,7 +105,7 @@ class InjectedFault(RuntimeError):
 _SITES: Dict[str, str] = {
     "pool.worker": "every task attempt on an execution backend",
     "mc.chunk": "one parallel Monte-Carlo chunk costing task",
-    "server.request": "admitted POST request handling",
+    "server.request": "an admitted repro-serve POST that computes, on the pool thread that computes it",
     "shard.journal.append": "one shard journal record write (pre-write)",
     "shard.compact": "shard journal compaction (pre-publish of the base)",
     "shard.rpc": "one router -> shard RPC attempt (client side)",

@@ -111,6 +111,13 @@ class PlanCache:
     def _expired(self, created_at: float) -> bool:
         return self.ttl is not None and self._clock() - created_at > self.ttl
 
+    def __contains__(self, key: str) -> bool:
+        """Whether ``key`` has a live entry; counts nothing and leaves the
+        LRU order alone (the server's warm-hit check)."""
+        with self._lock:
+            entry = self._data.get(key)
+            return entry is not None and not self._expired(entry[0])
+
     # ------------------------------------------------------------------
     def get(self, key: str) -> Optional[dict]:
         """Return the cached payload or ``None`` (counting hit/miss)."""

@@ -7,12 +7,29 @@ Endpoints:
 * ``GET  /healthz``   — liveness + backend/cache summary (never throttled);
 * ``GET  /metrics``   — the full metrics registry + cache stats as JSON.
 
-Admission control: at most ``max_inflight`` POST requests execute
-concurrently; excess requests are answered immediately with ``429 Too Many
-Requests`` and a ``Retry-After`` hint instead of queueing unboundedly —
-under overload a planner that sheds load stays responsive for the requests
-it does admit.  ``/healthz`` and ``/metrics`` bypass admission so operators
-can always observe an overloaded server.
+Threading model: one stdlib ``selectors`` selector holds the listening
+socket and every open connection, and a fixed pool of ``max_inflight + 1``
+threads takes turns leading it (leader/followers).  The leader accepts
+connections and reads each request in full.  It answers on the spot what
+needs no computing: an error, ``/healthz`` and ``/metrics`` on the
+in-process cache, and a ``/plan`` whose key is already in the in-process
+cache, so a warm hit never passes between threads.  A request that must
+compute (a plan miss, any ``/evaluate``, anything on the sharded tier,
+every POST while a fault plan is installed) runs on the thread that read
+it, which first hands the selector to an idle follower; its connection
+goes back to the selector when the answer is written.  An idle connection
+holds a file descriptor, not a thread.
+
+Admission control: a POST is read in full, head and body (at most
+``MAX_BODY_BYTES``), before it is admitted.  At most ``max_inflight``
+admitted POSTs run at once; the next gets ``429 Too Many Requests`` with a
+``Retry-After`` hint at once, instead of queueing unboundedly, and its
+connection closes.  A client that stalls mid-request therefore holds no
+admission slot: a request not received in full within ``READ_DEADLINE_S``
+of its first byte is answered ``408`` and its connection closes, and a
+kept-alive connection that sends nothing for ``IDLE_LIMIT_S`` is closed.
+``/healthz`` and ``/metrics`` bypass admission so operators can always
+observe an overloaded server.
 
 Persistence: without ``--shard-dir`` the plan cache is the in-memory
 :class:`~repro.service.plancache.PlanCache`.  ``--shard-dir D`` makes it
@@ -22,54 +39,61 @@ the journaled :class:`~repro.service.shard.ShardStore` at ``D/shard-0``
 Either way every cached plan is fsync'd to its journal when it is put, so
 a restart on the same directory — clean or not — serves it again.
 
-Graceful shutdown: SIGINT/SIGTERM stop the accept loop, the listening
-socket closes (new connections are refused), and in-flight requests are
-*drained* — an explicit condition-variable barrier, since the handler
-threads are daemons and would otherwise be abandoned mid-response.
+Graceful shutdown: SIGINT/SIGTERM stop the pool from leading the
+selector, the listening socket and the idle connections close (new
+connections are refused), and in-flight requests are *drained* — an
+explicit condition-variable barrier, since the pool threads are daemons
+and would otherwise be abandoned mid-response.
 
-Resilience: every admitted POST passes the ``server.request``
-fault-injection site.  A ``REPRO_FAULTS`` plan is parsed at boot, before
-the port is bound: a malformed plan exits with status 2 instead of failing
-every request at its first fault site.  A ``--seed`` or ``--n-samples``
-that the planner would refuse in a request exits 2 the same way, as does
-a negative ``--workers`` or any ``--cache-size``, ``--ttl``,
-``--shard-journal-bytes`` or ``--max-inflight`` the cache, the journal or
-the HTTP server refuses.
+Resilience: every admitted POST that computes passes the
+``server.request`` fault-injection site, on the pool thread that computes
+it, never on the thread leading the selector; while a fault plan is
+installed no POST is answered on the spot.  A ``REPRO_FAULTS`` plan is
+parsed at boot, before the port is bound: a malformed plan exits with
+status 2 instead of failing every request at its first fault site.  A
+``--seed`` or ``--n-samples`` that the planner would refuse in a request
+exits 2 the same way, as does a negative ``--workers`` or any
+``--cache-size``, ``--ttl``, ``--shard-journal-bytes`` or
+``--max-inflight`` the cache, the journal or the HTTP server refuses.
 The port is bound before any shard worker is spawned, and a boot that
 fails after the spawn stops the fleet before it exits.  The
 breaker / deadline knobs feed the planner's
 :class:`~repro.service.planner.ResilienceOptions`.  See
 ``docs/RESILIENCE.md``.
 
-Protocol: the handler parses and answers HTTP/1.1 itself on
-``socketserver`` (stdlib only).  ``http.server``'s header parser and
-response writer each cost more CPU per warm ``/plan`` hit than the plan
-lookup does.
+Protocol: the handler parses and answers HTTP/1.1 itself (stdlib only).
+``http.server``'s header parser and response writer each cost more CPU
+per warm ``/plan`` hit than the plan lookup does.
 HTTP/1.1 connections stay open unless the client sends ``Connection:
 close``; HTTP/1.0 ones close unless it sends ``Connection: keep-alive``.
-``Expect: 100-continue`` is answered with ``100 Continue`` just before
-the body is read.  A reply sent with the body still unread (404, 429,
-413, an injected 500, a chunked body) closes the connection.  Protocol
-errors are answered as JSON ``{"error": ...}`` and close it too: a bad
-request line is a 400, an over-long line a 414 (request line) or 431
-(header line), more than 100 headers a 431, a method other than
-GET/POST a 501.  Every response is one write carrying
-``Content-Type: application/json``, ``Content-Length`` and ``Date``.
+``Expect: 100-continue`` is answered with ``100 Continue`` once the head
+is accepted, just before the body is read.  A reply sent with the body
+still unread (404, 413, a chunked body) closes the connection, and so
+does a 429.  Protocol errors are answered as JSON ``{"error": ...}`` and
+close it too: a bad request line is a 400, an over-long line a 414
+(request line) or 431 (header line), more than 100 headers a 431, a
+method other than GET/POST a 501.  Every response is one write carrying
+``Content-Type: application/json``, ``Content-Length`` and ``Date``; the
+part the socket does not take at once waits for it to be writable.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
+import functools
 import json
 import os
+import selectors
 import signal
+import socket
 import socketserver
 import sys
 import threading
 import time
 from email.utils import formatdate
 from http import HTTPStatus
-from typing import Dict, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro import observability as obs
 from repro.observability import metrics
@@ -92,14 +116,41 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 #: Request-line / header-line and header-count limits (``http.server``'s).
 MAX_LINE_BYTES = 65536
 MAX_HEADERS = 100
+#: Seconds a request may take to arrive in full, from its first byte to
+#: the last byte of its body; a slower one is answered 408 and its
+#: connection closes.  A reply the client leaves unread as long is dropped.
+READ_DEADLINE_S = 10.0
+#: Seconds a kept-alive connection may wait for its next request.
+IDLE_LIMIT_S = 30.0
+
+_RECV_BYTES = 65536
+#: The request fields a plan key is a function of (see ``plan_key``).
+_KEYED_FIELDS = ("distribution", "cost_model", "strategy", "coverage")
+#: Bound on the remembered ``_keyed_fields(body) -> plan key`` pairs.
+_MAX_REMEMBERED_KEYS = 4096
 
 _STATUS_LINES = {s.value: f"HTTP/1.1 {s.value} {s.phrase}" for s in HTTPStatus}
 
 
-class PlanServer(socketserver.ThreadingTCPServer):
-    """Threaded HTTP/1.1 server with a bounded in-flight request budget."""
+@functools.lru_cache(maxsize=1)
+def _http_date(second: int) -> str:
+    """The ``Date`` header value for ``second``: formatted once a second."""
+    return formatdate(second, usegmt=True)
 
-    daemon_threads = True
+
+def _keyed_fields(body: dict) -> str:
+    """The fields of ``body`` its plan key depends on, as one string.
+
+    Equal strings mean equal JSON values, hence equal plan keys, so a
+    request whose string maps to a cached key is a warm hit.
+    """
+    return repr([body.get(name) for name in _KEYED_FIELDS])
+
+
+class PlanServer(socketserver.TCPServer):
+    """HTTP/1.1 server: one selector led by a pool of ``max_inflight + 1``
+    threads, with a bounded in-flight request budget."""
+
     allow_reuse_address = True
 
     def __init__(
@@ -110,44 +161,245 @@ class PlanServer(socketserver.ThreadingTCPServer):
     ):
         if max_inflight < 0:  # before the bind, so no listener leaks
             raise ValueError(f"max_inflight must be >= 0, got {max_inflight}")
+        # Made before the bind: a failed bind calls server_close().
+        self._selector = selectors.DefaultSelector()
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._returned: collections.deque = collections.deque()
         super().__init__(address, _Handler)
         self.service = service
         self.max_inflight = max_inflight
-        self._admission = threading.Semaphore(max_inflight)
-        # In-flight request barrier for graceful shutdown: handler threads
-        # are daemons, so server_close() does not join them — drain() is
-        # how main() waits for admitted requests to finish responding.
-        self._drain_cv = threading.Condition()
+        # Admitted requests in flight: the admission bound, and the barrier
+        # drain() waits on (pool threads are daemons, so server_close()
+        # does not join them).
+        self._admit_lock = threading.Lock()
+        self._drained = threading.Condition(self._admit_lock)
         self._inflight = 0
+        # Plan key by the keyed fields of a request already answered 200:
+        # how the leader tells a warm /plan hit without planning anything.
+        self._keys: Dict[str, str] = {}
+        for sock in (self.socket, self._wake_r, self._wake_w):
+            sock.setblocking(False)
+        self._selector.register(self.socket, selectors.EVENT_READ)
+        self._selector.register(self._wake_r, selectors.EVENT_READ)
+        # The leader holds _lead and alone touches the selector, _ready
+        # and _next_sweep; pool threads hand answered connections back
+        # through _returned.
+        self._lead = threading.Lock()
+        self._ready: list = []
+        self._next_sweep = 0.0
+        self._stop = threading.Event()
+        self._stopped = threading.Event()
 
     def try_admit(self) -> bool:
-        admitted = self._admission.acquire(blocking=False)
-        if admitted:
-            with self._drain_cv:
-                self._inflight += 1
-        return admitted
+        with self._admit_lock:
+            if self._inflight >= self.max_inflight:
+                return False
+            self._inflight += 1
+            return True
 
     def release(self) -> None:
-        with self._drain_cv:
+        with self._admit_lock:
             self._inflight -= 1
             if self._inflight == 0:
-                self._drain_cv.notify_all()
-        self._admission.release()
+                self._drained.notify_all()
 
     def drain(self, timeout: float = 30.0) -> bool:
         """Block until every admitted request has finished (or timeout)."""
         limit = time.monotonic() + timeout
-        with self._drain_cv:
+        with self._drained:
             while self._inflight > 0:
                 remaining = limit - time.monotonic()
                 if remaining <= 0:
                     return False
-                self._drain_cv.wait(remaining)
+                self._drained.wait(remaining)
             return True
 
     @property
     def port(self) -> int:
         return self.server_address[1]
+
+    # -- the pool ------------------------------------------------------
+    def serve_forever(self, poll_interval: float = 0.5) -> None:
+        """Run the pool until :meth:`shutdown`.
+
+        ``poll_interval`` bounds the leader's wait in the selector, so read
+        deadlines and idle limits are checked at least that often.
+        """
+        for i in range(self.max_inflight + 1):
+            threading.Thread(
+                target=self._follow,
+                args=(poll_interval,),
+                name=f"repro-serve-{i}",
+                daemon=True,
+            ).start()
+        try:
+            self._stop.wait()
+        finally:
+            self._stop.set()
+            self._wake()
+            with self._lead:  # the last leader has left the selector
+                pass
+            self._stopped.set()
+
+    def shutdown(self) -> None:
+        """Stop leading the selector; call it from another thread than
+        :meth:`serve_forever`, which returns once no thread leads."""
+        self._stop.set()
+        self._stopped.wait()
+
+    def server_close(self) -> None:
+        """Close the listener and every connection waiting in the selector.
+
+        A connection a pool thread is answering is closed by that thread
+        once its reply is written.
+        """
+        super().server_close()
+        for key in list((self._selector.get_map() or {}).values()):
+            if key.data is not None:
+                key.data.close()
+        while self._returned:
+            self._returned.popleft().close()
+        self._selector.close()
+        self._wake_r.close()
+        self._wake_w.close()
+
+    def _follow(self, poll_interval: float) -> None:
+        """One pool thread: lead the selector (or wait to), then run the
+        request it hands over."""
+        while True:
+            handler, job = self._lead_selector(poll_interval)
+            if job is None:
+                return
+            handler.run(job)
+            if self._stop.is_set() or (handler.closing and not handler.outbuf):
+                handler.close()
+            else:
+                self._returned.append(handler)
+                self._wake()
+
+    def _wake(self) -> None:
+        try:
+            self._wake_w.send(b"\0")
+        except OSError:
+            pass  # a wake-up is already pending, or the server is closed
+
+    def _lead_selector(
+        self, poll_interval: float
+    ) -> Tuple[Optional["_Handler"], Optional[Callable]]:
+        """Wait to lead, then serve the selector until a request must run
+        off it.
+
+        Returns ``(handler, job)`` for that request, or ``(None, None)``
+        once the server stops.  Events the next leader has to handle stay
+        in ``_ready``.
+        """
+        with self._lead:
+            while not self._stop.is_set():
+                if not self._ready:
+                    now = time.monotonic()
+                    if now >= self._next_sweep:
+                        self._sweep(now)
+                        self._next_sweep = now + poll_interval
+                    self._ready = self._selector.select(poll_interval)
+                    continue
+                key, mask = self._ready.pop()
+                handler = key.data
+                if handler is None:
+                    if key.fileobj is self.socket:
+                        self._accept()
+                    else:
+                        self._take_back()
+                    continue
+                if mask & selectors.EVENT_WRITE and not handler.flush():
+                    continue  # the socket took part of the reply; wait again
+                if mask & selectors.EVENT_READ and not handler.receive():
+                    self._drop(handler)  # the peer closed or reset
+                    continue
+                job = handler.on_input()
+                if job is not None:
+                    self._selector.unregister(handler.sock)
+                    handler.events = 0
+                    return handler, job
+                self._arm(handler)
+            return None, None
+
+    def _accept(self) -> None:
+        try:
+            sock, _ = self.socket.accept()
+        except OSError:
+            return  # the client gave up before it was accepted
+        sock.setblocking(False)
+        handler = _Handler(sock, self)
+        key = self._selector.register(sock, selectors.EVENT_READ, handler)
+        handler.events = selectors.EVENT_READ
+        # A client sends its request right after connecting: read now
+        # rather than after one more wait in the selector.
+        self._ready.append((key, selectors.EVENT_READ))
+
+    def _take_back(self) -> None:
+        """Arm the connections pool threads have answered."""
+        try:
+            self._wake_r.recv(4096)
+        except OSError:
+            pass  # nothing pending: a wake-up raced the last one
+        while self._returned:
+            self._arm(self._returned.popleft())
+
+    def _arm(self, handler: "_Handler") -> None:
+        """Wait on what ``handler`` needs next: writability while a reply
+        is pending, else its next request; or close it."""
+        if handler.outbuf:
+            events = selectors.EVENT_WRITE
+        elif handler.closing:
+            self._drop(handler)
+            return
+        else:
+            events = selectors.EVENT_READ
+        if handler.events == events:
+            return
+        if handler.events:
+            self._selector.modify(handler.sock, events, handler)
+        else:
+            self._selector.register(handler.sock, events, handler)
+        handler.events = events
+
+    def _drop(self, handler: "_Handler") -> None:
+        if handler.events:
+            self._selector.unregister(handler.sock)
+            handler.events = 0
+        handler.close()
+
+    def _sweep(self, now: float) -> None:
+        """Close connections past their read deadline or idle limit."""
+        for key in list(self._selector.get_map().values()):
+            if key.data is not None and key.data.expired(now):
+                self._drop(key.data)
+
+    # -- what the leader answers itself --------------------------------
+    def answers_gets_inline(self) -> bool:
+        """``/healthz`` and ``/metrics`` on the in-process cache never
+        block; on the sharded tier they cost one RPC per shard."""
+        return isinstance(self.service.cache, PlanCache)
+
+    def is_warm_plan(self, path: str, body: dict) -> bool:
+        """Whether ``body`` is a ``/plan`` whose key the in-process cache
+        holds: its answer is a lookup.  Counts nothing, moves no LRU entry.
+        """
+        cache = self.service.cache
+        if (
+            path != "/plan"
+            or not isinstance(cache, PlanCache)
+            or faults.get_plan() is not None
+        ):
+            return False
+        key = self._keys.get(_keyed_fields(body))
+        return key is not None and key in cache
+
+    def remember(self, body: dict, key: str) -> None:
+        keys = self._keys
+        if len(keys) >= _MAX_REMEMBERED_KEYS:
+            keys.clear()  # relearned from the next answers
+        keys[_keyed_fields(body)] = key
 
 
 class _ProtocolError(Exception):
@@ -158,55 +410,129 @@ class _ProtocolError(Exception):
         self.status = status
 
 
-class _Handler(socketserver.StreamRequestHandler):
-    """One connection: parse and answer HTTP/1.1 requests until it closes."""
+class _Handler:
+    """One connection: its buffered input, the HTTP/1.1 parser and writer.
 
-    server: PlanServer  # narrowed for attribute access below
+    The thread leading the selector feeds it bytes (:meth:`receive`) and
+    calls :meth:`on_input`, which answers what it can and returns, as a
+    callable, the first request that must run off the selector.  While a
+    pool thread runs that request (:meth:`run`) the connection is out of
+    the selector, so one thread at a time touches a handler.
+    """
 
-    def handle(self) -> None:
-        try:
-            while self._handle_one():
-                pass
-        except OSError:
-            pass  # peer vanished mid-exchange; nothing left to answer
+    def __init__(self, sock: socket.socket, server: PlanServer):
+        self.sock = sock
+        self.server = server
+        self.inbuf = bytearray()
+        #: Reply bytes the socket has not taken yet.
+        self.outbuf = b""
+        #: Close once ``outbuf`` is sent.
+        self.closing = False
+        #: Selector events this connection is registered for (0: none).
+        self.events = 0
+        #: Start of the current request, pending reply or idle spell.
+        self.since = time.monotonic()
+        #: On a pool thread a partial write blocks (bounded) instead.
+        self._blocking_writes = False
+        self._next_request()
 
-    def _handle_one(self) -> bool:
-        """Answer one request; returns whether the connection stays open."""
+    def _next_request(self) -> None:
+        self._method: Optional[str] = None
+        self.path = ""
+        self._http11 = False
+        self._headers: Dict[str, str] = {}
+        self._header_lines = 0
+        self._pos = 0  # parse offset into inbuf
+        self._head_end = 0  # inbuf offset of the body; 0 until the head parses
+        self._length: Optional[int] = None  # body length, once checked
         self._body_read = False
         self._close = True  # until the request line and headers parse
-        self._headers: Dict[str, str] = {}
+
+    # -- selector side -------------------------------------------------
+    def receive(self) -> bool:
+        """Buffer what the socket holds; False once the peer has closed."""
         try:
-            request_line = self._read_line(414, "request line too long")
-            if not request_line.strip():
-                return False  # EOF, or a stray blank line: close quietly
-            method, self.path, self._http11 = self._parse_request_line(
-                request_line
-            )
-            self._read_headers()
-        except _ProtocolError as exc:
-            self._error(exc.status, str(exc))
+            data = self.sock.recv(_RECV_BYTES)
+        except BlockingIOError:
+            return True
+        except OSError:
             return False
-        # HTTP/1.1 keeps the connection unless told otherwise; HTTP/1.0
-        # closes it unless asked to keep it.
-        connection = self._headers.get("connection", "").lower()
-        self._close = connection == "close" or (
-            not self._http11 and connection != "keep-alive"
-        )
-        if method == "GET":
-            self._do_get()
-        elif method == "POST":
-            self._do_post()
-        else:
-            self._close = True
-            self._error(501, f"unsupported method {method!r}")
-        return not (self._close or self._body_pending())
+        if not data:
+            return False
+        if not self.inbuf:
+            self.since = time.monotonic()
+        self.inbuf += data
+        return True
+
+    def flush(self) -> bool:
+        """Send more of ``outbuf``; whether it is empty now."""
+        try:
+            sent = self.sock.send(self.outbuf)
+        except BlockingIOError:
+            return False
+        except OSError:
+            self._lost()
+            return True
+        self.outbuf = self.outbuf[sent:]
+        return not self.outbuf
+
+    def expired(self, now: float) -> bool:
+        """Whether the connection is past its deadline; a request still
+        arriving is answered 408 first."""
+        age = now - self.since
+        if self.outbuf:
+            return age > READ_DEADLINE_S
+        if not self.inbuf:
+            return age > IDLE_LIMIT_S
+        if age <= READ_DEADLINE_S:
+            return False
+        self._close = True
+        self._error(408, f"request not received within {READ_DEADLINE_S:g} s")
+        return True
+
+    def close(self) -> None:
+        self.sock.close()
+
+    def on_input(self) -> Optional[Callable[[], None]]:
+        """Answer the buffered requests in order; returns the first one
+        that must run off the selector, or None once the next needs more
+        input (or a pending reply must go out first)."""
+        while not (self.closing or self.outbuf):
+            if not self._head_end:
+                try:
+                    if not self._read_head():
+                        return None
+                except _ProtocolError as exc:
+                    self._error(exc.status, str(exc))
+                    self.closing = True
+                    return None
+            job = self._route()
+            if job is not None or self._head_end:
+                return job  # a job, or a body still arriving
+        return None
+
+    def run(self, job: Optional[Callable[[], None]]) -> None:
+        """Run ``job`` and the requests buffered behind it on this pool
+        thread, where a partial write may block."""
+        self._blocking_writes = True
+        try:
+            while job is not None:
+                job()
+                job = self.on_input()
+        finally:
+            self._blocking_writes = False
 
     # -- parsing -------------------------------------------------------
-    def _read_line(self, status: int, message: str) -> bytes:
-        line = self.rfile.readline(MAX_LINE_BYTES + 1)
-        if len(line) > MAX_LINE_BYTES:
-            raise _ProtocolError(status, message)
-        return line
+    def _read_line(self, status: int, message: str) -> Optional[bytes]:
+        """The next complete buffered line, or None until it has arrived."""
+        start = self._pos
+        end = self.inbuf.find(b"\n", start, start + MAX_LINE_BYTES)
+        if end < 0:
+            if len(self.inbuf) - start >= MAX_LINE_BYTES:
+                raise _ProtocolError(status, message)
+            return None
+        self._pos = end + 1
+        return bytes(self.inbuf[start : end + 1])
 
     @staticmethod
     def _parse_request_line(line: bytes) -> Tuple[str, str, bool]:
@@ -217,17 +543,42 @@ class _Handler(socketserver.StreamRequestHandler):
         method, path, version = words
         return method, path, version == "HTTP/1.1"
 
-    def _read_headers(self) -> None:
-        """Header names lower-cased; the first of a repeated header wins."""
-        for _ in range(MAX_HEADERS + 1):
+    def _read_head(self) -> bool:
+        """Parse the buffered head; whether all of it has arrived.
+
+        Header names are lower-cased; the first of a repeated header wins.
+        """
+        if self._method is None:
+            line = self._read_line(414, "request line too long")
+            if line is None:
+                return False
+            if not line.strip():
+                self.closing = True  # a stray blank line: close quietly
+                return False
+            self._method, self.path, self._http11 = self._parse_request_line(
+                line
+            )
+        while True:
             line = self._read_line(431, "header line too long")
-            if line in (b"\r\n", b"\n", b""):
-                return
+            if line is None:
+                return False
+            if line in (b"\r\n", b"\n"):
+                break
+            if self._header_lines == MAX_HEADERS:
+                raise _ProtocolError(431, f"more than {MAX_HEADERS} headers")
+            self._header_lines += 1
             name, sep, value = line.decode("latin-1").partition(":")
             if not sep or not name or name != name.strip():
                 raise _ProtocolError(400, f"bad header line {line[:80]!r}")
             self._headers.setdefault(name.lower(), value.strip())
-        raise _ProtocolError(431, f"more than {MAX_HEADERS} headers")
+        self._head_end = self._pos
+        # HTTP/1.1 keeps the connection unless told otherwise; HTTP/1.0
+        # closes it unless asked to keep it.
+        connection = self._headers.get("connection", "").lower()
+        self._close = connection == "close" or (
+            not self._http11 and connection != "keep-alive"
+        )
+        return True
 
     def _body_pending(self) -> bool:
         """Whether the request's body is still unread in the stream."""
@@ -239,7 +590,7 @@ class _Handler(socketserver.StreamRequestHandler):
             or "transfer-encoding" in headers
         )
 
-    def _read_body(self) -> dict:
+    def _body_length(self) -> int:
         if "transfer-encoding" in self._headers:
             raise ServiceError("chunked request bodies are not supported")
         try:
@@ -250,33 +601,72 @@ class _Handler(socketserver.StreamRequestHandler):
             raise ServiceError("request body required")
         if length > MAX_BODY_BYTES:
             raise ServiceError("request body too large", status=413)
-        expect = self._headers.get("expect", "").lower()
-        if self._http11 and expect == "100-continue":
-            # The client holds the body back until told to send it.
-            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
-        raw = self.rfile.read(length)
-        self._body_read = True
+        return length
+
+    @staticmethod
+    def _parse_body(raw: bytearray) -> dict:
         try:
             body = json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad JSON, UTF-8 or nesting
             raise ServiceError(f"invalid JSON body: {exc}") from None
         if not isinstance(body, dict):
             raise ServiceError("request body must be a JSON object")
         return body
 
+    def _finish(self) -> None:
+        """Done with the current request: drop its bytes, await the next."""
+        if self._close or self._body_pending():
+            self.closing = True
+        else:
+            del self.inbuf[: self._head_end + (self._length or 0)]
+        self._next_request()
+        self.since = time.monotonic()
+
     # -- writing -------------------------------------------------------
+    def _write(self, data: bytes) -> None:
+        """Send ``data``.  What the socket does not take at once waits in
+        ``outbuf`` for the selector; on a pool thread it is sent blocking,
+        for at most ``READ_DEADLINE_S``."""
+        if self.outbuf:  # keep replies in order
+            self.outbuf += data
+            return
+        try:
+            sent = self.sock.send(data)
+        except BlockingIOError:
+            sent = 0
+        except OSError:
+            self._lost()
+            return
+        if sent == len(data):
+            return
+        if not self._blocking_writes:
+            self.outbuf = data[sent:]
+            self.since = time.monotonic()
+            return
+        try:
+            self.sock.settimeout(READ_DEADLINE_S)
+            self.sock.sendall(data[sent:])
+            self.sock.setblocking(False)
+        except OSError:
+            self._lost()
+
+    def _lost(self) -> None:
+        """The peer vanished mid-exchange; nothing left to answer."""
+        self.outbuf = b""
+        self.closing = True
+
     def _send_json(self, status: int, payload: dict, extra_headers=()) -> None:
         body = json.dumps(payload).encode("utf-8")
         lines = [
             _STATUS_LINES[status],
             "Content-Type: application/json",
             f"Content-Length: {len(body)}",
-            f"Date: {formatdate(usegmt=True)}",
+            f"Date: {_http_date(int(time.time()))}",
         ]
         if self._close or self._body_pending():
-            # A reply sent before the body was read (404, 429, 413, an
-            # injected 500) closes too: on a kept-alive connection the
-            # body would be parsed as the next request line.
+            # A reply sent before the body was read (404, 413) closes too:
+            # on a kept-alive connection the body would be parsed as the
+            # next request line.
             lines.append("Connection: close")
         lines.extend(f"{name}: {value}" for name, value in extra_headers)
         head = "\r\n".join(lines).encode("latin-1") + b"\r\n\r\n"
@@ -284,44 +674,101 @@ class _Handler(socketserver.StreamRequestHandler):
         # would leave the body waiting on Nagle's algorithm for the
         # client's delayed ACK (~40 ms per response on a kept-alive
         # connection).
-        self.wfile.write(head + body)
+        self._write(head + body)
 
     def _error(self, status: int, message: str, extra_headers=()) -> None:
         metrics.inc(f"{names.SERVER_RESPONSES_PREFIX}{status}")
         self._send_json(status, {"error": message}, extra_headers)
 
-    # -- routes --------------------------------------------------------
-    def _do_get(self) -> None:
-        metrics.inc(names.SERVER_REQUESTS)
-        if self.path == "/healthz":
-            self._send_json(200, self.server.service.health())
-        elif self.path == "/metrics":
-            self._send_json(200, self.server.service.metrics_payload())
-        else:
-            self._error(404, f"unknown endpoint {self.path!r}")
+    def _reply_error(self, status: int, message: str, extra_headers=()) -> None:
+        self._error(status, message, extra_headers)
+        self._finish()
 
-    def _do_post(self) -> None:
+    # -- routes --------------------------------------------------------
+    def _route(self) -> Optional[Callable[[], None]]:
+        if self._method == "GET":
+            if self.server.answers_gets_inline():
+                self._answer_get()
+                return None
+            return self._answer_get
+        if self._method == "POST":
+            return self._route_post()
+        self._close = True
+        self._reply_error(501, f"unsupported method {self._method!r}")
+        return None
+
+    def _answer_get(self) -> None:
         metrics.inc(names.SERVER_REQUESTS)
-        if self.path not in ("/plan", "/evaluate"):
-            self._error(404, f"unknown endpoint {self.path!r}")
-            return
-        if not self.server.try_admit():
+        service = self.server.service
+        try:
+            if self.path == "/healthz":
+                self._send_json(200, service.health())
+            elif self.path == "/metrics":
+                self._send_json(200, service.metrics_payload())
+            else:
+                self._error(404, f"unknown endpoint {self.path!r}")
+        except Exception as exc:  # noqa: BLE001 - a pool thread must not die per-request
+            metrics.inc(names.SERVER_ERRORS)
+            self._error(500, f"internal error: {type(exc).__name__}: {exc}")
+        self._finish()
+
+    def _route_post(self) -> Optional[Callable[[], None]]:
+        """Read the body in full, then admit: a request that is still
+        arriving holds no admission slot."""
+        if self._length is None:
+            metrics.inc(names.SERVER_REQUESTS)
+            if self.path not in ("/plan", "/evaluate"):
+                self._reply_error(404, f"unknown endpoint {self.path!r}")
+                return None
+            try:
+                self._length = self._body_length()
+            except ServiceError as exc:
+                self._reply_error(exc.status, str(exc))
+                return None
+            expect = self._headers.get("expect", "").lower()
+            if self._http11 and expect == "100-continue":
+                # The client holds the body back until told to send it.
+                self._write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        end = self._head_end + self._length
+        if len(self.inbuf) < end:
+            return None
+        self._body_read = True
+        try:
+            body = self._parse_body(self.inbuf[self._head_end : end])
+        except ServiceError as exc:
+            self._reply_error(exc.status, str(exc))
+            return None
+        server = self.server
+        if not server.try_admit():
             metrics.inc(names.SERVER_THROTTLED)
-            self._error(
+            self._close = True  # the client comes back after Retry-After
+            self._reply_error(
                 429,
-                f"server at capacity ({self.server.max_inflight} in-flight)",
+                f"server at capacity ({server.max_inflight} in-flight)",
                 extra_headers=[("Retry-After", "1")],
             )
-            return
+            return None
+        if server.is_warm_plan(self.path, body):
+            self._answer_post(body, computes=False)
+            return None
+        return functools.partial(self._answer_post, body, computes=True)
+
+    def _answer_post(self, body: dict, computes: bool) -> None:
+        """Answer an admitted POST from the service, then release it."""
+        server = self.server
         try:
-            # Chaos drills can delay, hang, or fail admitted requests here
-            # (an injected error surfaces as a well-formed 500 below).
-            faults.fire("server.request")
-            body = self._read_body()
+            if computes:
+                # Chaos drills can delay, hang, or fail admitted requests
+                # here, off the selector (an injected error surfaces as a
+                # well-formed 500 below).
+                faults.fire("server.request")
             if self.path == "/plan":
-                self._send_json(200, self.server.service.plan(body))
+                response = server.service.plan(body)
             else:
-                self._send_json(200, self.server.service.evaluate(body))
+                response = server.service.evaluate(body)
+            if computes and self.path == "/plan":
+                server.remember(body, response["key"])
+            self._send_json(200, response)
             metrics.inc(names.SERVER_RESPONSES_OK)
         except ServiceError as exc:
             self._error(exc.status, str(exc))
@@ -329,7 +776,8 @@ class _Handler(socketserver.StreamRequestHandler):
             metrics.inc(names.SERVER_ERRORS)
             self._error(500, f"internal error: {type(exc).__name__}: {exc}")
         finally:
-            self.server.release()
+            server.release()
+        self._finish()
 
 
 def serve(

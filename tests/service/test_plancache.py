@@ -49,6 +49,20 @@ class TestBasics:
         with pytest.raises(ValueError, match="ttl"):
             PlanCache(ttl=0.0)
 
+    def test_membership_counts_nothing_and_keeps_lru_order(self, registry):
+        clock = FakeClock()
+        cache = PlanCache(maxsize=2, ttl=10.0, clock=clock)
+        cache.put("a", {"n": 1})
+        cache.put("b", {"n": 2})
+        assert "a" in cache and "z" not in cache
+        cache.put("c", {"n": 3})  # "a" is still the LRU tail
+        assert "a" not in cache and "b" in cache
+        clock.advance(11.0)
+        assert "b" not in cache  # expired, yet left for get() to count
+        assert len(cache) == 2
+        for name in ("hits", "misses", "expirations"):
+            assert counter(registry, f"plancache.{name}") == 0
+
 
 class TestLRU:
     def test_eviction_drops_least_recently_used(self, registry):

@@ -79,6 +79,16 @@ def test_ring_rejects_empty():
 # ----------------------------------------------------------------------
 # ShardedPlanCache over live in-thread shard servers
 # ----------------------------------------------------------------------
+def start(server) -> threading.Thread:
+    """Serve in a daemon thread.  The short poll keeps ``shutdown()`` (and
+    so every teardown and kill) from waiting out socketserver's 0.5 s."""
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
+    thread.start()
+    return thread
+
+
 @pytest.fixture
 def fleet(tmp_path):
     """Three in-thread shard servers + a router facade over them."""
@@ -87,8 +97,7 @@ def fleet(tmp_path):
     for sid in range(3):
         store = ShardStore(str(tmp_path / f"shard-{sid}"), fsync=False)
         server = ShardServer(store, sid)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
+        thread = start(server)
         servers.append(server)
         threads.append(thread)
         clients[sid] = ShardClient("127.0.0.1", server.port, sid, timeout=2.0)
@@ -301,8 +310,7 @@ def test_stale_pooled_socket_reconnects_once(tmp_path, enabled_obs):
     registry, _ = enabled_obs
     first = ShardServer(ShardStore(str(tmp_path / "a"), fsync=False), 0)
     port = first.port
-    thread = threading.Thread(target=first.serve_forever, daemon=True)
-    thread.start()
+    thread = start(first)
     client = ShardClient("127.0.0.1", port, 0, timeout=2.0)
     client.put(sha(1), {"v": 1})
     kill(first)
@@ -312,8 +320,7 @@ def test_stale_pooled_socket_reconnects_once(tmp_path, enabled_obs):
     # A worker restarted on the same port: the pooled socket is stale.
     second = ShardServer(ShardStore(str(tmp_path / "b"), fsync=False), 0, port=port)
     accepted = count_accepts(second)
-    thread = threading.Thread(target=second.serve_forever, daemon=True)
-    thread.start()
+    thread = start(second)
     plan = FaultPlan([FaultRule("shard.rpc", "delay", seconds=0.0)])
     calls_before = registry.counter("shard.rpc_calls").value
     try:
@@ -335,8 +342,7 @@ def test_shard_answers_an_unknown_op_with_a_structured_error(tmp_path, op):
     """A worker answers only the ops ShardClient sends (ping, get, put,
     stats); anything else is an error line, not a dropped connection."""
     server = ShardServer(ShardStore(str(tmp_path / "s"), fsync=False), 0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    start(server)
     try:
         with socket.create_connection(
             ("127.0.0.1", server.port), timeout=2.0

@@ -1,4 +1,5 @@
-"""HTTP front end: round trip, error mapping, admission control, wire shape.
+"""HTTP front end: round trip, error mapping, admission control, wire
+shape, and overload (stalled, idle and slow clients).
 
 Most tests boot a real :class:`PlanServer` on an ephemeral port with the
 accept loop in a daemon thread — the same shape the CI service job drives
@@ -9,10 +10,10 @@ over a recording socket instead, to see each ``sendall`` it makes.
 from __future__ import annotations
 
 import http.client
-import io
 import json
 import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 from email.utils import parsedate_to_datetime
@@ -20,10 +21,13 @@ from email.utils import parsedate_to_datetime
 import pytest
 
 from repro import observability as obs
+from repro.resilience import faults
+from repro.resilience.faults import FaultPlan, FaultRule
 from repro.resilience.policies import RetryPolicy
 from repro.service.client import ServiceClient, ServiceHTTPError
 from repro.service.plancache import PlanCache
 from repro.service.planner import PlannerService
+from repro.service import server as server_module
 from repro.service.server import _Handler, serve
 
 PARAMS = {"mu": 3.0, "sigma": 0.5}
@@ -224,25 +228,24 @@ class TestKeepAlive:
 
 
 class RecordingSocket:
-    """A connected-socket stand-in: serves ``request`` to the handler's
-    reader and records every ``sendall`` the handler makes."""
+    """A connected-socket stand-in that records every ``send`` the
+    handler makes, each taken in full."""
 
-    def __init__(self, request: bytes):
-        self._request = request
+    def __init__(self):
         self.sent: list = []
 
-    def makefile(self, mode, *args, **kwargs):
-        assert mode == "rb"
-        return io.BytesIO(self._request)
-
-    def sendall(self, data) -> None:
+    def send(self, data) -> int:
         self.sent.append(bytes(data))
+        return len(data)
 
 
 def _drive(server, request: bytes) -> list:
-    """Run one handler over ``request``; returns the writes it made."""
-    sock = RecordingSocket(request)
-    _Handler(sock, ("127.0.0.1", 0), server)
+    """Run one connection's handler over ``request`` as if it had arrived
+    at once, computing inline; returns the writes it made."""
+    sock = RecordingSocket()
+    handler = _Handler(sock, server)
+    handler.inbuf += request
+    handler.run(handler.on_input())
     return sock.sent
 
 
@@ -446,3 +449,207 @@ class TestProtocolEdges:
         _, headers, _ = _split_response(sent[-1])
         assert parsedate_to_datetime(headers["Date"]).tzinfo is not None
         assert "Server" not in headers
+
+
+# ----------------------------------------------------------------------
+# Overload: a stalled, idle or slow client holds a socket, not a thread
+# ----------------------------------------------------------------------
+STALLED_HEAD = (
+    b"POST /plan HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\n"
+    b"Content-Length: 100\r\n\r\n"
+)
+#: The stated bound: every well-formed POST beside stalled ones is
+#: answered within it (a 300-sample cold plan takes milliseconds).
+ANSWER_BOUND_S = 5.0
+
+
+def _read_response(reader) -> tuple:
+    """``(status, headers, body)`` of the next response on a
+    ``makefile("rb")`` reader."""
+    status = int(reader.readline().split()[1])
+    headers = {}
+    while (line := reader.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name] = value.strip()
+    return status, headers, reader.read(int(headers["Content-Length"]))
+
+
+class TestOverload:
+    @pytest.fixture()
+    def pool_server(self, registry):
+        """Starts served servers; a 50 ms poll checks deadlines promptly."""
+        started = []
+
+        def start(max_inflight=2, service=None):
+            if service is None:
+                service = PlannerService(
+                    cache=PlanCache(maxsize=16), n_samples=300, seed=0
+                )
+            server = serve(service, port=0, max_inflight=max_inflight)
+            thread = threading.Thread(
+                target=server.serve_forever,
+                kwargs={"poll_interval": 0.05},
+                daemon=True,
+            )
+            thread.start()
+            started.append((server, thread))
+            return server
+
+        yield start
+        for server, thread in started:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+
+    @staticmethod
+    def _client(server) -> ServiceClient:
+        return ServiceClient(
+            f"http://127.0.0.1:{server.port}",
+            timeout=10,
+            retry=RetryPolicy(max_attempts=1),
+        )
+
+    def test_stalled_posts_hold_no_admission_slot(self, pool_server):
+        server = pool_server(max_inflight=2)
+        address = ("127.0.0.1", server.port)
+        stalled = [
+            socket.create_connection(address, timeout=10)
+            for _ in range(server.max_inflight)
+        ]
+        try:
+            for sock in stalled:
+                sock.sendall(STALLED_HEAD)
+            client = self._client(server)
+            for sigma in (0.4, 0.5, 0.6):
+                started = time.monotonic()
+                resp = client.plan("lognormal", {"mu": 3.0, "sigma": sigma})
+                assert time.monotonic() - started < ANSWER_BOUND_S
+                assert "reservations" in resp["plan"]
+            assert server.drain(timeout=2.0)
+        finally:
+            for sock in stalled:
+                sock.close()
+
+    @pytest.mark.parametrize(
+        "sent",
+        [b"POST /plan HTTP/1.1\r\nHost: test\r\n", STALLED_HEAD + b'{"dist'],
+        ids=["head", "body"],
+    )
+    def test_stalled_request_gets_408_and_closes(
+        self, pool_server, monkeypatch, sent
+    ):
+        monkeypatch.setattr(server_module, "READ_DEADLINE_S", 0.3)
+        server = pool_server()
+        address = ("127.0.0.1", server.port)
+        with socket.create_connection(address, timeout=5) as sock:
+            started = time.monotonic()
+            sock.sendall(sent)
+            status, headers, body = _split_response(_recv_until_closed(sock))
+            waited = time.monotonic() - started
+        assert status == 408
+        assert headers["Connection"] == "close"
+        assert headers["Content-Type"] == "application/json"
+        assert json.loads(body)["error"]
+        assert 0.3 <= waited < 3.0
+
+    def test_idle_keep_alive_connection_closes(self, pool_server, monkeypatch):
+        monkeypatch.setattr(server_module, "IDLE_LIMIT_S", 0.3)
+        server = pool_server()
+        address = ("127.0.0.1", server.port)
+        with socket.create_connection(address, timeout=5) as sock:
+            reader = sock.makefile("rb")
+            sock.sendall(HEALTHZ)
+            status, headers, _ = _read_response(reader)
+            assert status == 200 and "Connection" not in headers
+            started = time.monotonic()
+            assert reader.read(1) == b""  # closed by the server
+            assert 0.25 <= time.monotonic() - started < 3.0
+
+    def test_idle_connections_hold_no_threads(self, pool_server):
+        baseline = threading.active_count()
+        server = pool_server(max_inflight=4)
+        address = ("127.0.0.1", server.port)
+        conns = []
+        try:
+            for _ in range(100):
+                sock = socket.create_connection(address, timeout=10)
+                conns.append((sock, sock.makefile("rb")))
+                sock.sendall(HEALTHZ)
+                assert _read_response(conns[-1][1])[0] == 200
+            # The pool, plus the thread running serve_forever.
+            assert threading.active_count() <= baseline + server.max_inflight + 2
+            sock, reader = conns[0]  # still open, still answered
+            sock.sendall(HEALTHZ)
+            assert _read_response(reader)[0] == 200
+        finally:
+            for sock, reader in conns:
+                reader.close()
+                sock.close()
+
+    def test_a_client_that_reads_nothing_blocks_no_one(self, pool_server):
+        server = pool_server()
+        address = ("127.0.0.1", server.port)
+        n = 20_000  # ~7 MB of replies: more than the socket buffers take
+        with socket.socket() as hog:
+            hog.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            hog.settimeout(10)
+            hog.connect(address)
+            sender = threading.Thread(target=hog.sendall, args=(HEALTHZ * n,))
+            sender.start()
+            time.sleep(0.5)  # the hog's replies fill the buffers
+            with socket.create_connection(address, timeout=5) as sock:
+                sock.sendall(HEALTHZ)
+                assert _read_response(sock.makefile("rb"))[0] == 200
+            reader = hog.makefile("rb")
+            for _ in range(n):
+                assert _read_response(reader)[0] == 200
+            sender.join(timeout=10)
+
+    def test_injected_delay_runs_off_the_selector(self, pool_server):
+        server = pool_server()
+        self._client(server).plan("lognormal", PARAMS)  # now a warm hit
+        rule = FaultRule("server.request", "delay", seconds=1.0)
+        answers = []
+        with faults.installed(FaultPlan([rule])):
+            poster = threading.Thread(
+                target=lambda: answers.append(
+                    self._client(server).plan("lognormal", PARAMS)
+                )
+            )
+            poster.start()
+            deadline = time.monotonic() + 5.0
+            while rule.triggered == 0 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert rule.triggered == 1  # a warm hit passes the site too
+            started = time.monotonic()
+            assert self._client(server).healthz()["status"] == "ok"
+            assert time.monotonic() - started < 0.5
+            poster.join(timeout=10)
+        assert answers and answers[0]["cached"] is True
+
+    def test_a_slow_cache_tier_blocks_no_one(self, pool_server):
+        class SlowStatsTier:
+            """A tier that is not a PlanCache: its stats stand for one RPC
+            per shard of the sharded tier."""
+
+            maxsize, ttl = 16, None
+
+            def __init__(self):
+                self.inner = PlanCache(maxsize=16)
+
+            def get_or_compute(self, key, factory):
+                return self.inner.get_or_compute(key, factory)
+
+            def stats(self):
+                time.sleep(1.0)
+                return self.inner.stats()
+
+        service = PlannerService(cache=SlowStatsTier(), n_samples=300, seed=0)
+        server = pool_server(service=service)
+        probe = threading.Thread(target=self._client(server).healthz)
+        probe.start()
+        time.sleep(0.2)  # the probe waits on the tier
+        started = time.monotonic()
+        assert "reservations" in self._client(server).plan("lognormal", PARAMS)["plan"]
+        assert time.monotonic() - started < 0.8
+        probe.join(timeout=5)
